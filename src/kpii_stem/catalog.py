@@ -95,7 +95,7 @@ class ResonanceClass:
     a12: float | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResonantSolution:
     params: SolitonParams
     spec: CaseSpec
@@ -103,7 +103,6 @@ class ResonantSolution:
     resonance: ResonanceClass
     # per tau term: exponent vector over (xi1, xi2, xi3) and its coefficient
     template: tuple[tuple[tuple[int, int, int], float], ...]
-    arms: object | None = None  # AsymptoticCatalog, attached lazily by geometry
 
     @property
     def a12(self) -> float | None:
@@ -156,44 +155,30 @@ def phase_shift_param(ki, pi, kj, pj):
     return a
 
 
-# (p1, p2) per case family and branch; every second branch is the mirror
-# (p3 -> -p3, y -> -y) of the first.
-def _strong(k, p3, branch):
-    k1, k2, k3 = k
-    if branch is Branch.FIRST:
-        return (k1 * (k1 * k3 + k3**2 + p3) / k3, -k2 * (k2 * k3 + k3**2 - p3) / k3)
-    return (-k1 * (k1 * k3 + k3**2 - p3) / k3, k2 * (k2 * k3 + k3**2 + p3) / k3)
+# First-branch (p1, p2) per case family.  The second branch is the mirror
+# (p3, y) -> (-p3, -y): resolve_constraints evaluates the family at -p3 and
+# negates both results.
+def _strong(k1, k2, k3, p3):
+    return (k1 * (k1 * k3 + k3**2 + p3) / k3, -k2 * (k2 * k3 + k3**2 - p3) / k3)
 
 
-def _weak(k, p3, branch):
-    k1, k2, k3 = k
-    if branch is Branch.FIRST:
-        return (-k1 * (k1 * k3 - k3**2 - p3) / k3, k2 * (k2 * k3 - k3**2 + p3) / k3)
-    return (k1 * (k1 * k3 - k3**2 + p3) / k3, -k2 * (k2 * k3 - k3**2 - p3) / k3)
+def _weak(k1, k2, k3, p3):
+    return (-k1 * (k1 * k3 - k3**2 - p3) / k3, k2 * (k2 * k3 - k3**2 + p3) / k3)
 
 
-def _mixed(k, p3, branch):
-    k1, k2, k3 = k
-    if branch is Branch.FIRST:
-        return (k1 * (k1 * k3 + k3**2 + p3) / k3, k2 * (k2 * k3 - k3**2 + p3) / k3)
-    return (-k1 * (k1 * k3 + k3**2 - p3) / k3, -k2 * (k2 * k3 - k3**2 - p3) / k3)
+def _mixed(k1, k2, k3, p3):
+    return (k1 * (k1 * k3 + k3**2 + p3) / k3, k2 * (k2 * k3 - k3**2 + p3) / k3)
 
 
-def _all_weak(k, p3, branch):
-    k1, k2, k3 = k
-    if branch is Branch.FIRST:
-        return (-k1 * (k1 * k3 - k3**2 - p3) / k3, -k2 * (k2 * k3 - k3**2 - p3) / k3)
-    return (k1 * (k1 * k3 - k3**2 + p3) / k3, k2 * (k2 * k3 - k3**2 + p3) / k3)
+def _all_weak(k1, k2, k3, p3):
+    return (-k1 * (k1 * k3 - k3**2 - p3) / k3, -k2 * (k2 * k3 - k3**2 - p3) / k3)
 
 
-def _mixed3(k, p3, branch):
-    k1, k2, k3 = k
-    if branch is Branch.FIRST:
-        return (-k1 * (k1 * k3 + k3**2 - p3) / k3, -k2 * (k2 * k3 + k3**2 - p3) / k3)
-    return (k1 * (k1 * k3 + k3**2 + p3) / k3, k2 * (k2 * k3 + k3**2 + p3) / k3)
+def _mixed3(k1, k2, k3, p3):
+    return (-k1 * (k1 * k3 + k3**2 - p3) / k3, -k2 * (k2 * k3 + k3**2 - p3) / k3)
 
 
-_CONSTRAINTS = {
+CONSTRAINTS = {
     Case.C2_1: _strong, Case.C2_2: _strong, Case.C2_3: _strong, Case.C2_4: _strong,
     Case.W2: _weak, Case.M2: _mixed, Case.C3_1: _all_weak, Case.C3_2: _mixed3,
 }
@@ -222,18 +207,18 @@ def a12_closed_form(case: Case, k: Triple) -> float | None:
 
 # tau templates: term exponent vectors over (xi1, xi2, xi3); starred terms
 # carry the coefficient a12
-_A12 = "a12"
+A12 = "a12"
 TEMPLATES: dict[Case, tuple[tuple[tuple[int, int, int], object], ...]] = {
     Case.C2_1: (((0, 0, 0), 1), ((1, 0, 0), 1), ((0, 1, 0), 1),
-                ((1, 1, 0), _A12), ((1, 1, 1), _A12)),
-    Case.C2_2: (((0, 0, 0), 1), ((0, 1, 0), 1), ((0, 1, 1), 1), ((1, 1, 1), _A12)),
-    Case.C2_3: (((0, 0, 0), 1), ((1, 0, 0), 1), ((1, 0, 1), 1), ((1, 1, 1), _A12)),
+                ((1, 1, 0), A12), ((1, 1, 1), A12)),
+    Case.C2_2: (((0, 0, 0), 1), ((0, 1, 0), 1), ((0, 1, 1), 1), ((1, 1, 1), A12)),
+    Case.C2_3: (((0, 0, 0), 1), ((1, 0, 0), 1), ((1, 0, 1), 1), ((1, 1, 1), A12)),
     Case.C2_4: (((0, 0, 0), 1), ((0, 0, 1), 1), ((1, 0, 1), 1),
-                ((0, 1, 1), 1), ((1, 1, 1), _A12)),
+                ((0, 1, 1), 1), ((1, 1, 1), A12)),
     Case.W2: (((0, 0, 0), 1), ((1, 0, 0), 1), ((0, 1, 0), 1),
-              ((0, 0, 1), 1), ((1, 1, 0), _A12)),
+              ((0, 0, 1), 1), ((1, 1, 0), A12)),
     Case.M2: (((0, 0, 0), 1), ((1, 0, 0), 1), ((0, 1, 0), 1),
-              ((1, 1, 0), _A12), ((1, 0, 1), 1)),
+              ((1, 1, 0), A12), ((1, 0, 1), 1)),
     Case.C3_1: (((0, 0, 0), 1), ((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1)),
     Case.C3_2: (((0, 0, 0), 1), ((0, 0, 1), 1), ((1, 0, 1), 1), ((0, 1, 1), 1)),
 }
@@ -265,7 +250,11 @@ def resolve_constraints(k, p3: float, spec: CaseSpec, xi0=(0.0, 0.0, 0.0)) -> So
     if k[2] == 0:
         raise DegenerateParameterError("constraints require k3 != 0")
     p3 = float(p3)
-    p1, p2 = _CONSTRAINTS[spec.case](k, p3, spec.branch)
+    constraint = CONSTRAINTS[spec.case]
+    if spec.branch is Branch.FIRST:
+        p1, p2 = constraint(*k, p3)
+    else:
+        p1, p2 = (-p for p in constraint(*k, -p3))
     a12 = a12_closed_form(spec.case, k)
     if a12 is not None:
         if not math.isfinite(a12):
@@ -314,7 +303,7 @@ def build_solution(params: SolitonParams, spec: CaseSpec) -> ResonantSolution:
     resonance = classify_resonance(params, spec)
     a12 = resonance.a12
     template = tuple(
-        (eps, a12 if coeff is _A12 else float(coeff))
+        (eps, a12 if coeff is A12 else float(coeff))
         for eps, coeff in TEMPLATES[spec.case])
     return ResonantSolution(params=params, spec=spec,
                             tau=_make_tau(params, template),

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +46,10 @@ _CASES = {c.value for c in Case}
 
 
 class ScenarioError(Exception):
+    pass
+
+
+class OutputError(Exception):
     pass
 
 
@@ -148,12 +151,17 @@ def _dump_json(obj, out):
     out.write("\n")
 
 
-def _n_threads() -> int:
-    raw = os.environ.get("KPII_STEM_THREADS", "1")
+@contextmanager
+def _open_output(path):
+    """stdout when path is None, else the file at path; I/O errors raise OutputError."""
     try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+        if path is None:
+            yield sys.stdout
+        else:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                yield fh
+    except OSError as exc:
+        raise OutputError(f"cannot write {path or 'stdout'}: {exc}") from exc
 
 
 # ---------------------------------------------------------------- commands
@@ -204,21 +212,6 @@ def _parse_grid(spec: str):
     return xmin, xmax, nx, ymin, ymax, ny
 
 
-def _grid_values(sol, xs, ys, t):
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    n = _n_threads()
-    if n <= 1 or X.shape[0] < 2 * n:
-        return u_on_grid(sol.tau, X, Y, t)
-    chunks = np.array_split(np.arange(X.shape[0]), n)
-    out = np.empty_like(X)
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        futs = {pool.submit(u_on_grid, sol.tau, X[idx], Y[idx], t): idx
-                for idx in chunks}
-        for fut, idx in futs.items():
-            out[idx] = fut.result()
-    return out
-
-
 def cmd_sample(args) -> int:
     sc = load_scenario(args.scenario)
     sol = sc.build()
@@ -226,27 +219,21 @@ def cmd_sample(args) -> int:
     xmin, xmax, nx, ymin, ymax, ny = _parse_grid(args.grid)
     xs = np.linspace(xmin, xmax, nx)
     ys = np.linspace(ymin, ymax, ny)
-    U = _grid_values(sol, xs, ys, t)
-    header = f"# kpii-stem v{__version__} case={sc.case} t={t!r}"
-    try:
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    U = u_on_grid(sol.tau, X, Y, t)
+    with _open_output(args.out) as fh:
         if args.format == "csv":
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(header + "\n")
-                fh.write("x,y,u\n")
-                for i in range(nx):
-                    for j in range(ny):
-                        fh.write(f"{float(xs[i])!r},{float(ys[j])!r},"
-                                 f"{float(U[i, j])!r}\n")
+            fh.write(f"# kpii-stem v{__version__} case={sc.case} t={t!r}\n")
+            fh.write("x,y,u\n")
+            for i in range(nx):
+                for j in range(ny):
+                    fh.write(f"{float(xs[i])!r},{float(ys[j])!r},"
+                             f"{float(U[i, j])!r}\n")
         else:
-            doc = {"version": __version__, "scenario": _scenario_echo(sc),
-                   "t": t,
-                   "x_range": [xmin, xmax, nx], "y_range": [ymin, ymax, ny],
-                   "values": [float(v) for v in U.reshape(-1)]}
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                _dump_json(doc, fh)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+            _dump_json({"version": __version__, "scenario": _scenario_echo(sc),
+                        "t": t,
+                        "x_range": [xmin, xmax, nx], "y_range": [ymin, ymax, ny],
+                        "values": [float(v) for v in U.reshape(-1)]}, fh)
     return EXIT_OK
 
 
@@ -277,8 +264,7 @@ def cmd_stem(args) -> int:
             "valid": rep.valid,
         })
     cols = list(rows[0].keys()) if rows else []
-    out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8", newline="\n")
-    try:
+    with _open_output(args.out) as out:
         if args.format == "csv":
             out.write(f"# kpii-stem v{__version__} case={sc.case}\n")
             out.write(",".join(cols) + "\n")
@@ -288,12 +274,6 @@ def cmd_stem(args) -> int:
         else:
             _dump_json({"version": __version__, "scenario": _scenario_echo(sc),
                         "rows": rows}, out)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
@@ -356,7 +336,7 @@ def _verify_ridge(sol, tol):
                             n_scans=11, anchor=rep.midpoint)
         fa, fb, fc = trace.fitted_line
         la, lb, lc = normalize_line(line)
-        dev = max(abs(fa - la), abs(fb - lb), abs(fc - lc) / max(1.0, abs(lc)))
+        dev = float(max(abs(fa - la), abs(fb - lb), abs(fc - lc) / max(1.0, abs(lc))))
         checks.append({"check": f"ridge_line_t={t!r}", "measured": dev,
                        "tolerance": tol, "pass": dev < tol})
     return checks
@@ -424,8 +404,7 @@ def cmd_section(args) -> int:
         line = arm.line_coeffs(t)
     lo, hi = (float(v) for v in args.range.split(","))
     pts = cross_section(sol, t, line, s_range=(lo, hi), n_samples=args.n)
-    out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8", newline="\n")
-    try:
+    with _open_output(args.out) as out:
         out.write(f"# kpii-stem v{__version__} case={sc.case} t={t!r}\n")
         if arm is not None:
             out.write("s,u,u_arm\n")
@@ -442,12 +421,6 @@ def cmd_section(args) -> int:
             out.write("s,u\n")
             for s, u in pts:
                 out.write(f"{float(s)!r},{float(u)!r}\n")
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
@@ -500,6 +473,9 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except (InadmissibleParameterError, DegenerateParameterError) as exc:
         print(f"error: inadmissible scenario: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE

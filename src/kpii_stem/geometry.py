@@ -18,6 +18,7 @@ cross-checked on every call.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 
@@ -296,6 +297,10 @@ def _catalog_side(sol: ResonantSolution, t_ref: float, regime: str | None = None
     return stem, tuple(listing), regime
 
 
+# one catalog per solution, freed together with it
+_CATALOGS = weakref.WeakKeyDictionary()
+
+
 def arm_catalog(sol: ResonantSolution, t_scale: float = 50.0) -> AsymptoticCatalog:
     """Asymptotic arm/stem catalog derived from the dominance skeleton.
 
@@ -308,8 +313,8 @@ def arm_catalog(sol: ResonantSolution, t_scale: float = 50.0) -> AsymptoticCatal
     """
     if sol.spec.case is Case.GENERIC:
         raise UnsupportedCaseError("arm catalog requires a resonant case")
-    if sol.arms is not None:
-        return sol.arms
+    if sol in _CATALOGS:
+        return _CATALOGS[sol]
     T = t_scale
     for _ in range(6):
         past = _catalog_side(sol, -T)
@@ -334,7 +339,7 @@ def arm_catalog(sol: ResonantSolution, t_scale: float = 50.0) -> AsymptoticCatal
         regime_before=regime_p, regime_after=regime_f,
         past_edge=past_edge, future_edge=future_edge,
         past_junctions=tuple(past_junc), future_junctions=tuple(future_junc))
-    object.__setattr__(sol, "arms", catalog)
+    _CATALOGS[sol] = catalog
     return catalog
 
 

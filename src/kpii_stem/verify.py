@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import Case, ResonantSolution, make_generic
+from .catalog import Case, ResonanceKind, ResonantSolution, make_generic
 from .errors import (
     AnchorNotFoundError,
     InadmissibleFamilyError,
@@ -63,17 +63,17 @@ def kp_residual(sol, points, tol: float = 1e-8) -> ResidualReport:
                           n_points=len(x), points_exceeding_tol=tuple(bad))
 
 
-# which interaction coefficients leave the finite range per case, and the
-# phase recentring that keeps the template terms in place during the limit
-_LIMIT_PLANS = {
-    Case.C2_1: ({"a13": "inf", "a23": "inf"}, lambda l13, l23: (0.0, 0.0, -l13 - l23)),
-    Case.C2_2: ({"a13": "inf", "a23": "inf"}, lambda l13, l23: (-l13, 0.0, -l23)),
-    Case.C2_3: ({"a13": "inf", "a23": "inf"}, lambda l13, l23: (0.0, -l23, -l13)),
-    Case.C2_4: ({"a13": "inf", "a23": "inf"}, lambda l13, l23: (-l13, -l23, 0.0)),
-    Case.W2: ({"a13": "zero", "a23": "zero"}, lambda l13, l23: (0.0, 0.0, 0.0)),
-    Case.M2: ({"a13": "inf", "a23": "zero"}, lambda l13, l23: (0.0, 0.0, -l13)),
-    Case.C3_1: ({"a13": "zero", "a23": "zero"}, lambda l13, l23: (0.0, 0.0, 0.0)),
-    Case.C3_2: ({"a13": "inf", "a23": "inf"}, lambda l13, l23: (-l13, -l23, 0.0)),
+# the phase recentring, from (ln a13, ln a23), that keeps the template terms
+# in place while the strong coefficients diverge during the limit
+_LIMIT_SHIFTS = {
+    Case.C2_1: lambda l13, l23: (0.0, 0.0, -l13 - l23),
+    Case.C2_2: lambda l13, l23: (-l13, 0.0, -l23),
+    Case.C2_3: lambda l13, l23: (0.0, -l23, -l13),
+    Case.C2_4: lambda l13, l23: (-l13, -l23, 0.0),
+    Case.W2: lambda l13, l23: (0.0, 0.0, 0.0),
+    Case.M2: lambda l13, l23: (0.0, 0.0, -l13),
+    Case.C3_1: lambda l13, l23: (0.0, 0.0, 0.0),
+    Case.C3_2: lambda l13, l23: (-l13, -l23, 0.0),
 }
 
 
@@ -114,16 +114,18 @@ def limit_family(sol: ResonantSolution, magnitudes) -> list[ResonantSolution]:
     cases.  Raises InadmissibleFamilyError if a rung leaves a_ij >= 0.
     """
     case = sol.spec.case
-    if case not in _LIMIT_PLANS:
+    if case not in _LIMIT_SHIFTS:
         raise UnsupportedCaseError(f"no limit family for case {case}")
-    wants, shift_of = _LIMIT_PLANS[case]
+    shift_of = _LIMIT_SHIFTS[case]
+    strong13, strong23 = (sol.resonance.kinds[pair] is ResonanceKind.STRONG
+                          for pair in ((1, 3), (2, 3)))
     k = sol.params.k
     p1s, p2s, p3 = sol.params.p
     a12_goal = sol.a12 if sol.a12 is not None else 0.0
     out = []
     for mag in magnitudes:
-        t13 = mag if wants["a13"] == "inf" else 1.0 / mag
-        t23 = mag if wants["a23"] == "inf" else 1.0 / mag
+        t13 = mag if strong13 else 1.0 / mag
+        t23 = mag if strong23 else 1.0 / mag
         # a_ij = target is an exact quadratic in the offset; only the root
         # with the smallest offset belongs to a family converging to sol.
         # The target ratio zeta is scanned so that a12 stays admissible

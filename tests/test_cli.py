@@ -79,11 +79,18 @@ def test_inadmissible_parameters(tmp_path):
     assert "a12" in res.stderr.decode()
 
 
-def test_unwritable_output_path():
-    res = run_cli("sample", "--scenario", str(SCENARIOS / "c2_1.json"),
-                  "--t", "0", "--grid=-1,1,3,-1,1,3",
-                  "--out", "/nonexistent-dir/out.csv")
+@pytest.mark.parametrize("command", [
+    ("sample", "--t", "0", "--grid=-1,1,3,-1,1,3"),
+    ("stem", "--t=-20,0,20"),
+    ("section", "--t", "0", "--line", "3", "--n", "5"),
+], ids=lambda c: c[0])
+def test_unwritable_output_path(command):
+    res = run_cli(command[0], "--scenario", str(SCENARIOS / "c2_1.json"),
+                  *command[1:], "--out", "/nonexistent-dir/out.csv")
     assert res.returncode == 4
+    assert b"Traceback" not in res.stderr
+    (line,) = res.stderr.decode().splitlines()
+    assert line.startswith("error: cannot write /nonexistent-dir/out.csv")
 
 
 def test_sample_deterministic(tmp_path):
@@ -92,16 +99,6 @@ def test_sample_deterministic(tmp_path):
             "--t=-2", "--grid=-20,20,41,-20,20,41")
     assert run_cli(*args, "--out", str(out1)).returncode == 0
     assert run_cli(*args, "--out", str(out2)).returncode == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
-def test_sample_threads_do_not_change_bytes(tmp_path):
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ("sample", "--scenario", str(SCENARIOS / "w2.json"),
-            "--t", "1", "--grid=-15,15,31,-15,15,31")
-    assert run_cli(*args, "--out", str(out1)).returncode == 0
-    assert run_cli(*args, "--out", str(out2),
-                   env_extra={"KPII_STEM_THREADS": "4"}).returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -164,6 +161,29 @@ def test_verify_asymptotics_suite_passes():
     res = run_cli("verify", "--scenario", str(SCENARIOS / "w2.json"),
                   "--suite", "asymptotics")
     assert res.returncode == 0
+
+
+@pytest.mark.parametrize("name", ALL_SCENARIOS)
+def test_verify_default_suite_reports_json(name):
+    res = run_cli("verify", "--scenario", str(SCENARIOS / name))
+    assert res.returncode in (0, 1)
+    assert b"Traceback" not in res.stderr
+    doc = json.loads(res.stdout)
+    assert doc["passed"] is (res.returncode == 0)
+    suites = {c["check"].split("_")[0] for c in doc["checks"]}
+    assert suites == {"field", "limit", "asymptotic", "ridge"}
+
+
+def test_figures_match_shipped_scenarios():
+    from kpii_stem import FIGURES
+    assert set(FIGURES) == {p.stem for p in SCENARIOS.glob("*.json")}
+    for name, fig in FIGURES.items():
+        data = json.loads((SCENARIOS / f"{name}.json").read_text())
+        assert data["case"] == fig["case"]
+        assert tuple(data["k"]) == fig["k"]
+        assert data["p3"] == fig["p3"]
+        assert data["branch"] == "first"
+        assert data["xi0"] == [0.0, 0.0, 0.0]
 
 
 def test_verify_tolerance_override_can_fail():

@@ -91,6 +91,27 @@ def test_catalog_requires_resonant_case():
         arm_catalog(gen)
 
 
+def test_catalog_memo_is_weak_and_skips_skeleton(monkeypatch):
+    import gc
+    import weakref
+
+    from kpii_stem import build_figure, geometry
+    calls = []
+    real_skeleton = geometry.skeleton
+    monkeypatch.setattr(geometry, "skeleton",
+                        lambda sol, t: calls.append(t) or real_skeleton(sol, t))
+    sol = build_figure("c2_1")
+    cat = arm_catalog(sol)
+    cold_calls = len(calls)
+    assert cold_calls > 0
+    assert arm_catalog(sol) is cat
+    assert len(calls) == cold_calls
+    ref = weakref.ref(sol)
+    del sol, cat
+    gc.collect()
+    assert ref() is None
+
+
 def test_arm_profile_values(solutions):
     sol = solutions["c2_1"]
     cat = arm_catalog(sol)

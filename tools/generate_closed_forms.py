@@ -16,8 +16,10 @@ in t and L with coefficients that are rational in (k1, k2, k3, p3).  A
 boundary segment between two junctions that share the pair {m, n} has length
 |s_t * t + s_L * L| * sqrt(g), all three factors rational in the parameters.
 
-The second constraint branch never needs its own table: it is the mirror
-image y -> -y of the first branch at negated p3 (checked in the test suite).
+The case tables (constraint pairs and tau templates) are read from
+kpii_stem.catalog, so the package under src/ must be importable.  The second
+constraint branch never needs its own table: it is the mirror image y -> -y
+of the first branch at negated p3 (checked in the test suite).
 
 Run from the repository root:  python3 tools/generate_closed_forms.py
 """
@@ -28,39 +30,23 @@ from pathlib import Path
 
 import sympy as sp
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from kpii_stem.catalog import A12, CONSTRAINTS, TEMPLATES  # noqa: E402
+
 k1, k2, k3, p3 = sp.symbols("k1 k2 k3 p3")
 t, L = sp.symbols("t L")
 
 
+# exact counterpart of catalog.omega, whose float 3.0 would leak sympy Floats
 def omega(k, p):
     return -(k**4 + 3 * p**2) / k
 
 
-# first-branch constraint pairs (p1, p2) per case
-STRONG = (k1 * (k1 * k3 + k3**2 + p3) / k3, -k2 * (k2 * k3 + k3**2 - p3) / k3)
-WEAK = (-k1 * (k1 * k3 - k3**2 - p3) / k3, k2 * (k2 * k3 - k3**2 + p3) / k3)
-MIXED = (k1 * (k1 * k3 + k3**2 + p3) / k3, k2 * (k2 * k3 - k3**2 + p3) / k3)
-ALL_WEAK = (-k1 * (k1 * k3 - k3**2 - p3) / k3, -k2 * (k2 * k3 - k3**2 - p3) / k3)
-MIXED3 = (-k1 * (k1 * k3 + k3**2 - p3) / k3, -k2 * (k2 * k3 + k3**2 - p3) / k3)
-
 # case -> (constraints, [(eps, lam), ...]); lam = 1 on the a12-weighted term
 CASES = {
-    "c2_1": (STRONG, [((0, 0, 0), 0), ((1, 0, 0), 0), ((0, 1, 0), 0),
-                      ((1, 1, 0), 1), ((1, 1, 1), 1)]),
-    "c2_2": (STRONG, [((0, 0, 0), 0), ((0, 1, 0), 0), ((0, 1, 1), 0),
-                      ((1, 1, 1), 1)]),
-    "c2_3": (STRONG, [((0, 0, 0), 0), ((1, 0, 0), 0), ((1, 0, 1), 0),
-                      ((1, 1, 1), 1)]),
-    "c2_4": (STRONG, [((0, 0, 0), 0), ((0, 0, 1), 0), ((1, 0, 1), 0),
-                      ((0, 1, 1), 0), ((1, 1, 1), 1)]),
-    "w2": (WEAK, [((0, 0, 0), 0), ((1, 0, 0), 0), ((0, 1, 0), 0),
-                  ((0, 0, 1), 0), ((1, 1, 0), 1)]),
-    "m2": (MIXED, [((0, 0, 0), 0), ((1, 0, 0), 0), ((0, 1, 0), 0),
-                   ((1, 1, 0), 1), ((1, 0, 1), 0)]),
-    "c3_1": (ALL_WEAK, [((0, 0, 0), 0), ((1, 0, 0), 0), ((0, 1, 0), 0),
-                        ((0, 0, 1), 0)]),
-    "c3_2": (MIXED3, [((0, 0, 0), 0), ((0, 0, 1), 0), ((1, 0, 1), 0),
-                      ((0, 1, 1), 0)]),
+    case.value: (CONSTRAINTS[case](k1, k2, k3, p3),
+                 [(eps, int(coeff is A12)) for eps, coeff in template])
+    for case, template in TEMPLATES.items()
 }
 
 
