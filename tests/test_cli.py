@@ -254,3 +254,73 @@ def test_golden_outputs(name):
     golden = GOLDEN / name
     assert golden.exists(), f"golden file {name} missing"
     assert res.stdout == golden.read_bytes()
+
+
+SAMPLE_GOLDEN_ARGS = ("sample", "--scenario", str(SCENARIOS / "m2.json"),
+                      "--t=0.7", "--grid=-30,30,9,-30,30,7")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sample_golden_outputs(tmp_path, fmt):
+    out = tmp_path / f"sample.{fmt}"
+    res = run_cli(*SAMPLE_GOLDEN_ARGS, "--out", str(out), "--format", fmt)
+    assert res.returncode == 0, res.stderr
+    assert out.read_bytes() == (GOLDEN / f"sample_m2.{fmt}").read_bytes()
+
+
+def _sample_reference(scenario, t, grid, fmt):
+    """The bytes of `sample` formatted point by point from one full-grid call."""
+    import numpy as np
+    from kpii_stem import __version__
+    from kpii_stem.cli import _scenario_echo, load_scenario
+    from kpii_stem.tau import u_on_grid
+    sc = load_scenario(scenario)
+    sol = sc.build()
+    xmin, xmax, nx, ymin, ymax, ny = grid
+    xs = np.linspace(xmin, xmax, nx)
+    ys = np.linspace(ymin, ymax, ny)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    U = u_on_grid(sol.tau, X, Y, t)
+    if fmt == "csv":
+        parts = [f"# kpii-stem v{__version__} case={sc.case} t={t!r}\n", "x,y,u\n"]
+        for i in range(nx):
+            for j in range(ny):
+                parts.append(f"{float(xs[i])!r},{float(ys[j])!r},"
+                             f"{float(U[i, j])!r}\n")
+        return "".join(parts).encode()
+    doc = {"version": __version__, "scenario": _scenario_echo(sc), "t": t,
+           "x_range": [xmin, xmax, nx], "y_range": [ymin, ymax, ny],
+           "values": [float(v) for v in U.reshape(-1)]}
+    return (json.dumps(doc, indent=2) + "\n").encode()
+
+
+# ny = 4097 puts at most four x-rows in a block of 16384 points, so eleven
+# rows span three blocks, the last one short
+SAMPLE_REFERENCE_CASES = {
+    "blocks": ("c2_1.json", -2.0, (-20.0, 20.0, 11, -20.0, 20.0, 4097)),
+    "underflow": ("w2.json", 12.0, (-30.0, 30.0, 31, -30.0, 30.0, 29)),
+    "nonfinite": ("c2_1.json", 0.0, (-1e308, 1e308, 5, -30.0, 30.0, 3)),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(SAMPLE_REFERENCE_CASES))
+def test_sample_bytes_match_per_point_reference(tmp_path, case, fmt):
+    from kpii_stem.cli import main
+    name, t, grid = SAMPLE_REFERENCE_CASES[case]
+    scenario = str(SCENARIOS / name)
+    out = tmp_path / f"sample.{fmt}"
+    spec = ",".join(repr(v) for v in grid)
+    assert main(["sample", "--scenario", scenario, f"--t={t!r}",
+                 f"--grid={spec}", "--out", str(out), "--format", fmt]) == 0
+    want = _sample_reference(scenario, t, grid, fmt)
+    assert out.read_bytes() == want
+    if fmt == "csv":
+        values = [float(ln.rsplit(",", 1)[1]) for ln in want.decode().splitlines()[2:]]
+    else:
+        values = json.loads(want)["values"]
+    if case == "underflow":
+        assert 0 < values.count(0.0) < len(values)
+    if case == "nonfinite":
+        assert any(v != v for v in values)
