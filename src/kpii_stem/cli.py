@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -197,51 +198,73 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
+def _parse_finite(raw: str, name: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError as exc:
+        raise ScenarioError(f"invalid {name}: {exc}") from exc
+    if not math.isfinite(value):
+        raise ScenarioError(f"{name} must be finite, got {raw.strip()}")
+    return value
+
+
 def _parse_grid(spec: str):
     parts = spec.split(",")
     if len(parts) != 6:
         raise ScenarioError("grid must be xmin,xmax,nx,ymin,ymax,ny")
     try:
-        xmin, xmax, nx, ymin, ymax, ny = (float(parts[0]), float(parts[1]),
-                                          int(parts[2]), float(parts[3]),
-                                          float(parts[4]), int(parts[5]))
+        nx, ny = int(parts[2]), int(parts[5])
     except ValueError as exc:
         raise ScenarioError(f"invalid grid: {exc}") from exc
+    xmin, xmax, ymin, ymax = (_parse_finite(parts[i], "grid bound")
+                              for i in (0, 1, 3, 4))
     if nx < 2 or ny < 2 or not (xmin < xmax and ymin < ymax):
         raise ScenarioError("grid needs xmin<xmax, ymin<ymax and nx,ny >= 2")
     return xmin, xmax, nx, ymin, ymax, ny
 
 
+# `sample` evaluates and writes whole x-rows in blocks of at least this many
+# points, so its memory is bounded by one block whatever the grid size.
+_BLOCK_POINTS = 16384
+
+
 def cmd_sample(args) -> int:
     sc = load_scenario(args.scenario)
     sol = sc.build()
-    t = float(args.t)
+    t = _parse_finite(args.t, "t")
     xmin, xmax, nx, ymin, ymax, ny = _parse_grid(args.grid)
     xs = np.linspace(xmin, xmax, nx)
     ys = np.linspace(ymin, ymax, ny)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    U = u_on_grid(sol.tau, X, Y, t)
+    rows = -(-_BLOCK_POINTS // ny)
+    blocks = ((xs[i:i + rows], u_on_grid(sol.tau, xs[i:i + rows, None], ys, t))
+              for i in range(0, nx, rows))
     with _open_output(args.out) as fh:
         if args.format == "csv":
             fh.write(f"# kpii-stem v{__version__} case={sc.case} t={t!r}\n")
             fh.write("x,y,u\n")
-            for i in range(nx):
-                for j in range(ny):
-                    fh.write(f"{float(xs[i])!r},{float(ys[j])!r},"
-                             f"{float(U[i, j])!r}\n")
+            mids = [f",{y!r}," for y in ys.tolist()]
+            for xb, ub in blocks:
+                for x, urow in zip(xb.tolist(), ub.tolist()):
+                    xr = repr(x)
+                    fh.write("".join([f"{xr}{m}{u!r}\n" for m, u in zip(mids, urow)]))
         else:
-            _dump_json({"version": __version__, "scenario": _scenario_echo(sc),
-                        "t": t,
-                        "x_range": [xmin, xmax, nx], "y_range": [ymin, ymax, ny],
-                        "values": [float(v) for v in U.reshape(-1)]}, fh)
+            # the header as json.dumps(indent=2) lays it out, with "values"
+            # last; each block's values go through the C encoder, one per line
+            head, tail = json.dumps(
+                {"version": __version__, "scenario": _scenario_echo(sc), "t": t,
+                 "x_range": [xmin, xmax, nx], "y_range": [ymin, ymax, ny],
+                 "values": []}, indent=2).rsplit("[]", 1)
+            sep = head + "[\n    "
+            for _, ub in blocks:
+                fh.write(sep + json.dumps(ub.ravel().tolist())[1:-1]
+                         .replace(", ", ",\n    "))
+                sep = ",\n    "
+            fh.write("\n  ]" + tail + "\n")
     return EXIT_OK
 
 
 def _parse_tlist(raw: str):
-    try:
-        return [float(v) for v in raw.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise ScenarioError(f"invalid t list: {exc}") from exc
+    return [_parse_finite(v, "t") for v in raw.split(",") if v.strip() != ""]
 
 
 def cmd_stem(args) -> int:
@@ -376,18 +399,26 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+def _parse_range(spec: str):
+    parts = spec.split(",")
+    if len(parts) != 2:
+        raise ScenarioError("range must be lo,hi")
+    return tuple(_parse_finite(v, "range bound") for v in parts)
+
+
 def cmd_section(args) -> int:
     sc = load_scenario(args.scenario)
     sol = sc.build()
-    t = float(args.t)
+    t = _parse_finite(args.t, "t")
+    s_range = _parse_range(args.range)
+    if args.n < 2:
+        raise ScenarioError(f"n must be at least 2, got {args.n}")
     arm = None
     if args.line.startswith("abc:"):
-        try:
-            A, B, C = (float(v) for v in args.line[4:].split(","))
-        except ValueError:
-            print(f"error: invalid line spec {args.line!r}", file=sys.stderr)
-            return EXIT_PARSE
-        line = (A, B, C)
+        line = tuple(_parse_finite(v, f"line spec {args.line!r}")
+                     for v in args.line[4:].split(","))
+        if len(line) != 3:
+            raise ScenarioError(f"invalid line spec {args.line!r}")
     elif args.line == "perp":
         rep = stem_endpoints(sol, t, t_min=sc.t_min)
         stem = arm_catalog(sol).stem_past if t <= 0 else arm_catalog(sol).stem_future
@@ -402,8 +433,7 @@ def cmd_section(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE
         line = arm.line_coeffs(t)
-    lo, hi = (float(v) for v in args.range.split(","))
-    pts = cross_section(sol, t, line, s_range=(lo, hi), n_samples=args.n)
+    pts = cross_section(sol, t, line, s_range=s_range, n_samples=args.n)
     with _open_output(args.out) as out:
         out.write(f"# kpii-stem v{__version__} case={sc.case} t={t!r}\n")
         if arm is not None:

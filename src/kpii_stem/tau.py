@@ -107,9 +107,9 @@ def _term_arrays(tau: ExpSumTau):
     return coeff, kx, py, wt, phase
 
 
-def _scaled_weights(tau: ExpSumTau, x, y, t):
-    """Return (r, M): r_m = c_m exp(E_m - M) with M the max exponent."""
-    coeff, kx, py, wt, phase = _term_arrays(tau)
+def _scaled_weights(arrays, x, y, t):
+    """Return (r, M) from _term_arrays: r_m = c_m exp(E_m - M), M = max E_m."""
+    coeff, kx, py, wt, phase = arrays
     x, y, t = np.asarray(x, float), np.asarray(y, float), np.asarray(t, float)
     shape = np.broadcast_shapes(x.shape, y.shape, t.shape)
     expo = (kx.reshape(kx.shape + (1,) * len(shape)) * x
@@ -123,8 +123,9 @@ def _scaled_weights(tau: ExpSumTau, x, y, t):
 
 def _moments(tau: ExpSumTau, x, y, t, lattice: Iterable[MultiIndex]):
     """Normalized moments mu_beta = (d^beta f)/f for every beta in lattice."""
-    r, _ = _scaled_weights(tau, x, y, t)
-    _, kx, py, wt, _ = _term_arrays(tau)
+    arrays = _term_arrays(tau)
+    r, _ = _scaled_weights(arrays, x, y, t)
+    _, kx, py, wt, _ = arrays
     extra = r.ndim - 1
     kx = kx.reshape(kx.shape + (1,) * extra)
     py = py.reshape(py.shape + (1,) * extra)
@@ -208,7 +209,7 @@ def _check_index(idx: MultiIndex) -> MultiIndex:
 def eval_tau(tau: ExpSumTau, point) -> float:
     """f(x, y, t); returns inf when the true value overflows a double."""
     x, y, t = _check_point(point)
-    r, M = _scaled_weights(tau, x, y, t)
+    r, M = _scaled_weights(_term_arrays(tau), x, y, t)
     with np.errstate(over="ignore"):
         return float(r.sum(axis=0) * np.exp(M))
 
@@ -216,7 +217,7 @@ def eval_tau(tau: ExpSumTau, point) -> float:
 def log_eval_tau(tau: ExpSumTau, point) -> float:
     """ln f(x, y, t) via max-exponent rescaling (always finite)."""
     x, y, t = _check_point(point)
-    r, M = _scaled_weights(tau, x, y, t)
+    r, M = _scaled_weights(_term_arrays(tau), x, y, t)
     return float(M + np.log(r.sum(axis=0)))
 
 

@@ -324,3 +324,59 @@ def test_sample_bytes_match_per_point_reference(tmp_path, case, fmt):
         assert 0 < values.count(0.0) < len(values)
     if case == "nonfinite":
         assert any(v != v for v in values)
+
+
+def _run_in_process(capsys, *argv):
+    """Exit code and stderr of the CLI; an uncaught exception fails the test."""
+    from kpii_stem.cli import main
+    code = main(list(argv))
+    return code, capsys.readouterr().err
+
+
+NONFINITE_INPUTS = [
+    ("sample", "--t=nan", "--grid=-1,1,3,-1,1,3"),
+    ("sample", "--t=inf", "--grid=-1,1,3,-1,1,3"),
+    ("sample", "--t=0", "--grid=-inf,inf,3,-1,1,3"),
+    ("sample", "--t=0", "--grid=-1,1,3,nan,1,3"),
+    ("stem", "--t=-20,nan"),
+    ("stem", "--t=inf"),
+    ("section", "--t=nan", "--line", "3"),
+    ("section", "--t=-inf", "--line", "3"),
+]
+
+
+@pytest.mark.parametrize("command", NONFINITE_INPUTS, ids=" ".join)
+def test_nonfinite_inputs_exit_2(tmp_path, capsys, command):
+    out = tmp_path / "existing.csv"
+    out.write_text("keep me\n")
+    code, err = _run_in_process(capsys, command[0], "--scenario",
+                                str(SCENARIOS / "c2_1.json"), *command[1:],
+                                "--out", str(out))
+    assert code == 2
+    (line,) = err.splitlines()
+    assert line.startswith("error:") and "finite" in line
+    assert out.read_text() == "keep me\n"
+
+
+@pytest.mark.parametrize("bad", [("--range=a,b",), ("--range=5",),
+                                 ("--range=1,2,3",), ("--n", "1"),
+                                 ("--line=abc:1,0",)], ids=" ".join)
+def test_section_bad_arguments_exit_2(capsys, bad):
+    code, err = _run_in_process(capsys, "section", "--scenario",
+                                str(SCENARIOS / "c2_1.json"), "--t=1",
+                                "--line", "3", *bad)
+    assert code == 2
+    (line,) = err.splitlines()
+    assert line.startswith("error:")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sample_write_error_mid_stream_exits_4(capsys, fmt):
+    code, err = _run_in_process(capsys, "sample", "--scenario",
+                                str(SCENARIOS / "c2_1.json"), "--t=0",
+                                "--grid=-20,20,300,-20,20,300",
+                                "--out", "/dev/full", "--format", fmt)
+    assert code == 4
+    (line,) = err.splitlines()
+    assert line.startswith("error: cannot write /dev/full")

@@ -212,8 +212,8 @@ def test_positivity_over_wide_window(solutions):
         for x, y, t in pts[:: len(pts) // 30]:
             assert log_eval_tau(sol.tau, (x, y, t)) > -math.inf
         # vectorized positivity of the rescaled sum over all draws
-        from kpii_stem.tau import _scaled_weights
-        r, M = _scaled_weights(sol.tau, pts[:, 0], pts[:, 1], pts[:, 2])
+        from kpii_stem.tau import _scaled_weights, _term_arrays
+        r, M = _scaled_weights(_term_arrays(sol.tau), pts[:, 0], pts[:, 1], pts[:, 2])
         assert np.all(r.sum(axis=0) > 0)
         assert np.all(np.isfinite(M + np.log(r.sum(axis=0))))
 
