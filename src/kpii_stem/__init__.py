@@ -26,6 +26,7 @@ from .geometry import (
     PARALLEL,
     ArmDescriptor,
     AsymptoticCatalog,
+    Edge,
     Region,
     StemReport,
     VelocityRow,
@@ -36,6 +37,7 @@ from .geometry import (
     intersect_lines,
     midpoint_amplitude,
     parse_arm_label,
+    skeleton,
     stem_endpoints,
     stem_length_formula,
     trajectory_line,

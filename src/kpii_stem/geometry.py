@@ -119,7 +119,10 @@ class StemReport:
 
 
 @dataclass(frozen=True)
-class _Edge:
+class Edge:
+    """Realized skeleton edge: terms m, n tie on base + s * direction for lo < s
+    < hi, cut off by terms lo_bind / hi_bind; arm is the edge's ridge species."""
+
     m: int
     n: int
     lo: float
@@ -128,6 +131,7 @@ class _Edge:
     hi_bind: int | None
     base: tuple[float, float]
     direction: tuple[float, float]
+    arm: ArmDescriptor
 
     @property
     def bounded(self):
@@ -149,7 +153,7 @@ def _term_planes(sol: ResonantSolution, t: float):
     return planes
 
 
-def skeleton(sol: ResonantSolution, t: float) -> list[_Edge]:
+def skeleton(sol: ResonantSolution, t: float) -> list[Edge]:
     """Realized dominance-boundary edges of the tau function at time t."""
     planes = _term_planes(sol, t)
     edges = []
@@ -189,8 +193,9 @@ def skeleton(sol: ResonantSolution, t: float) -> list[_Edge]:
             if (math.isfinite(lo) and math.isfinite(hi)
                     and lo >= hi - 1e-9 * (1 + abs(lo) + abs(hi))):
                 continue
-            edges.append(_Edge(m=ia, n=ib, lo=lo, hi=hi, lo_bind=lo_bind,
-                               hi_bind=hi_bind, base=base, direction=direction))
+            edges.append(Edge(m=ia, n=ib, lo=lo, hi=hi, lo_bind=lo_bind,
+                              hi_bind=hi_bind, base=base, direction=direction,
+                              arm=_arm_from_terms(sol, ia, ib)))
     return edges
 
 
@@ -210,7 +215,7 @@ def _arm_from_terms(sol: ResonantSolution, m: int, n: int) -> ArmDescriptor:
                          A=K, B=P, W=W, xi0=s0)
 
 
-def _edge_keys(sol, edge: _Edge):
+def _edge_keys(sol, edge: Edge):
     eps = lambda i: sol.template[i][0]
     pair = (eps(edge.m), eps(edge.n))
     juncs = []
@@ -219,33 +224,24 @@ def _edge_keys(sol, edge: _Edge):
     return tuple(sorted(pair)), tuple(juncs)
 
 
-def _base_label(sol, m: int, n: int) -> tuple[int, ...]:
-    """Arm species ignoring the hat offset."""
-    return _arm_from_terms(sol, m, n).label
-
-
-def _ray_labels(sol, edges) -> set:
-    return {_base_label(sol, e.m, e.n) for e in edges if not e.bounded}
-
-
-def _stem_edge(sol, edges) -> _Edge | None:
+def _stem_edge(edges) -> Edge | None:
     """Bounded edge whose species is absent from the rays (the stem).
 
     Inside elastic X-crossings the skeleton carries short phase-shift jogs
     whose species is also novel; the stem is the longest novel bounded edge
     (jogs stay of order ln a12 while the stem grows linearly in t).
     """
-    rays = _ray_labels(sol, edges)
+    rays = {e.arm.label for e in edges if not e.bounded}
     best = None
     for e in edges:
-        if not e.bounded or _base_label(sol, e.m, e.n) in rays:
+        if not e.bounded or e.arm.label in rays:
             continue
         if best is None or (e.hi - e.lo) > (best.hi - best.lo):
             best = e
     return best
 
 
-def _wings(sol, edges, stem: _Edge):
+def _wings(edges, stem: Edge):
     """The four arm edges at the stem junctions, with outward directions."""
     out = []
     for bind, s_end in ((stem.lo_bind, stem.lo), (stem.hi_bind, stem.hi)):
@@ -270,10 +266,10 @@ def _wings(sol, edges, stem: _Edge):
 
 def _catalog_side(sol: ResonantSolution, t_ref: float, regime: str | None = None):
     edges = skeleton(sol, t_ref)
-    stem = _stem_edge(sol, edges)
+    stem = _stem_edge(edges)
     if stem is None:
         return None
-    junction_data = _wings(sol, edges, stem)
+    junction_data = _wings(edges, stem)
     if sum(len(side) for _, _, side in junction_data) != 4:
         return None
     if regime is None:
@@ -292,7 +288,7 @@ def _catalog_side(sol: ResonantSolution, t_ref: float, regime: str | None = None
                 region = Region.Y_POS if comp > 0 else Region.Y_NEG
             else:
                 region = Region.X_POS if comp > 0 else Region.X_NEG
-            listing.append((region, _arm_from_terms(sol, e.m, e.n)))
+            listing.append((region, e.arm))
     listing.sort(key=lambda ra: (ra[0].value, ra[1].label, ra[1].hat))
     return stem, tuple(listing), regime
 
@@ -334,8 +330,7 @@ def arm_catalog(sol: ResonantSolution, t_scale: float = 50.0) -> AsymptoticCatal
     future_edge, future_junc = _edge_keys(sol, stem_f)
     catalog = AsymptoticCatalog(
         before=list_p, after=list_f,
-        stem_past=_arm_from_terms(sol, stem_p.m, stem_p.n),
-        stem_future=_arm_from_terms(sol, stem_f.m, stem_f.n),
+        stem_past=stem_p.arm, stem_future=stem_f.arm,
         regime_before=regime_p, regime_after=regime_f,
         past_edge=past_edge, future_edge=future_edge,
         past_junctions=tuple(past_junc), future_junctions=tuple(future_junc))

@@ -175,22 +175,14 @@ def limit_convergence(sol: ResonantSolution, magnitudes, points) -> list[float]:
     return devs
 
 
-def _skeleton_vertices(sol, t):
-    verts = []
-    for e in skeleton(sol, t):
-        if math.isfinite(e.lo):
-            verts.append(e.point(e.lo))
-        if math.isfinite(e.hi):
-            verts.append(e.point(e.hi))
-    return verts
+def _skeleton_vertices(edges):
+    return [e.point(s) for e in edges for s in (e.lo, e.hi) if math.isfinite(s)]
 
 
-def _find_edge(sol, t, arm: ArmDescriptor):
-    from .geometry import _arm_from_terms
+def _find_edge(edges, arm: ArmDescriptor):
     best = None
-    for e in skeleton(sol, t):
-        cand = _arm_from_terms(sol, e.m, e.n)
-        if cand.label == arm.label and cand.hat == arm.hat:
+    for e in edges:
+        if e.arm.label == arm.label and e.arm.hat == arm.hat:
             span = (e.hi - e.lo) if e.bounded else math.inf
             if best is None or span > best[1]:
                 best = (e, span)
@@ -226,7 +218,7 @@ def _edge_segment(e, clip: float, extend: float = 0.0):
     return e.point(lo), e.point(hi)
 
 
-def _section_clearance(sol, t, edge, anchor, half_width):
+def _section_clearance(edges, edge, anchor, half_width):
     """Shortfall of the section's distance to every other realized ridge.
 
     Each foreign ridge must clear the section by its own decay length
@@ -234,19 +226,17 @@ def _section_clearance(sol, t, edge, anchor, half_width):
     section stays below the budget.  Returns min(distance - required); >= 0
     means the section is clean.
     """
-    from .geometry import _arm_from_terms
     budget = 1e-4
-    A, B, _ = normalize_line(_arm_from_terms(sol, edge.m, edge.n).line_coeffs(t))
+    A, B, _ = normalize_line((edge.arm.A, edge.arm.B, 0.0))
     s1 = (anchor[0] - half_width * A, anchor[1] - half_width * B)
     s2 = (anchor[0] + half_width * A, anchor[1] + half_width * B)
     clip = abs(anchor[0]) + abs(anchor[1]) + 100.0 * half_width + 1e4
     worst = math.inf
-    for e in skeleton(sol, t):
+    for e in edges:
         if (e.m, e.n) == (edge.m, edge.n):
             continue
-        cand = _arm_from_terms(sol, e.m, e.n)
-        grad = math.hypot(cand.A, cand.B)
-        need = math.log(max(4.0 * cand.amplitude / budget, 2.0)) / grad
+        grad = math.hypot(e.arm.A, e.arm.B)
+        need = math.log(max(4.0 * e.arm.amplitude / budget, 2.0)) / grad
         q1, q2 = _edge_segment(e, clip, extend=2.0 * need + 10.0)
         worst = min(worst, _seg_dist(s1, s2, q1, q2) - need)
     return worst
@@ -262,16 +252,17 @@ def section_anchor(sol: ResonantSolution, arm: ArmDescriptor, t: float,
     +/- half_width section by its own decay length.
     """
     D = min_junction_distance
-    edge = _find_edge(sol, t, arm)
+    edges = skeleton(sol, t)
+    edge = _find_edge(edges, arm)
     if edge is None:
         raise AnchorNotFoundError(
             f"arm {arm.label_str()} is not realized at t = {t}")
-    verts = _skeleton_vertices(sol, t)
+    verts = _skeleton_vertices(edges)
 
     def ok(pt):
         if any(math.hypot(pt[0] - v[0], pt[1] - v[1]) < D * 0.999 for v in verts):
             return False
-        return _section_clearance(sol, t, edge, pt, half_width) >= 0.0
+        return _section_clearance(edges, edge, pt, half_width) >= 0.0
 
     if edge.bounded:
         mid = 0.5 * (edge.lo + edge.hi)

@@ -166,10 +166,10 @@ def test_verify_asymptotics_suite_passes():
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
 def test_verify_default_suite_reports_json(name):
     res = run_cli("verify", "--scenario", str(SCENARIOS / name))
-    assert res.returncode in (0, 1)
+    assert res.returncode == 0
     assert b"Traceback" not in res.stderr
     doc = json.loads(res.stdout)
-    assert doc["passed"] is (res.returncode == 0)
+    assert doc["passed"] is True
     suites = {c["check"].split("_")[0] for c in doc["checks"]}
     assert suites == {"field", "limit", "asymptotic", "ridge"}
 
@@ -342,6 +342,8 @@ NONFINITE_INPUTS = [
     ("stem", "--t=inf"),
     ("section", "--t=nan", "--line", "3"),
     ("section", "--t=-inf", "--line", "3"),
+    ("verify", "--tol=nan"),
+    ("verify", "--tol=inf"),
 ]
 
 
@@ -349,9 +351,10 @@ NONFINITE_INPUTS = [
 def test_nonfinite_inputs_exit_2(tmp_path, capsys, command):
     out = tmp_path / "existing.csv"
     out.write_text("keep me\n")
+    out_args = () if command[0] == "verify" else ("--out", str(out))
     code, err = _run_in_process(capsys, command[0], "--scenario",
                                 str(SCENARIOS / "c2_1.json"), *command[1:],
-                                "--out", str(out))
+                                *out_args)
     assert code == 2
     (line,) = err.splitlines()
     assert line.startswith("error:") and "finite" in line
@@ -360,7 +363,8 @@ def test_nonfinite_inputs_exit_2(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("bad", [("--range=a,b",), ("--range=5",),
                                  ("--range=1,2,3",), ("--n", "1"),
-                                 ("--line=abc:1,0",)], ids=" ".join)
+                                 ("--line=abc:1,0",), ("--line=abc:0,0,1",)],
+                         ids=" ".join)
 def test_section_bad_arguments_exit_2(capsys, bad):
     code, err = _run_in_process(capsys, "section", "--scenario",
                                 str(SCENARIOS / "c2_1.json"), "--t=1",
@@ -380,3 +384,27 @@ def test_sample_write_error_mid_stream_exits_4(capsys, fmt):
     assert code == 4
     (line,) = err.splitlines()
     assert line.startswith("error: cannot write /dev/full")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", [
+    ("build",), ("verify", "--suite", "residual"), ("stem", "--t=-20,0,20"),
+], ids=lambda c: c[0])
+def test_closed_stdout_pipe_exits_4(command, unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = subprocess.run(
+            [sys.executable, "-m", "kpii_stem.cli", command[0], "--scenario",
+             str(SCENARIOS / "c2_1.json"), *command[1:]],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, cwd=REPO)
+    finally:
+        os.close(write_end)
+    err = res.stderr.decode()
+    assert res.returncode == 4, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+    (line,) = err.splitlines()
+    assert line.startswith("error: cannot write stdout")

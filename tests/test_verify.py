@@ -17,6 +17,7 @@ from kpii_stem import (
     make_generic,
     omega,
     ridge_trace,
+    skeleton,
     stem_endpoints,
     trajectory_line,
 )
@@ -132,12 +133,27 @@ def test_asymptotic_negative_control(solutions):
 def test_section_anchor_keeps_distance(solutions):
     sol = solutions["c2_1"]
     cat = arm_catalog(sol)
-    from kpii_stem.verify import _skeleton_vertices
     for _, arm in cat.before:
         anchor = section_anchor(sol, arm, -20.0)
-        verts = _skeleton_vertices(sol, -20.0)
+        verts = [e.point(s) for e in skeleton(sol, -20.0)
+                 for s in (e.lo, e.hi) if math.isfinite(s)]
         dmin = min(math.hypot(anchor[0] - v[0], anchor[1] - v[1]) for v in verts)
         assert dmin >= 10.0 * 0.999
+
+
+def test_anchor_queries_build_skeleton_once(solutions, monkeypatch):
+    from kpii_stem import verify
+    sol = solutions["c2_1"]
+    (_, arm), *_ = arm_catalog(sol).before
+    calls = []
+    real_skeleton = verify.skeleton
+    monkeypatch.setattr(verify, "skeleton",
+                        lambda sol, t: calls.append(t) or real_skeleton(sol, t))
+    section_anchor(sol, arm, -20.0)
+    assert calls == [-20.0]
+    calls.clear()
+    asymptotic_match(sol, arm, -20.0)
+    assert calls == [-20.0]
 
 
 def test_ridge_single_soliton_exact():
