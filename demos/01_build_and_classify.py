@@ -8,10 +8,16 @@ resonance) exactly.  The surviving finite coefficient a12 carries the phase
 shift ln a12 seen in the hatted arms.
 """
 
-import kpii_stem as ks
+from pathlib import Path
 
-for name in ks.FIGURES:
-    sol = ks.build_figure(name)
+import kpii_stem as ks
+from kpii_stem.cli import load_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+for path in sorted(SCENARIOS.glob("*.json")):
+    name = path.stem
+    sol = load_scenario(path).build()
     cat = ks.arm_catalog(sol)
     print(f"=== {name}  (case {sol.spec.case.value})")
     print(f"    k  = {sol.params.k}")

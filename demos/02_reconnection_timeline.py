@@ -7,9 +7,14 @@ and independently from derived closed forms; the midpoint amplitude tends to
 the stem's sech^2 amplitude on both sides.
 """
 
-import kpii_stem as ks
+from pathlib import Path
 
-sol = ks.build_figure("c2_1")
+import kpii_stem as ks
+from kpii_stem.cli import load_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+sol = load_scenario(SCENARIOS / "c2_1.json").build()
 cat = ks.arm_catalog(sol)
 print(f"past stem  {cat.stem_past.label_str():8s} amplitude "
       f"{cat.stem_past.amplitude:.6f}")

@@ -5,12 +5,17 @@ reaches the predicted amplitude), and perpendicular to an arm far from all
 junctions, where u collapses onto the single-arm profile to better than 1e-3.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 import kpii_stem as ks
+from kpii_stem.cli import load_scenario
 from kpii_stem.verify import section_anchor
 
-sol = ks.build_figure("w2")
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+sol = load_scenario(SCENARIOS / "w2.json").build()
 cat = ks.arm_catalog(sol)
 
 t = -2.0

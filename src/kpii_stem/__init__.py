@@ -21,7 +21,6 @@ from .catalog import (
     phase_shift_param,
     resolve_constraints,
 )
-from .figures import FIGURES, build_figure
 from .geometry import (
     PARALLEL,
     ArmDescriptor,
@@ -35,11 +34,13 @@ from .geometry import (
     cross_section,
     find_arm,
     intersect_lines,
+    junction_lines,
     midpoint_amplitude,
     parse_arm_label,
     skeleton,
     stem_endpoints,
     stem_length_formula,
+    stem_side,
     trajectory_line,
     velocity_table,
 )

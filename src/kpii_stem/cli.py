@@ -36,6 +36,7 @@ from .geometry import (
     normalize_line,
     stem_endpoints,
     stem_length_formula,
+    stem_side,
     trajectory_line,
     velocity_table,
 )
@@ -74,6 +75,18 @@ class Scenario:
                           branch=self.branch, xi0=self.xi0)
 
 
+def _number(raw, name) -> float:
+    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
+        raise ScenarioError(f"field {name} must be a number")
+    try:
+        value = float(raw)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ScenarioError(f"field {name} must be finite, got {value!r}")
+    return value
+
+
 def _vector(raw, name, n=3):
     if not isinstance(raw, (list, tuple)):
         raise ScenarioError(f"field {name} must be a list of {n} numbers")
@@ -81,9 +94,7 @@ def _vector(raw, name, n=3):
     for i in range(n):
         if i >= len(raw) or raw[i] is None:
             raise ScenarioError(f"missing field {name}[{i}]")
-        if not isinstance(raw[i], (int, float)) or isinstance(raw[i], bool):
-            raise ScenarioError(f"field {name}[{i}] must be a number")
-        vals.append(float(raw[i]))
+        vals.append(_number(raw[i], f"{name}[{i}]"))
     if len(raw) > n:
         raise ScenarioError(f"field {name} has more than {n} entries")
     return tuple(vals)
@@ -104,9 +115,9 @@ def parse_scenario(data: dict) -> Scenario:
     if k is None:
         raise ScenarioError("missing field k")
     xi0 = _vector(data.get("xi0", [0.0, 0.0, 0.0]), "xi0")
-    t_min = data.get("t_min", 3.0)
-    if not isinstance(t_min, (int, float)) or isinstance(t_min, bool) or t_min < 0:
-        raise ScenarioError("field t_min must be a nonnegative number")
+    t_min = _number(data.get("t_min", 3.0), "t_min")
+    if t_min < 0:
+        raise ScenarioError("field t_min must be nonnegative")
     limit_target = data.get("limit_target")
     if limit_target is not None and limit_target not in _CASES - {"generic"}:
         raise ScenarioError(f"unknown limit_target {limit_target!r}")
@@ -115,14 +126,11 @@ def parse_scenario(data: dict) -> Scenario:
             raise ScenarioError("generic case requires field p = [p1, p2, p3]")
         p = _vector(data["p"], "p")
         return Scenario(case=case, branch=branch, k=k, p3=None, p=p, xi0=xi0,
-                        t_min=float(t_min), limit_target=limit_target)
+                        t_min=t_min, limit_target=limit_target)
     if "p3" not in data:
         raise ScenarioError("missing field p3")
-    p3 = data["p3"]
-    if not isinstance(p3, (int, float)) or isinstance(p3, bool):
-        raise ScenarioError("field p3 must be a number")
-    return Scenario(case=case, branch=branch, k=k, p3=float(p3), p=None,
-                    xi0=xi0, t_min=float(t_min), limit_target=limit_target)
+    return Scenario(case=case, branch=branch, k=k, p3=_number(data["p3"], "p3"),
+                    p=None, xi0=xi0, t_min=t_min, limit_target=limit_target)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -188,7 +196,7 @@ def cmd_build(args) -> int:
     }
     if sol.spec.case is not Case.GENERIC:
         cat = arm_catalog(sol)
-        doc["regime"] = cat.regime_before
+        doc["regime"] = cat.regime
         doc["arms"] = [
             {"label": a.label_str(), "region": r.value, "amplitude": a.amplitude,
              "velocity": list(a.velocity)}
@@ -424,29 +432,27 @@ def cmd_section(args) -> int:
             raise ScenarioError(f"invalid line spec {args.line!r}")
         if line[0] == line[1] == 0.0:
             raise ScenarioError(f"line spec {args.line!r} has a zero normal vector")
-    elif args.line == "perp":
-        rep = stem_endpoints(sol, t, t_min=sc.t_min)
-        stem = arm_catalog(sol).stem_past if t <= 0 else arm_catalog(sol).stem_future
-        A, B, C = trajectory_line(stem, t)
-        # rotate 90 degrees about the midpoint
-        mx, my = rep.midpoint
-        line = (-B, A, B * mx - A * my)
-    else:
+    elif args.line != "perp":
         try:
             arm = find_arm(sol, args.line)
         except (KeyError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE
         line = arm.line_coeffs(t)
-    pts = cross_section(sol, t, line, s_range=s_range, n_samples=args.n)
+    mx, my = stem_endpoints(sol, t, t_min=sc.t_min).midpoint
+    if args.line == "perp":
+        # the stem trajectory turned 90 degrees about the midpoint
+        A, B, _ = trajectory_line(stem_side(sol, t)[0], t)
+        line = (-B, A, B * mx - A * my)
+    pts = cross_section(sol, t, line, s_range=s_range, n_samples=args.n,
+                        anchor=(mx, my))
     with _open_output(args.out) as out:
         out.write(f"# kpii-stem v{__version__} case={sc.case} t={t!r}\n")
         if arm is not None:
             out.write("s,u,u_arm\n")
             A, B, C = normalize_line(line)
-            rep = stem_endpoints(sol, t, t_min=sc.t_min)
-            d = A * rep.midpoint[0] + B * rep.midpoint[1] + C
-            foot = (rep.midpoint[0] - d * A, rep.midpoint[1] - d * B)
+            d = A * mx + B * my + C
+            foot = (mx - d * A, my - d * B)
             for s, u in pts:
                 x = foot[0] + s * (-B)
                 y = foot[1] + s * A

@@ -21,6 +21,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 
 import numpy as np
 
@@ -35,6 +36,9 @@ from .errors import (
 from .tau import u_on_grid
 
 Eps = tuple[int, int, int]
+# a triple point of three tau terms: their exponent vectors, sorted (the key
+# format of the closed-form VERTEX tables)
+Junction = tuple[Eps, Eps, Eps]
 
 
 class Region(str, Enum):
@@ -97,12 +101,15 @@ class AsymptoticCatalog:
     after: tuple[tuple[Region, ArmDescriptor], ...]
     stem_past: ArmDescriptor
     stem_future: ArmDescriptor
-    regime_before: str          # "y" or "x"; heuristic, see arm_catalog
-    regime_after: str
-    past_edge: tuple[Eps, Eps]
-    future_edge: tuple[Eps, Eps]
-    past_junctions: tuple[frozenset, frozenset]
-    future_junctions: tuple[frozenset, frozenset]
+    regime: str                 # "y" or "x" on both sides; heuristic, see arm_catalog
+    past_junctions: tuple[Junction, Junction]       # sorted
+    future_junctions: tuple[Junction, Junction]
+
+    @property
+    def species(self) -> list[ArmDescriptor]:
+        """Every catalog arm, then the past and the future stem."""
+        return ([a for _, a in self.before] + [a for _, a in self.after]
+                + [self.stem_past, self.stem_future])
 
 
 @dataclass(frozen=True)
@@ -116,6 +123,7 @@ class StemReport:
     midpoint: tuple[float, float]
     midpoint_amplitude: float
     valid: bool
+    endpoint_mismatch: float | None     # closed form vs intersection, err/scale
 
 
 @dataclass(frozen=True)
@@ -215,13 +223,11 @@ def _arm_from_terms(sol: ResonantSolution, m: int, n: int) -> ArmDescriptor:
                          A=K, B=P, W=W, xi0=s0)
 
 
-def _edge_keys(sol, edge: Edge):
-    eps = lambda i: sol.template[i][0]
-    pair = (eps(edge.m), eps(edge.n))
-    juncs = []
-    for bind in (edge.lo_bind, edge.hi_bind):
-        juncs.append(frozenset((*pair, eps(bind))) if bind is not None else None)
-    return tuple(sorted(pair)), tuple(juncs)
+def _junctions(sol: ResonantSolution, stem: Edge) -> tuple[Junction, Junction]:
+    """The two end junctions of a bounded edge, sorted."""
+    eps = [e for e, _ in sol.template]
+    return tuple(sorted(tuple(sorted((eps[stem.m], eps[stem.n], eps[bind])))
+                        for bind in (stem.lo_bind, stem.hi_bind)))
 
 
 def _stem_edge(edges) -> Edge | None:
@@ -242,7 +248,7 @@ def _stem_edge(edges) -> Edge | None:
 
 
 def _wings(edges, stem: Edge):
-    """The four arm edges at the stem junctions, with outward directions."""
+    """The arm edges at each stem junction, with outward directions."""
     out = []
     for bind, s_end in ((stem.lo_bind, stem.lo), (stem.hi_bind, stem.hi)):
         junction = frozenset((stem.m, stem.n, bind))
@@ -260,7 +266,7 @@ def _wings(edges, stem: Edge):
                 d = e.direction if _dist(e.lo) <= _dist(e.hi) else (
                     -e.direction[0], -e.direction[1])
                 side.append((e, d))
-        out.append((junction, vertex, side))
+        out.append(side)
     return out
 
 
@@ -269,19 +275,19 @@ def _catalog_side(sol: ResonantSolution, t_ref: float, regime: str | None = None
     stem = _stem_edge(edges)
     if stem is None:
         return None
-    junction_data = _wings(edges, stem)
-    if sum(len(side) for _, _, side in junction_data) != 4:
+    wings = _wings(edges, stem)
+    if sum(len(side) for side in wings) != 4:
         return None
     if regime is None:
         # V-opening bisectors at the stem junctions decide the region axis
         bis_y = []
-        for _, _, side in junction_data:
+        for side in wings:
             bx = sum(d[0] for _, d in side)
             by = sum(d[1] for _, d in side)
             bis_y.append(abs(by) >= abs(bx))
         regime = "y" if all(bis_y) else "x"
     listing = []
-    for _, _, side in junction_data:
+    for side in wings:
         for e, d in side:
             comp = d[1] if regime == "y" else d[0]
             if regime == "y":
@@ -303,9 +309,10 @@ def arm_catalog(sol: ResonantSolution, t_scale: float = 50.0) -> AsymptoticCatal
     The skeleton is evaluated at t = -T and t = +T; T grows until the stem
     species differs between the two sides (the reconnection signature).  The
     four catalog arms per side are the wing edges at the stem junctions.  The
-    region axis ("y" vs "x" listing) is a heuristic: the y-axis listing is
-    used when the V-shaped wing pairs at both stem junctions open
-    predominantly in y, the x-axis listing otherwise.
+    region axis ("y" vs "x" listing) is a heuristic decided on the past side
+    and used on both: the y-axis listing is used when the V-shaped wing pairs
+    at both past stem junctions open predominantly in y, the x-axis listing
+    otherwise.
     """
     if sol.spec.case is Case.GENERIC:
         raise UnsupportedCaseError("arm catalog requires a resonant case")
@@ -314,26 +321,22 @@ def arm_catalog(sol: ResonantSolution, t_scale: float = 50.0) -> AsymptoticCatal
     T = t_scale
     for _ in range(6):
         past = _catalog_side(sol, -T)
-        # one region axis for the whole catalog, decided on the before side
-        regime = past[2] if past is not None else None
-        future = _catalog_side(sol, +T, regime=regime)
-        if past is not None and future is not None:
-            stem_p, list_p, regime_p = past
-            stem_f, list_f, regime_f = future
-            if (stem_p.m, stem_p.n) != (stem_f.m, stem_f.n):
-                break
+        if past is not None:
+            stem_p, list_p, regime = past
+            future = _catalog_side(sol, +T, regime=regime)
+            if future is not None:
+                stem_f, list_f, _ = future
+                if (stem_p.m, stem_p.n) != (stem_f.m, stem_f.n):
+                    break
         T *= 4.0
     else:
         raise InternalConsistencyError(
             "no stem reconnection found in the scanned time range")
-    past_edge, past_junc = _edge_keys(sol, stem_p)
-    future_edge, future_junc = _edge_keys(sol, stem_f)
     catalog = AsymptoticCatalog(
         before=list_p, after=list_f,
-        stem_past=stem_p.arm, stem_future=stem_f.arm,
-        regime_before=regime_p, regime_after=regime_f,
-        past_edge=past_edge, future_edge=future_edge,
-        past_junctions=tuple(past_junc), future_junctions=tuple(future_junc))
+        stem_past=stem_p.arm, stem_future=stem_f.arm, regime=regime,
+        past_junctions=_junctions(sol, stem_p),
+        future_junctions=_junctions(sol, stem_f))
     _CATALOGS[sol] = catalog
     return catalog
 
@@ -349,15 +352,10 @@ def arm_profile(arm: ArmDescriptor, sol: ResonantSolution, point) -> float:
     return float(val) if np.ndim(val) == 0 else val
 
 
-def trajectory_line(arm: ArmDescriptor, t: float, normalized: bool = True):
-    """Line coefficients (A, B, C) of the arm's trajectory at time t.
-
-    Normalized form has A^2 + B^2 = 1 and A > 0 (or B > 0 when A == 0).
-    """
-    A, B, C = arm.line_coeffs(t)
-    if not normalized:
-        return (A, B, C)
-    return normalize_line((A, B, C))
+def trajectory_line(arm: ArmDescriptor, t: float):
+    """Line coefficients (A, B, C) of the arm's trajectory at time t,
+    normalized to A^2 + B^2 = 1 and A > 0 (or B > 0 when A == 0)."""
+    return normalize_line(arm.line_coeffs(t))
 
 
 def normalize_line(line):
@@ -384,108 +382,95 @@ def intersect_lines(l1, l2, rel_tol: float = 1e-12):
     return (x, y)
 
 
-def _junction_point(sol: ResonantSolution, junction: frozenset, t: float):
-    """Best-conditioned pairwise intersection of the three concurrent lines."""
-    eps_idx = {eps: i for i, (eps, _) in enumerate(sol.template)}
-    idxs = [eps_idx[e] for e in junction]
-    arms = [_arm_from_terms(sol, a, b)
-            for i, a in enumerate(idxs) for b in idxs[i + 1:]]
-    lines = [normalize_line(arm.line_coeffs(t)) for arm in arms]
-    best, best_det = None, -1.0
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            det = abs(lines[i][0] * lines[j][1] - lines[j][0] * lines[i][1])
-            if det > best_det:
-                best_det, best = det, (lines[i], lines[j])
-    pt = intersect_lines(*best)
-    if pt is PARALLEL:
-        raise DegenerateLineError(f"junction lines are parallel: {junction}")
-    return pt
+def stem_side(sol: ResonantSolution,
+              t: float) -> tuple[ArmDescriptor, tuple[Junction, Junction]]:
+    """The stem species at time t and its two end junctions, sorted.
 
-
-def _closed_form_point(sol: ResonantSolution, junction: frozenset, t: float):
-    """Endpoint from the generated coefficient tables (first-branch mirror)."""
-    case = sol.spec.case.value
-    if case not in _closed_forms.VERTEX:
-        raise UnsupportedFormulaError(f"no closed forms for case {case}")
-    if any(abs(v) > 0 for v in sol.params.xi0):
-        raise UnsupportedFormulaError("closed forms assume zero phase constants")
-    key = tuple(sorted(junction))
-    table = _closed_forms.VERTEX[case]
-    if key not in table:
-        raise UnsupportedFormulaError(f"no closed form for junction {key}")
-    k1, k2, k3 = sol.params.k
-    p3 = sol.params.p[2]
-    L = sol.log_a12
-    mirror = sol.spec.branch is Branch.SECOND
-    xt, xL, yt, yL = table[key](k1, k2, k3, -p3 if mirror else p3)
-    x = xt * t + xL * L
-    y = yt * t + yL * L
-    return (x, -y) if mirror else (x, y)
-
-
-def _stem_side(sol: ResonantSolution, t: float):
+    The past stem is the one for t <= 0, the future stem for t > 0.
+    """
     cat = arm_catalog(sol)
     if t <= 0:
-        return cat.stem_past, cat.past_edge, cat.past_junctions
-    return cat.stem_future, cat.future_edge, cat.future_junctions
+        return cat.stem_past, cat.past_junctions
+    return cat.stem_future, cat.future_junctions
+
+
+def junction_lines(sol: ResonantSolution, junction: Junction, t: float):
+    """Normalized trajectory lines of the three term pairs of a junction at
+    time t; the three lines meet in the junction point."""
+    index = {eps: i for i, (eps, _) in enumerate(sol.template)}
+    # the pair order sets the last bits of the endpoints (a line's offset is
+    # ln(c_m / c_n), and stem_endpoints keeps the first best-conditioned
+    # pair); the frozenset order is the one the goldens were computed in
+    idxs = [index[eps] for eps in frozenset(junction)]
+    return [trajectory_line(_arm_from_terms(sol, a, b), t)
+            for a, b in combinations(idxs, 2)]
+
+
+def _closed_form_args(sol: ResonantSolution):
+    """(k1, k2, k3, p3) for the generated tables, whose expressions are those
+    of the first branch; None where they do not apply (phase constants)."""
+    if any(abs(v) > 0 for v in sol.params.xi0):
+        return None
+    k1, k2, k3 = sol.params.k
+    p3 = sol.params.p[2]
+    return k1, k2, k3, -p3 if sol.spec.branch is Branch.SECOND else p3
 
 
 def stem_endpoints(sol: ResonantSolution, t: float, t_min: float = 3.0) -> StemReport:
     """Endpoints, length and midpoint amplitude of the stem at time t.
 
-    The past stem is reported for t <= 0, the future stem for t > 0.  The
-    endpoints are computed both as intersections of the junction trajectories
-    and through the closed-form tables; disagreement beyond 1e-9 relative is
-    an internal error.  Inside |t| < t_min the report carries valid=False
-    (the straight-trajectory description degrades near the reconnection).
+    The stem is the one stem_side names for t.  Each endpoint is the
+    best-conditioned pairwise intersection of its junction_lines and is
+    checked against the closed-form VERTEX tables; a disagreement beyond 1e-9
+    relative is an internal error, and the largest relative disagreement is
+    reported as endpoint_mismatch (None with nonzero phase constants, where
+    the tables do not apply).  Inside |t| < t_min the report carries
+    valid=False (the straight-trajectory description degrades near the
+    reconnection).
     """
     if sol.spec.case is Case.GENERIC:
         raise UnsupportedCaseError("stem endpoints require a resonant case")
-    _, _, junctions = _stem_side(sol, t)
-    keys = sorted(tuple(sorted(j)) for j in junctions)
-    pts = []
-    for key in keys:
-        junction = frozenset(key)
-        geo = _junction_point(sol, junction, t)
-        try:
-            closed = _closed_form_point(sol, junction, t)
-        except UnsupportedFormulaError:
-            closed = None
-        if closed is not None:
+    _, junctions = stem_side(sol, t)
+    args = _closed_form_args(sol)
+    table = _closed_forms.VERTEX[sol.spec.case.value]
+    pts, mismatch = [], None
+    for junction in junctions:
+        pair = max(combinations(junction_lines(sol, junction, t), 2),
+                   key=lambda p: abs(p[0][0] * p[1][1] - p[1][0] * p[0][1]))
+        geo = intersect_lines(*pair)
+        if geo is PARALLEL:
+            raise DegenerateLineError(f"junction lines are parallel: {junction}")
+        if args is not None:
+            xt, xL, yt, yL = table[junction](*args)
+            x, y = xt * t + xL * sol.log_a12, yt * t + yL * sol.log_a12
+            closed = (x, -y) if sol.spec.branch is Branch.SECOND else (x, y)
             err = math.hypot(geo[0] - closed[0], geo[1] - closed[1])
             scale = max(1.0, math.hypot(*geo), math.hypot(*closed))
             if err > 1e-9 * scale:
                 raise InternalConsistencyError(
                     f"closed-form and geometric endpoints disagree: {geo} vs {closed}")
+            mismatch = max(mismatch or 0.0, err / scale)
         pts.append(geo)
     (xa, ya), (xb, yb) = pts
     mid = ((xa + xb) / 2.0, (ya + yb) / 2.0)
     amp = float(u_on_grid(sol.tau, mid[0], mid[1], t))
     return StemReport(t=t, endpoint_a=(xa, ya), endpoint_b=(xb, yb),
                       length=math.hypot(xa - xb, ya - yb), midpoint=mid,
-                      midpoint_amplitude=amp, valid=abs(t) >= t_min)
+                      midpoint_amplitude=amp, valid=abs(t) >= t_min,
+                      endpoint_mismatch=mismatch)
 
 
 def stem_length_formula(sol: ResonantSolution, t: float) -> float:
     """Closed-form stem length |s_t t + s_L ln a12| sqrt(g) for the side of t."""
     if sol.spec.case is Case.GENERIC:
         raise UnsupportedCaseError("stem length requires a resonant case")
-    if any(abs(v) > 0 for v in sol.params.xi0):
+    args = _closed_form_args(sol)
+    if args is None:
         raise UnsupportedFormulaError("closed forms assume zero phase constants")
-    _, edge, junctions = _stem_side(sol, t)
-    pair = set(edge)
-    ends = tuple(sorted(next(iter(j - pair)) for j in junctions))
-    case = sol.spec.case.value
-    table = _closed_forms.SEGMENT.get(case, {})
-    key = (tuple(sorted(edge)), ends)
-    if key not in table:
-        raise UnsupportedFormulaError(f"no closed-form length for {key}")
-    k1, k2, k3 = sol.params.k
-    p3 = sol.params.p[2]
-    if sol.spec.branch is Branch.SECOND:
-        p3 = -p3
-    st, sL, g = table[key](k1, k2, k3, p3)
+    ja, jb = (set(j) for j in stem_side(sol, t)[1])
+    # the stem is the edge both junctions share, ended by the other two terms
+    key = (tuple(sorted(ja & jb)), tuple(sorted(ja ^ jb)))
+    st, sL, g = _closed_forms.SEGMENT[sol.spec.case.value][key](*args)
     return abs(st * t + sL * sol.log_a12) * math.sqrt(g)
 
 
@@ -538,11 +523,8 @@ def velocity_table(sol: ResonantSolution) -> list[VelocityRow]:
     horizontal line (-W/A), the y entry with a fixed vertical line (-W/B);
     a vanishing normal component makes that entry undefined (None).
     """
-    cat = arm_catalog(sol)
     rows = {}
-    arms = [a for _, a in cat.before] + [a for _, a in cat.after]
-    arms += [cat.stem_past, cat.stem_future]
-    for arm in arms:
+    for arm in arm_catalog(sol).species:
         key = (arm.label, arm.hat)
         if key in rows:
             continue
@@ -580,10 +562,7 @@ def find_arm(sol: ResonantSolution, label, hat: bool | None = None) -> ArmDescri
     if isinstance(label, str):
         label, hat_parsed = parse_arm_label(label)
         hat = hat_parsed if hat is None else hat
-    cat = arm_catalog(sol)
-    arms = [a for _, a in cat.before] + [a for _, a in cat.after]
-    arms += [cat.stem_past, cat.stem_future]
-    for arm in arms:
+    for arm in arm_catalog(sol).species:
         if arm.label == tuple(label) and (hat is None or arm.hat == hat):
             return arm
     raise KeyError(f"no arm with label {label} (hat={hat}) in this catalog")

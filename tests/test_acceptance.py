@@ -5,7 +5,6 @@ Every tolerance is fixed here; nothing is deferred to later calibration.
 """
 
 import json
-import math
 import subprocess
 import sys
 import time
@@ -21,18 +20,15 @@ from kpii_stem import (
     build_solution,
     cross_section,
     find_arm,
+    junction_lines,
     kp_residual,
     limit_convergence,
     midpoint_amplitude,
     ridge_trace,
     stem_endpoints,
     stem_length_formula,
+    stem_side,
     trajectory_line,
-)
-from kpii_stem.geometry import (
-    _arm_from_terms,
-    _closed_form_point,
-    _junction_point,
 )
 
 from test_catalog import RESONANT_CASES, draw_params
@@ -77,21 +73,6 @@ def test_criterion_02_amplitude_limits(solutions):
     report(2, "amplitude limits", worst < 1e-3, f"max |dev| {worst:.2e}")
 
 
-def _endpoint_dual_paths(sol, t):
-    """Max relative disagreement between derived closed forms and
-    line-intersection endpoints at time t."""
-    cat = arm_catalog(sol)
-    junctions = cat.past_junctions if t <= 0 else cat.future_junctions
-    worst = 0.0
-    for junction in junctions:
-        geo = _junction_point(sol, junction, t)
-        closed = _closed_form_point(sol, junction, t)
-        err = math.hypot(geo[0] - closed[0], geo[1] - closed[1])
-        scale = max(1.0, math.hypot(*geo), math.hypot(*closed))
-        worst = max(worst, err / scale)
-    return worst
-
-
 def _draw_solutions(case, n):
     rng = np.random.default_rng(abs(hash(("acc", case.value))) % 2**32)
     out = []
@@ -107,17 +88,16 @@ def _draw_solutions(case, n):
 
 
 def test_criterion_03_endpoint_identities(solutions):
+    # every stem_endpoints call checks its closed-form endpoints against the
+    # line intersections and reports the relative disagreement
     times = (-20.0, -5.0, -1.0, 1.0, 5.0, 20.0)
-    worst = 0.0
-    for name in CASE_NAMES:
-        for t in times:
-            worst = max(worst, _endpoint_dual_paths(solutions[name], t))
-    for case in RESONANT_CASES:
-        for sol in _draw_solutions(case, 50):
-            for t in times:
-                worst = max(worst, _endpoint_dual_paths(sol, t))
-    report(3, "endpoint identities", worst < 1e-9,
-           f"max rel disagreement {worst:.2e} over reference + 50 draws/case")
+    sols = [solutions[name] for name in CASE_NAMES]
+    sols += [sol for case in RESONANT_CASES for sol in _draw_solutions(case, 50)]
+    mismatch = [stem_endpoints(sol, t).endpoint_mismatch for sol in sols for t in times]
+    ok = None not in mismatch and max(mismatch) < 1e-9
+    report(3, "endpoint identities", ok,
+           f"max rel disagreement {max(m or 0.0 for m in mismatch):.2e} "
+           f"over reference + 50 draws/case")
 
 
 def test_criterion_04_length_formulas(solutions):
@@ -153,15 +133,10 @@ def test_criterion_05_triple_concurrency(solutions):
     worst = 0.0
     for name in CASE_NAMES:
         sol = solutions[name]
-        cat = arm_catalog(sol)
-        eps_idx = {eps: i for i, (eps, _) in enumerate(sol.template)}
         for t in (-40.0, -20.0, -5.0, -3.0, 3.0, 5.0, 20.0, 40.0):
-            junctions = cat.past_junctions if t <= 0 else cat.future_junctions
-            for junction in junctions:
-                idxs = [eps_idx[e] for e in junction]
-                lines = [_arm_from_terms(sol, a, b).line_coeffs(t)
-                         for i, a in enumerate(idxs) for b in idxs[i + 1:]]
-                M = np.array([np.array(l) / np.linalg.norm(l) for l in lines])
+            for junction in stem_side(sol, t)[1]:
+                M = np.array([np.array(l) / np.linalg.norm(l)
+                              for l in junction_lines(sol, junction, t)])
                 worst = max(worst, abs(np.linalg.det(M)))
     report(5, "triple concurrency", worst < 1e-9, f"max |det| {worst:.2e}")
 
@@ -173,8 +148,7 @@ def test_criterion_06_section_extrema(solutions):
     worst = 0.0
     for name, t, target, frac in checks:
         sol = solutions[name]
-        cat = arm_catalog(sol)
-        stem = cat.stem_past if t < 0 else cat.stem_future
+        stem, _ = stem_side(sol, t)
         rep = stem_endpoints(sol, t)
         half = max(rep.length * frac, 1.5)
         pts = cross_section(sol, t, stem, s_range=(-half, half),
@@ -248,7 +222,7 @@ def test_criterion_09_ridge_oracle(solutions):
            f"max arm line dev {worst:.2e}, stem value dev {value_dev:.2e}")
 
 
-def test_criterion_10_cli_contract():
+def test_criterion_10_cli_contract(tmp_path):
     t0 = time.perf_counter()
 
     def run(*args):
@@ -278,28 +252,26 @@ def test_criterion_10_cli_contract():
             ok = False
             detail.append(f"golden mismatch {name}")
     # exit-code contract
-    bad = REPO / "tests" / "golden"  # directory path is unreadable as JSON
-    checks = [(2, ("build", "--scenario", str(bad))),
-              (3, ("build", "--scenario", "/dev/null"))]
-    import tempfile
-    tmp = Path(tempfile.mkdtemp())
-    missing = tmp / "missing_k.json"
+    missing = tmp_path / "missing_k.json"
     missing.write_text('{"case": "c2_1", "k": [-1.0, -2.0], "p3": 1.0}')
-    inadm = tmp / "inadmissible.json"
+    inadm = tmp_path / "inadmissible.json"
     inadm.write_text(json.dumps({"case": "c2_2",
                                  "k": [-2.0 / 3.0, -1.0, 4.0 / 3.0],
                                  "p3": 2.0 / 3.0}))
-    if run("build", "--scenario", str(missing)).returncode != 2:
-        ok = False
-        detail.append("missing-field exit code != 2")
-    if run("build", "--scenario", str(inadm)).returncode != 3:
-        ok = False
-        detail.append("inadmissible exit code != 3")
-    if run("sample", "--scenario", str(SCENARIOS / "c2_1.json"), "--t", "0",
-           "--grid=-1,1,3,-1,1,3",
-           "--out", "/nonexistent-dir/x.csv").returncode != 4:
-        ok = False
-        detail.append("io exit code != 4")
+    checks = [
+        ("directory scenario", 2, ("build", "--scenario", str(GOLDEN))),
+        ("empty scenario", 2, ("build", "--scenario", "/dev/null")),
+        ("missing field", 2, ("build", "--scenario", str(missing))),
+        ("inadmissible", 3, ("build", "--scenario", str(inadm))),
+        ("io", 4, ("sample", "--scenario", str(SCENARIOS / "c2_1.json"),
+                   "--t", "0", "--grid=-1,1,3,-1,1,3",
+                   "--out", "/nonexistent-dir/x.csv")),
+    ]
+    for what, want, args in checks:
+        code = run(*args).returncode
+        if code != want:
+            ok = False
+            detail.append(f"{what} exit code {code} != {want}")
     dt = time.perf_counter() - t0
     report(10, "cli contract", ok and dt < 180.0,
            "; ".join(detail) if detail else f"goldens + exit codes in {dt:.1f}s")

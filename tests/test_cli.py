@@ -174,18 +174,6 @@ def test_verify_default_suite_reports_json(name):
     assert suites == {"field", "limit", "asymptotic", "ridge"}
 
 
-def test_figures_match_shipped_scenarios():
-    from kpii_stem import FIGURES
-    assert set(FIGURES) == {p.stem for p in SCENARIOS.glob("*.json")}
-    for name, fig in FIGURES.items():
-        data = json.loads((SCENARIOS / f"{name}.json").read_text())
-        assert data["case"] == fig["case"]
-        assert tuple(data["k"]) == fig["k"]
-        assert data["p3"] == fig["p3"]
-        assert data["branch"] == "first"
-        assert data["xi0"] == [0.0, 0.0, 0.0]
-
-
 def test_verify_tolerance_override_can_fail():
     res = run_cli("verify", "--scenario", str(SCENARIOS / "w2.json"),
                   "--suite", "residual", "--tol", "1e-16")
@@ -359,6 +347,32 @@ def test_nonfinite_inputs_exit_2(tmp_path, capsys, command):
     (line,) = err.splitlines()
     assert line.startswith("error:") and "finite" in line
     assert out.read_text() == "keep me\n"
+
+
+# Python's json reads NaN, Infinity and -Infinity, and integers of any size
+_C2_1 = '"case": "c2_1", "k": [-1.0, -2.0, -1.3333333333333333]'
+NONFINITE_SCENARIOS = [
+    ("p3", f'{{{_C2_1}, "p3": Infinity}}'),
+    ("xi0[0]", f'{{{_C2_1}, "p3": 1.0, "xi0": [NaN, 0, 0]}}'),
+    ("k[0]", '{"case": "c2_1", "k": [NaN, -2.0, -1.3333333333333333], "p3": 1.0}'),
+    ("k[2]", '{"case": "c2_1", "k": [-1.0, -2.0, -1' + "0" * 400 + '], "p3": 1.0}'),
+    ("t_min", f'{{{_C2_1}, "p3": 1.0, "t_min": NaN}}'),
+    ("t_min", f'{{{_C2_1}, "p3": 1.0, "t_min": Infinity}}'),
+    ("p[1]", f'{{{_C2_1.replace("c2_1", "generic")}, "p": [0.1, -Infinity, 0.3]}}'),
+]
+
+
+@pytest.mark.parametrize("field,text", NONFINITE_SCENARIOS,
+                         ids=[f"{f}-{i}" for i, (f, _) in enumerate(NONFINITE_SCENARIOS)])
+def test_nonfinite_scenario_numbers_exit_2(tmp_path, capsys, field, text):
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    for command in (("build",), ("stem", "--t=-20,20")):
+        code, err = _run_in_process(capsys, command[0], "--scenario", str(path),
+                                    *command[1:])
+        assert code == 2, (command, err)
+        (line,) = err.splitlines()
+        assert line.startswith(f"error: field {field} must be finite"), line
 
 
 @pytest.mark.parametrize("bad", [("--range=a,b",), ("--range=5",),

@@ -15,17 +15,20 @@ from kpii_stem import (
     cross_section,
     find_arm,
     intersect_lines,
+    junction_lines,
     make_generic,
     midpoint_amplitude,
     parse_arm_label,
     stem_endpoints,
     stem_length_formula,
+    stem_side,
     trajectory_line,
     velocity_table,
 )
 from kpii_stem.errors import UnsupportedCaseError, UnsupportedFormulaError
 from kpii_stem.geometry import normalize_line
 
+from conftest import build_scenario
 from test_catalog import RESONANT_CASES, draw_params
 from kpii_stem import Branch, CaseSpec, build_solution
 
@@ -54,12 +57,12 @@ def test_reference_catalog_regions(solutions):
         (Region.Y_NEG, (1, 3), True), (Region.Y_NEG, (2,), True),
         (Region.Y_POS, (1,), True), (Region.Y_POS, (2, 3), True),
     }
-    assert cat.regime_before == "y"
+    assert cat.regime == "y"
 
 
 def test_alternate_regime_listing(solutions):
     cat = arm_catalog(solutions["c2_1_alt"])
-    assert cat.regime_before == "x"
+    assert cat.regime == "x"
     before = {(r, a.label, a.hat) for r, a in cat.before}
     assert before == {
         (Region.X_NEG, (1,), True), (Region.X_NEG, (2,), False),
@@ -95,12 +98,12 @@ def test_catalog_memo_is_weak_and_skips_skeleton(monkeypatch):
     import gc
     import weakref
 
-    from kpii_stem import build_figure, geometry
+    from kpii_stem import geometry
     calls = []
     real_skeleton = geometry.skeleton
     monkeypatch.setattr(geometry, "skeleton",
                         lambda sol, t: calls.append(t) or real_skeleton(sol, t))
-    sol = build_figure("c2_1")
+    sol = build_scenario("c2_1")
     cat = arm_catalog(sol)
     cold_calls = len(calls)
     assert cold_calls > 0
@@ -190,6 +193,37 @@ def test_stem_report_fields(solutions):
     assert rep.length == pytest.approx(d, rel=1e-15)
     inside = stem_endpoints(solutions["c2_1"], 1.0)
     assert not inside.valid
+
+
+def test_stem_side_names_stem_and_junctions(solutions):
+    sol = solutions["c2_1"]
+    cat = arm_catalog(sol)
+    vectors = {eps for eps, _ in sol.template}
+    for t, stem in ((-5.0, cat.stem_past), (0.0, cat.stem_past),
+                    (1e-300, cat.stem_future), (5.0, cat.stem_future)):
+        got, junctions = stem_side(sol, t)
+        assert got is stem
+        assert list(junctions) == sorted(junctions)
+        for j in junctions:
+            assert j == tuple(sorted(j)) and set(j) <= vectors and len(set(j)) == 3
+        # the junctions share the stem's term pair, whose species is the stem
+        shared = sorted(set(junctions[0]) & set(junctions[1]))
+        assert len(shared) == 2
+        diff = [a - b for a, b in zip(*shared)]
+        label = tuple(j * d for j, d in zip((1, 2, 3), diff) if d != 0)
+        assert label in (stem.label, tuple(-v for v in stem.label))
+        # each junction's three pair lines meet in the reported endpoint
+        rep = stem_endpoints(sol, t)
+        for j, (x, y) in zip(junctions, (rep.endpoint_a, rep.endpoint_b)):
+            for A, B, C in junction_lines(sol, j, t):
+                assert abs(A * x + B * y + C) < 1e-9 * max(1.0, math.hypot(x, y))
+
+
+def test_endpoint_mismatch_is_reported(solutions):
+    rep = stem_endpoints(solutions["c2_1"], -5.0)
+    assert rep.endpoint_mismatch is not None and 0.0 <= rep.endpoint_mismatch < 1e-9
+    shifted = build_case(Case.C3_1, (2.0, 4.0 / 3.0, 1.0), 0.0, xi0=(0.3, 0.0, 0.0))
+    assert stem_endpoints(shifted, 5.0).endpoint_mismatch is None
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_STEMS))
@@ -399,8 +433,7 @@ def test_along_stem_extrema(solutions):
     ]
     for name, t, target, kind in checks:
         sol = solutions[name]
-        cat = arm_catalog(sol)
-        stem = cat.stem_past if t < 0 else cat.stem_future
+        stem, _ = stem_side(sol, t)
         rep = stem_endpoints(sol, t)
         frac = 0.45 if kind == "hump" else 0.25
         half = max(rep.length * frac, 1.5)
@@ -504,17 +537,10 @@ def _normalized_row(line):
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_STEMS))
 def test_triple_concurrency(name, solutions):
-    from kpii_stem.geometry import _arm_from_terms
     sol = solutions[name]
-    cat = arm_catalog(sol)
-    eps_idx = {eps: i for i, (eps, _) in enumerate(sol.template)}
     for t in (-40.0, -20.0, -5.0, -3.0, 3.0, 5.0, 20.0, 40.0):
-        junctions = cat.past_junctions if t <= 0 else cat.future_junctions
-        for junction in junctions:
-            idxs = [eps_idx[e] for e in junction]
-            lines = [_arm_from_terms(sol, a, b).line_coeffs(t)
-                     for i, a in enumerate(idxs) for b in idxs[i + 1:]]
-            M = np.array([_normalized_row(l) for l in lines])
+        for junction in stem_side(sol, t)[1]:
+            M = np.array([_normalized_row(l) for l in junction_lines(sol, junction, t)])
             assert abs(np.linalg.det(M)) < 1e-9
 
 

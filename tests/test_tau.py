@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from kpii_stem import (
     ExpSumTau,
     ExpTerm,
-    build_figure,
     eval_partials,
     eval_tau,
     eval_u,
@@ -21,7 +20,7 @@ from kpii_stem import (
 )
 from kpii_stem.errors import DomainError, UnsupportedDerivativeError
 
-from conftest import richardson_fd
+from conftest import build_scenario, richardson_fd
 
 
 def one_soliton(k=2.0, p=0.0, phase=0.0):
@@ -231,7 +230,7 @@ def test_translation_covariance(k, delta, x):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(lam=st.floats(1e-3, 1e3))
 def test_coefficient_scaling_invariance(lam):
-    sol = build_figure("w2")
+    sol = build_scenario("w2")
     scaled = ExpSumTau(tuple(ExpTerm(t.coeff * lam, t.kx, t.py, t.wt, t.phase)
                              for t in sol.tau.terms))
     pt = (1.2, -0.7, 0.5)

@@ -19,6 +19,7 @@ from kpii_stem import (
     ridge_trace,
     skeleton,
     stem_endpoints,
+    stem_side,
     trajectory_line,
 )
 from kpii_stem.errors import RidgeNotFoundError
@@ -205,8 +206,7 @@ def test_ridge_fitted_lines_match_trajectories(solutions):
     for name in ("c2_1", "w2", "c3_2"):
         sol = solutions[name]
         for t in (-20.0, 20.0):
-            cat = arm_catalog(sol)
-            stem = cat.stem_past if t < 0 else cat.stem_future
+            stem, _ = stem_side(sol, t)
             rep = stem_endpoints(sol, t)
             line = trajectory_line(stem, t)
             half = min(5.0, 0.2 * rep.length)
