@@ -114,11 +114,15 @@ class ResonantSolution:
 
     def exponent_of(self, eps) -> tuple[float, float, float, float]:
         """(K, P, W, xi0-part) of the template direction eps."""
-        k, p, w, x0 = self.params.k, self.params.p, self.params.omegas, self.params.xi0
-        return (sum(e * k[j] for j, e in enumerate(eps)),
-                sum(e * p[j] for j, e in enumerate(eps)),
-                sum(e * w[j] for j, e in enumerate(eps)),
-                sum(e * x0[j] for j, e in enumerate(eps)))
+        return _exponent_sums(self.params, eps)
+
+
+def _exponent_sums(params: SolitonParams, eps) -> tuple[float, float, float, float]:
+    k, p, w, x0 = params.k, params.p, params.omegas, params.xi0
+    return (sum(e * k[j] for j, e in enumerate(eps)),
+            sum(e * p[j] for j, e in enumerate(eps)),
+            sum(e * w[j] for j, e in enumerate(eps)),
+            sum(e * x0[j] for j, e in enumerate(eps)))
 
 
 def omega(k: float, p: float) -> float:
@@ -286,14 +290,9 @@ def classify_resonance(params: SolitonParams, spec: CaseSpec) -> ResonanceClass:
 
 
 def _make_tau(params: SolitonParams, template) -> ExpSumTau:
-    terms = []
-    for eps, coeff in template:
-        K = sum(e * params.k[j] for j, e in enumerate(eps))
-        P = sum(e * params.p[j] for j, e in enumerate(eps))
-        W = sum(e * omega(params.k[j], params.p[j]) for j, e in enumerate(eps))
-        s = sum(e * params.xi0[j] for j, e in enumerate(eps))
-        terms.append(ExpTerm(coeff=float(coeff), kx=K, py=P, wt=W, phase=s))
-    return ExpSumTau(tuple(terms))
+    # ExpTerm's fields after coeff are (kx, py, wt, phase) = (K, P, W, xi0-part)
+    return ExpSumTau(tuple(ExpTerm(float(coeff), *_exponent_sums(params, eps))
+                           for eps, coeff in template))
 
 
 def build_solution(params: SolitonParams, spec: CaseSpec) -> ResonantSolution:

@@ -139,15 +139,11 @@ def _moments(tau: ExpSumTau, x, y, t, lattice: Iterable[MultiIndex]):
 
 
 def _down_closed(indices: Iterable[MultiIndex]) -> list[MultiIndex]:
-    top = [0, 0, 0]
-    for beta in indices:
-        for i in range(3):
-            top[i] = max(top[i], beta[i])
-    lattice = [(bx, by, bt)
-               for bx in range(top[0] + 1)
-               for by in range(top[1] + 1)
-               for bt in range(top[2] + 1)]
-    return lattice
+    """Every gamma <= beta for some requested beta: all the recursion reads."""
+    return sorted({(gx, gy, gt) for bx, by, bt in indices
+                   for gx in range(bx + 1)
+                   for gy in range(by + 1)
+                   for gt in range(bt + 1)})
 
 
 def _cumulants(moments: Mapping[MultiIndex, np.ndarray]):

@@ -305,25 +305,6 @@ def asymptotic_match(sol: ResonantSolution, arm: ArmDescriptor, t: float,
     return float(np.abs(u - prof).max())
 
 
-def _golden_max(f, lo, hi, tol):
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-    s = 0.5 * (a + b)
-    return s, f(s)
-
-
 def ridge_trace(sol: ResonantSolution, t: float, approx_line,
                 scan_window=(-10.0, 10.0), n_scans: int = 21,
                 search_halfwidth: float = 4.0, anchor=None,
@@ -332,39 +313,54 @@ def ridge_trace(sol: ResonantSolution, t: float, approx_line,
 
     Scan stations sit on the guess line inside scan_window (arclength
     relative to the anchor's projection; anchor defaults to the origin).
-    On each perpendicular the local maximum nearest the line is refined by
-    golden-section search; a total-least-squares line is fitted through the
-    refined points.
+    One array evaluation gives every scan's 41-point coarse profile on its
+    perpendicular; a scan whose maximum is not interior is dropped.  The
+    maximum nearest the line is then refined by golden-section search on all
+    scans at once, one evaluation per step, and a total-least-squares line is
+    fitted through the refined points.
     """
     A, B, C = normalize_line(approx_line)
     if anchor is None:
         anchor = (0.0, 0.0)
     dproj = A * anchor[0] + B * anchor[1] + C
     foot = (anchor[0] - dproj * A, anchor[1] - dproj * B)
-    direction = (-B, A)
-    samples = []
-    for s in np.linspace(scan_window[0], scan_window[1], n_scans):
-        cx = foot[0] + s * direction[0]
-        cy = foot[1] + s * direction[1]
+    s = np.linspace(scan_window[0], scan_window[1], n_scans)
+    cx, cy = foot[0] - s * B, foot[1] + s * A
 
-        def u_of(d):
-            return float(u_on_grid(sol.tau, cx + d * A, cy + d * B, t))
+    def u_at(d, scans=slice(None)):
+        return u_on_grid(sol.tau, cx[scans] + d * A, cy[scans] + d * B, t)
 
-        coarse = np.linspace(-search_halfwidth, search_halfwidth, 41)
-        vals = u_on_grid(sol.tau, cx + coarse * A, cy + coarse * B, t)
-        i = int(np.argmax(vals))
-        if i == 0 or i == len(coarse) - 1:
-            continue  # no interior maximum on this scan
-        d0, _ = _golden_max(u_of, coarse[i - 1], coarse[i + 1], tol)
-        pt = (cx + d0 * A, cy + d0 * B)
-        samples.append(((cx, cy), pt, u_of(d0)))
-    if len(samples) < max(2, n_scans // 2):
-        raise RidgeNotFoundError(
-            f"ridge found on only {len(samples)} of {n_scans} scans")
-    pts = np.array([p for _, p, _ in samples])
+    coarse = np.linspace(-search_halfwidth, search_halfwidth, 41)
+    i = np.argmax(u_at(coarse[:, None]), axis=0)
+    interior = (i > 0) & (i < len(coarse) - 1)
+    found = int(interior.sum())
+    if found < max(2, n_scans // 2):
+        raise RidgeNotFoundError(f"ridge found on only {found} of {n_scans} scans")
+    cx, cy, i = cx[interior], cy[interior], i[interior]
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = coarse[i - 1], coarse[i + 1]
+    c = b - phi * (b - a)
+    d = a + phi * (b - a)
+    fc, fd = u_at(np.stack([c, d]))
+    # a scan leaves the loop once its bracket is below tol, so each scan
+    # takes the steps that a search on it alone would take
+    while (live := np.flatnonzero(b - a > tol)).size:
+        left = fc[live] > fd[live]
+        lo, hi = live[left], live[~left]
+        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
+        c[lo] = b[lo] - phi * (b[lo] - a[lo])
+        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
+        d[hi] = a[hi] + phi * (b[hi] - a[hi])
+        f = u_at(np.where(left, c[live], d[live]), live)
+        fc[lo], fd[hi] = f[left], f[~left]
+    mid = 0.5 * (a + b)
+    px, py = cx + mid * A, cy + mid * B
+    samples = tuple(((x0, y0), (x1, y1), v) for x0, y0, x1, y1, v in zip(
+        cx.tolist(), cy.tolist(), px.tolist(), py.tolist(), u_at(mid).tolist()))
+    pts = np.column_stack([px, py])
     mean = pts.mean(axis=0)
     _, _, vt = np.linalg.svd(pts - mean)
     tang = vt[0]
     normal = (-tang[1], tang[0])
     line = (normal[0], normal[1], -(normal[0] * mean[0] + normal[1] * mean[1]))
-    return RidgeTrace(samples=tuple(samples), fitted_line=normalize_line(line))
+    return RidgeTrace(samples=samples, fitted_line=normalize_line(line))

@@ -562,8 +562,6 @@ def test_endpoint_pairs_stay_distinct_near_reconnection(solutions):
     sol = solutions["c2_1"]
     dmin = math.inf
     for t in np.linspace(-1.0, 1.0, 201):
-        past = stem_endpoints(sol, -abs(t) if t <= 0 else -t)  # past side
-        future = stem_endpoints(sol, abs(t) if t > 0 else -t)
         # evaluate both species at the same instant
         p = stem_endpoints(sol, min(t, -1e-12))
         f = stem_endpoints(sol, max(t, 1e-12))

@@ -12,8 +12,6 @@ ALLOWED = {
     ("verify", "tau._u_partials"),
     # the generated closed-form tables have one reader
     ("geometry", "_closed_forms"),
-    # the golden-section ridge search, until the Newton search replaces it
-    ("tests", "verify._golden_max"),
     # the tau kernel's partials and weights, checked against references
     ("tests", "tau._u_partials"),
     ("tests", "tau._scaled_weights"),

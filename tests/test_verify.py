@@ -21,6 +21,7 @@ from kpii_stem import (
     stem_endpoints,
     stem_side,
     trajectory_line,
+    u_on_grid,
 )
 from kpii_stem.errors import RidgeNotFoundError
 from kpii_stem.geometry import normalize_line
@@ -228,8 +229,6 @@ def test_ridge_not_found_far_from_structure(solutions):
 def test_section_argmax_on_trajectory(solutions):
     """The ridge crest along each junction-distant perpendicular section sits
     within 1e-3 arclength of the analytic trajectory crossing."""
-    from kpii_stem.verify import _golden_max
-    from kpii_stem import u_on_grid
     for name in ("c2_1", "w2", "m2", "c3_1"):
         sol = solutions[name]
         cat = arm_catalog(sol)
@@ -237,11 +236,101 @@ def test_section_argmax_on_trajectory(solutions):
             for _, arm in getattr(cat, side):
                 t = tsign * 20.0
                 anchor = section_anchor(sol, arm, t)
-                A, B, _ = normalize_line(arm.line_coeffs(t))
+                line = normalize_line(arm.line_coeffs(t))
+                # both scans sit on the section through the anchor
+                trace = ridge_trace(sol, t, line, scan_window=(0.0, 0.0),
+                                    n_scans=2, search_halfwidth=2.0,
+                                    anchor=anchor, tol=1e-7)
+                A, B, _ = line
+                for _, (px, py), _ in trace.samples:
+                    offset = A * (px - anchor[0]) + B * (py - anchor[1])
+                    assert abs(offset) < 1e-3, (name, side, arm.label_str())
 
-                def u_of(s):
-                    return float(u_on_grid(sol.tau, anchor[0] + s * A,
-                                           anchor[1] + s * B, t))
 
-                s_star, _ = _golden_max(u_of, -2.0, 2.0, 1e-7)
-                assert abs(s_star) < 1e-3, (name, side, arm.label_str())
+def _golden_max_reference(f, lo, hi, tol):
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - phi * (b - a)
+    d = a + phi * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = f(d)
+    s = 0.5 * (a + b)
+    return s, f(s)
+
+
+def _ridge_trace_reference(sol, t, approx_line, scan_window=(-10.0, 10.0),
+                           n_scans=21, search_halfwidth=4.0, anchor=None,
+                           tol=1e-6):
+    """ridge_trace as a scalar golden-section search, one scan at a time."""
+    A, B, C = normalize_line(approx_line)
+    if anchor is None:
+        anchor = (0.0, 0.0)
+    dproj = A * anchor[0] + B * anchor[1] + C
+    foot = (anchor[0] - dproj * A, anchor[1] - dproj * B)
+    direction = (-B, A)
+    samples = []
+    for s in np.linspace(scan_window[0], scan_window[1], n_scans):
+        cx = foot[0] + s * direction[0]
+        cy = foot[1] + s * direction[1]
+
+        def u_of(d):
+            return float(u_on_grid(sol.tau, cx + d * A, cy + d * B, t))
+
+        coarse = np.linspace(-search_halfwidth, search_halfwidth, 41)
+        vals = u_on_grid(sol.tau, cx + coarse * A, cy + coarse * B, t)
+        i = int(np.argmax(vals))
+        if i == 0 or i == len(coarse) - 1:
+            continue
+        d0, _ = _golden_max_reference(u_of, coarse[i - 1], coarse[i + 1], tol)
+        pt = (cx + d0 * A, cy + d0 * B)
+        samples.append(((cx, cy), pt, u_of(d0)))
+    assert len(samples) >= max(2, n_scans // 2)
+    pts = np.array([p for _, p, _ in samples])
+    mean = pts.mean(axis=0)
+    _, _, vt = np.linalg.svd(pts - mean)
+    tang = vt[0]
+    normal = (-tang[1], tang[0])
+    line = (normal[0], normal[1], -(normal[0] * mean[0] + normal[1] * mean[1]))
+    return samples, normalize_line(line)
+
+
+def _ridge_reference_calls(solutions):
+    """(id, solution, t, line, keyword arguments) of the compared traces."""
+    for name in sorted(solutions):
+        sol = solutions[name]
+        cat = arm_catalog(sol)
+        for side, t in (("before", -20.0), ("after", 20.0)):
+            arm = getattr(cat, side)[0][1]
+            yield (f"{name}-{side}", sol, t, trajectory_line(arm, t),
+                   dict(scan_window=(-5.0, 5.0), n_scans=7,
+                        anchor=section_anchor(sol, arm, t)))
+    sol = solutions["c3_1"]
+    yield ("c3_1-stem", sol, 10.0,
+           trajectory_line(arm_catalog(sol).stem_future, 10.0),
+           dict(scan_window=(-1.0, 1.0), n_scans=5,
+                anchor=stem_endpoints(sol, 10.0).midpoint))
+    sol = solutions["c2_1"]
+    arm = arm_catalog(sol).before[0][1]
+    yield ("c2_1-dropped", sol, -20.0, trajectory_line(arm, -20.0),
+           dict(scan_window=(-40.0, 40.0), n_scans=21,
+                anchor=section_anchor(sol, arm, -20.0)))
+
+
+def test_ridge_trace_matches_per_scan_reference(solutions):
+    """The array search returns the same floats as a scalar search per scan."""
+    dropped = 0
+    for case, sol, t, line, kw in _ridge_reference_calls(solutions):
+        trace = ridge_trace(sol, t, line, **kw)
+        samples, fitted = _ridge_trace_reference(sol, t, line, **kw)
+        assert trace.samples == tuple(samples), case
+        assert trace.fitted_line == fitted, case
+        dropped += kw["n_scans"] - len(samples)
+    assert dropped > 0
