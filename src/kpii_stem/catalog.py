@@ -187,21 +187,35 @@ CONSTRAINTS = {
     Case.W2: _weak, Case.M2: _mixed, Case.C3_1: _all_weak, Case.C3_2: _mixed3,
 }
 
+_KINDS = {
+    _strong: {(1, 2): ResonanceKind.ELASTIC, (1, 3): ResonanceKind.STRONG,
+              (2, 3): ResonanceKind.STRONG},
+    _weak: {(1, 2): ResonanceKind.ELASTIC, (1, 3): ResonanceKind.WEAK,
+            (2, 3): ResonanceKind.WEAK},
+    _mixed: {(1, 2): ResonanceKind.ELASTIC, (1, 3): ResonanceKind.STRONG,
+             (2, 3): ResonanceKind.WEAK},
+    _all_weak: {(1, 2): ResonanceKind.WEAK, (1, 3): ResonanceKind.WEAK,
+                (2, 3): ResonanceKind.WEAK},
+    _mixed3: {(1, 2): ResonanceKind.WEAK, (1, 3): ResonanceKind.STRONG,
+              (2, 3): ResonanceKind.STRONG},
+}
+
 
 def a12_closed_form(case: Case, k: Triple) -> float | None:
     """Surviving interaction coefficient; None for the fully resonant cases."""
     k1, k2, k3 = k
-    if case in (Case.C2_1, Case.C2_2, Case.C2_3, Case.C2_4):
+    family = CONSTRAINTS.get(case)
+    if family is _strong:
         den = k3 * (k1 + k2 + k3)
         if den == 0:
             raise DegenerateParameterError("a12 denominator k3 (k1 + k2 + k3) vanishes")
         return (k1 + k3) * (k2 + k3) / den
-    if case is Case.W2:
+    if family is _weak:
         den = k3 * (k1 + k2 - k3)
         if den == 0:
             raise DegenerateParameterError("a12 denominator k3 (k1 + k2 - k3) vanishes")
         return -(k1 - k3) * (k2 - k3) / den
-    if case is Case.M2:
+    if family is _mixed:
         den = (k1 + k3) * (k2 - k3)
         if den == 0:
             raise DegenerateParameterError("a12 denominator (k1 + k3)(k2 - k3) vanishes")
@@ -226,21 +240,6 @@ TEMPLATES: dict[Case, tuple[tuple[tuple[int, int, int], object], ...]] = {
     Case.C3_1: (((0, 0, 0), 1), ((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1)),
     Case.C3_2: (((0, 0, 0), 1), ((0, 0, 1), 1), ((1, 0, 1), 1), ((0, 1, 1), 1)),
 }
-
-_KINDS = {
-    Case.C2_1: {(1, 2): ResonanceKind.ELASTIC, (1, 3): ResonanceKind.STRONG,
-                (2, 3): ResonanceKind.STRONG},
-    Case.W2: {(1, 2): ResonanceKind.ELASTIC, (1, 3): ResonanceKind.WEAK,
-              (2, 3): ResonanceKind.WEAK},
-    Case.M2: {(1, 2): ResonanceKind.ELASTIC, (1, 3): ResonanceKind.STRONG,
-              (2, 3): ResonanceKind.WEAK},
-    Case.C3_1: {(1, 2): ResonanceKind.WEAK, (1, 3): ResonanceKind.WEAK,
-                (2, 3): ResonanceKind.WEAK},
-    Case.C3_2: {(1, 2): ResonanceKind.WEAK, (1, 3): ResonanceKind.STRONG,
-                (2, 3): ResonanceKind.STRONG},
-}
-for _c in (Case.C2_2, Case.C2_3, Case.C2_4):
-    _KINDS[_c] = _KINDS[Case.C2_1]
 
 
 def resolve_constraints(k, p3: float, spec: CaseSpec, xi0=(0.0, 0.0, 0.0)) -> SolitonParams:
@@ -269,23 +268,26 @@ def resolve_constraints(k, p3: float, spec: CaseSpec, xi0=(0.0, 0.0, 0.0)) -> So
     return SolitonParams(k=k, p=(p1, p2, p3), xi0=tuple(float(v) for v in xi0))
 
 
+def _pair_coefficients(params: SolitonParams):
+    """(pair, a_ij) for the three pairs in order, each computed when reached."""
+    k, p = params.k, params.p
+    for i, j in ((1, 2), (1, 3), (2, 3)):
+        yield (i, j), phase_shift_param(k[i - 1], p[i - 1], k[j - 1], p[j - 1])
+
+
+def _generic_class(a: dict) -> ResonanceClass:
+    kinds = {pair: ResonanceKind.STRONG if aij is INFINITE
+             else ResonanceKind.WEAK if aij == 0 else ResonanceKind.ELASTIC
+             for pair, aij in a.items()}
+    a12 = a[(1, 2)]
+    return ResonanceClass(kinds, a12 if isinstance(a12, float) and a12 > 0 else None)
+
+
 def classify_resonance(params: SolitonParams, spec: CaseSpec) -> ResonanceClass:
     """Per-pair resonance kinds plus the surviving a12 (None when absent)."""
     if spec.case is Case.GENERIC:
-        kinds = {}
-        for (i, j) in ((1, 2), (1, 3), (2, 3)):
-            a = phase_shift_param(params.k[i - 1], params.p[i - 1],
-                                  params.k[j - 1], params.p[j - 1])
-            if a is INFINITE:
-                kinds[(i, j)] = ResonanceKind.STRONG
-            elif a == 0:
-                kinds[(i, j)] = ResonanceKind.WEAK
-            else:
-                kinds[(i, j)] = ResonanceKind.ELASTIC
-        a12 = phase_shift_param(params.k[0], params.p[0], params.k[1], params.p[1])
-        return ResonanceClass(kinds=dict(kinds),
-                              a12=a12 if isinstance(a12, float) and a12 > 0 else None)
-    return ResonanceClass(kinds=dict(_KINDS[spec.case]),
+        return _generic_class(dict(_pair_coefficients(params)))
+    return ResonanceClass(kinds=dict(_KINDS[CONSTRAINTS[spec.case]]),
                           a12=a12_closed_form(spec.case, params.k))
 
 
@@ -324,11 +326,8 @@ def make_generic(k, p, xi0=(0.0, 0.0, 0.0), xi_shift=(0.0, 0.0, 0.0)) -> Resonan
     params = SolitonParams(k=tuple(float(v) for v in k),
                            p=tuple(float(v) for v in p),
                            xi0=tuple(float(a) + float(b) for a, b in zip(xi0, xi_shift)))
-    spec = CaseSpec(Case.GENERIC)
     a = {}
-    for (i, j) in ((1, 2), (1, 3), (2, 3)):
-        aij = phase_shift_param(params.k[i - 1], params.p[i - 1],
-                                params.k[j - 1], params.p[j - 1])
+    for (i, j), aij in _pair_coefficients(params):
         if aij is INFINITE:
             raise DegenerateParameterError(
                 f"a{i}{j} is infinite; the generic template requires finite coefficients")
@@ -338,7 +337,6 @@ def make_generic(k, p, xi0=(0.0, 0.0, 0.0), xi_shift=(0.0, 0.0, 0.0)) -> Resonan
         ((1, 1, 0), a[(1, 2)]), ((1, 0, 1), a[(1, 3)]), ((0, 1, 1), a[(2, 3)]),
         ((1, 1, 1), a[(1, 2)] * a[(1, 3)] * a[(2, 3)]),
     )
-    resonance = classify_resonance(params, spec)
-    return ResonantSolution(params=params, spec=spec,
+    return ResonantSolution(params=params, spec=CaseSpec(Case.GENERIC),
                             tau=_make_tau(params, template),
-                            resonance=resonance, template=template)
+                            resonance=_generic_class(a), template=template)

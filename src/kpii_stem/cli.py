@@ -237,6 +237,9 @@ def _parse_grid(spec: str):
     return xmin, xmax, nx, ymin, ymax, ny
 
 
+# numpy's refusals to size a sample count (IndexError from 2**63 - 1 to 1e19)
+_UNSIZABLE = (ValueError, IndexError, MemoryError)
+
 # `sample` evaluates and writes whole x-rows in blocks of at least this many
 # points, so its memory is bounded by one block whatever the grid size.
 _BLOCK_POINTS = 16384
@@ -247,8 +250,10 @@ def cmd_sample(args) -> int:
     sol = sc.build()
     t = _parse_finite(args.t, "t")
     xmin, xmax, nx, ymin, ymax, ny = _parse_grid(args.grid)
-    xs = np.linspace(xmin, xmax, nx)
-    ys = np.linspace(ymin, ymax, ny)
+    try:
+        xs, ys = np.linspace(xmin, xmax, nx), np.linspace(ymin, ymax, ny)
+    except _UNSIZABLE as exc:
+        raise ScenarioError(f"grid of {nx} x {ny} points is too large") from exc
     rows = -(-_BLOCK_POINTS // ny)
     blocks = ((xs[i:i + rows], u_on_grid(sol.tau, xs[i:i + rows, None], ys, t))
               for i in range(0, nx, rows))
@@ -278,7 +283,10 @@ def cmd_sample(args) -> int:
 
 
 def _parse_tlist(raw: str):
-    return [_parse_finite(v, "t") for v in raw.split(",") if v.strip() != ""]
+    ts = [_parse_finite(v, "t") for v in raw.split(",") if v.strip() != ""]
+    if not ts:
+        raise ScenarioError("t list is empty")
+    return ts
 
 
 def cmd_stem(args) -> int:
@@ -300,14 +308,13 @@ def cmd_stem(args) -> int:
             "midpoint_amplitude": rep.midpoint_amplitude,
             "valid": rep.valid,
         })
-    cols = list(rows[0].keys()) if rows else []
     with _open_output(args.out) as out:
         if args.format == "csv":
             out.write(f"# kpii-stem v{__version__} case={sc.case}\n")
-            out.write(",".join(cols) + "\n")
+            out.write(",".join(rows[0]) + "\n")
             for row in rows:
-                out.write(",".join("" if row[c] is None else repr(row[c])
-                                   for c in cols) + "\n")
+                out.write(",".join("" if v is None else repr(v)
+                                   for v in row.values()) + "\n")
         else:
             _dump_json({"version": __version__, "scenario": _scenario_echo(sc),
                         "rows": rows}, out)
@@ -444,8 +451,11 @@ def cmd_section(args) -> int:
         # the stem trajectory turned 90 degrees about the midpoint
         A, B, _ = trajectory_line(stem_side(sol, t)[0], t)
         line = (-B, A, B * mx - A * my)
-    pts = cross_section(sol, t, line, s_range=s_range, n_samples=args.n,
-                        anchor=(mx, my))
+    try:
+        pts = cross_section(sol, t, line, s_range=s_range, n_samples=args.n,
+                            anchor=(mx, my))
+    except _UNSIZABLE as exc:
+        raise ScenarioError(f"n = {args.n} samples is too large") from exc
     with _open_output(args.out) as out:
         out.write(f"# kpii-stem v{__version__} case={sc.case} t={t!r}\n")
         if arm is not None:
@@ -454,9 +464,7 @@ def cmd_section(args) -> int:
             d = A * mx + B * my + C
             foot = (mx - d * A, my - d * B)
             for s, u in pts:
-                x = foot[0] + s * (-B)
-                y = foot[1] + s * A
-                prof = float(arm_profile(arm, sol, (x, y, t)))
+                prof = float(arm_profile(arm, (foot[0] + s * (-B), foot[1] + s * A, t)))
                 out.write(f"{float(s)!r},{float(u)!r},{prof!r}\n")
         else:
             out.write("s,u\n")

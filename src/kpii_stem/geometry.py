@@ -303,13 +303,13 @@ def _catalog_side(sol: ResonantSolution, t_ref: float, regime: str | None = None
 _CATALOGS = weakref.WeakKeyDictionary()
 
 
-def arm_catalog(sol: ResonantSolution, t_scale: float = 50.0) -> AsymptoticCatalog:
+def arm_catalog(sol: ResonantSolution) -> AsymptoticCatalog:
     """Asymptotic arm/stem catalog derived from the dominance skeleton.
 
-    The skeleton is evaluated at t = -T and t = +T; T grows until the stem
-    species differs between the two sides (the reconnection signature).  The
-    four catalog arms per side are the wing edges at the stem junctions.  The
-    region axis ("y" vs "x" listing) is a heuristic decided on the past side
+    The skeleton is evaluated at t = -T and t = +T; T grows from 50 until the
+    stem species differs between the two sides (the reconnection signature).
+    The four catalog arms per side are the wing edges at the stem junctions.
+    The region axis ("y" vs "x" listing) is a heuristic decided on the past side
     and used on both: the y-axis listing is used when the V-shaped wing pairs
     at both past stem junctions open predominantly in y, the x-axis listing
     otherwise.
@@ -318,7 +318,7 @@ def arm_catalog(sol: ResonantSolution, t_scale: float = 50.0) -> AsymptoticCatal
         raise UnsupportedCaseError("arm catalog requires a resonant case")
     if sol in _CATALOGS:
         return _CATALOGS[sol]
-    T = t_scale
+    T = 50.0
     for _ in range(6):
         past = _catalog_side(sol, -T)
         if past is not None:
@@ -341,7 +341,7 @@ def arm_catalog(sol: ResonantSolution, t_scale: float = 50.0) -> AsymptoticCatal
     return catalog
 
 
-def arm_profile(arm: ArmDescriptor, sol: ResonantSolution, point) -> float:
+def arm_profile(arm: ArmDescriptor, point) -> float:
     """Asymptotic sech^2 profile of one arm at (x, y, t)."""
     x, y, t = point
     A, B, C = arm.line_coeffs(t)
@@ -369,13 +369,13 @@ def normalize_line(line):
     return (sign * A / nrm, sign * B / nrm, sign * C / nrm)
 
 
-def intersect_lines(l1, l2, rel_tol: float = 1e-12):
+def intersect_lines(l1, l2):
     """Intersection point of two lines, or PARALLEL."""
     A1, B1, C1 = l1
     A2, B2, C2 = l2
     det = A1 * B2 - A2 * B1
     scale = math.hypot(A1, B1) * math.hypot(A2, B2)
-    if abs(det) <= rel_tol * max(scale, 1e-300):
+    if abs(det) <= 1e-12 * max(scale, 1e-300):
         return PARALLEL
     x = (-C1 * B2 + C2 * B1) / det
     y = (-A1 * C2 + A2 * C1) / det
@@ -446,7 +446,7 @@ def stem_endpoints(sol: ResonantSolution, t: float, t_min: float = 3.0) -> StemR
             closed = (x, -y) if sol.spec.branch is Branch.SECOND else (x, y)
             err = math.hypot(geo[0] - closed[0], geo[1] - closed[1])
             scale = max(1.0, math.hypot(*geo), math.hypot(*closed))
-            if err > 1e-9 * scale:
+            if not (all(map(math.isfinite, geo + closed)) and err <= 1e-9 * scale):
                 raise InternalConsistencyError(
                     f"closed-form and geometric endpoints disagree: {geo} vs {closed}")
             mismatch = max(mismatch or 0.0, err / scale)
@@ -474,12 +474,12 @@ def stem_length_formula(sol: ResonantSolution, t: float) -> float:
     return abs(st * t + sL * sol.log_a12) * math.sqrt(g)
 
 
-def midpoint_amplitude(sol: ResonantSolution, t: float, t_min: float = 3.0) -> float:
+def midpoint_amplitude(sol: ResonantSolution, t: float) -> float:
     """u at the stem midpoint (approximates the stem amplitude for |t| >> 0)."""
-    return stem_endpoints(sol, t, t_min=t_min).midpoint_amplitude
+    return stem_endpoints(sol, t).midpoint_amplitude
 
 
-def cross_section(sol: ResonantSolution, t: float, line, s_range=None,
+def cross_section(sol: ResonantSolution, t: float, line, s_range=(-20.0, 20.0),
                   n_samples: int = 801, anchor=None):
     """Sample u along a line, parametrized by arclength from the anchor.
 
@@ -498,8 +498,6 @@ def cross_section(sol: ResonantSolution, t: float, line, s_range=None,
     d = A * anchor[0] + B * anchor[1] + C
     foot = (anchor[0] - d * A, anchor[1] - d * B)
     direction = (-B, A)
-    if s_range is None:
-        s_range = (-20.0, 20.0)
     s = np.linspace(s_range[0], s_range[1], n_samples)
     xs = foot[0] + s * direction[0]
     ys = foot[1] + s * direction[1]

@@ -63,18 +63,17 @@ def kp_residual(sol, points, tol: float = 1e-8) -> ResidualReport:
                           n_points=len(x), points_exceeding_tol=tuple(bad))
 
 
-# the phase recentring, from (ln a13, ln a23), that keeps the template terms
-# in place while the strong coefficients diverge during the limit
-_LIMIT_SHIFTS = {
-    Case.C2_1: lambda l13, l23: (0.0, 0.0, -l13 - l23),
-    Case.C2_2: lambda l13, l23: (-l13, 0.0, -l23),
-    Case.C2_3: lambda l13, l23: (0.0, -l23, -l13),
-    Case.C2_4: lambda l13, l23: (-l13, -l23, 0.0),
-    Case.W2: lambda l13, l23: (0.0, 0.0, 0.0),
-    Case.M2: lambda l13, l23: (0.0, 0.0, -l13),
-    Case.C3_1: lambda l13, l23: (0.0, 0.0, 0.0),
-    Case.C3_2: lambda l13, l23: (-l13, -l23, 0.0),
-}
+def _limit_shift(template, strong):
+    """(ln a13, ln a23) -> phase shift s with eps . s = -(sum of ln a_i3 over
+    the pairs (i, 3) in eps with strong[i - 1]) for each nonzero template
+    exponent eps: the template terms stay in place as the strong a_i3 diverge."""
+    eps = np.array([e for e, _ in template if any(e)])
+    rhs = -eps[:, :2] * eps[:, 2:] * strong         # columns: ln a13, ln a23
+    coeffs = np.rint(np.linalg.lstsq(eps, rhs, rcond=None)[0]).astype(int).tolist()
+    # a zero coefficient adds no term, so a zero shift keeps its sign
+    return lambda l13, l23: tuple(
+        a * l13 + b * l23 if a and b else a * l13 if a else b * l23 if b else 0.0
+        for a, b in coeffs)
 
 
 def _aij_raw(ki, pi, kj, pj):
@@ -114,18 +113,16 @@ def limit_family(sol: ResonantSolution, magnitudes) -> list[ResonantSolution]:
     cases.  Raises InadmissibleFamilyError if a rung leaves a_ij >= 0.
     """
     case = sol.spec.case
-    if case not in _LIMIT_SHIFTS:
+    if case is Case.GENERIC:
         raise UnsupportedCaseError(f"no limit family for case {case}")
-    shift_of = _LIMIT_SHIFTS[case]
-    strong13, strong23 = (sol.resonance.kinds[pair] is ResonanceKind.STRONG
-                          for pair in ((1, 3), (2, 3)))
+    strong = [sol.resonance.kinds[(i, 3)] is ResonanceKind.STRONG for i in (1, 2)]
+    shift_of = _limit_shift(sol.template, strong)
     k = sol.params.k
     p1s, p2s, p3 = sol.params.p
     a12_goal = sol.a12 if sol.a12 is not None else 0.0
     out = []
     for mag in magnitudes:
-        t13 = mag if strong13 else 1.0 / mag
-        t23 = mag if strong23 else 1.0 / mag
+        t13, t23 = (mag if s else 1.0 / mag for s in strong)
         # a_ij = target is an exact quadratic in the offset; only the root
         # with the smallest offset belongs to a family converging to sol.
         # The target ratio zeta is scanned so that a12 stays admissible
@@ -175,6 +172,11 @@ def limit_convergence(sol: ResonantSolution, magnitudes, points) -> list[float]:
     return devs
 
 
+# asymptotic sections: half width, and least distance of the anchor to a vertex
+_HALF_WIDTH = 12.0
+_JUNCTION_DISTANCE = 10.0
+
+
 def _skeleton_vertices(edges):
     return [e.point(s) for e in edges for s in (e.lo, e.hi) if math.isfinite(s)]
 
@@ -210,7 +212,7 @@ def _seg_dist(p1, p2, q1, q2):
                pt_seg(q1, p1, p2), pt_seg(q2, p1, p2))
 
 
-def _edge_segment(e, clip: float, extend: float = 0.0):
+def _edge_segment(e, clip: float, extend: float):
     # a ridge's exponential influence persists past its junctions, so the
     # realized interval is extended before distance checks
     lo = max(e.lo - extend, -clip)
@@ -218,7 +220,7 @@ def _edge_segment(e, clip: float, extend: float = 0.0):
     return e.point(lo), e.point(hi)
 
 
-def _section_clearance(edges, edge, anchor, half_width):
+def _section_clearance(edges, edge, anchor):
     """Shortfall of the section's distance to every other realized ridge.
 
     Each foreign ridge must clear the section by its own decay length
@@ -228,9 +230,9 @@ def _section_clearance(edges, edge, anchor, half_width):
     """
     budget = 1e-4
     A, B, _ = normalize_line((edge.arm.A, edge.arm.B, 0.0))
-    s1 = (anchor[0] - half_width * A, anchor[1] - half_width * B)
-    s2 = (anchor[0] + half_width * A, anchor[1] + half_width * B)
-    clip = abs(anchor[0]) + abs(anchor[1]) + 100.0 * half_width + 1e4
+    s1 = (anchor[0] - _HALF_WIDTH * A, anchor[1] - _HALF_WIDTH * B)
+    s2 = (anchor[0] + _HALF_WIDTH * A, anchor[1] + _HALF_WIDTH * B)
+    clip = abs(anchor[0]) + abs(anchor[1]) + 100.0 * _HALF_WIDTH + 1e4
     worst = math.inf
     for e in edges:
         if (e.m, e.n) == (edge.m, edge.n):
@@ -242,16 +244,14 @@ def _section_clearance(edges, edge, anchor, half_width):
     return worst
 
 
-def section_anchor(sol: ResonantSolution, arm: ArmDescriptor, t: float,
-                   min_junction_distance: float = 10.0,
-                   half_width: float = 12.0) -> tuple[float, float]:
+def section_anchor(sol: ResonantSolution, arm: ArmDescriptor,
+                   t: float) -> tuple[float, float]:
     """Point on the realized arm whose perpendicular section is clean.
 
-    The anchor keeps at least min_junction_distance from every skeleton
-    vertex, and is pushed far enough out that every other ridge clears the
-    +/- half_width section by its own decay length.
+    The anchor keeps at least _JUNCTION_DISTANCE from every skeleton vertex,
+    and is pushed far enough out that every other ridge clears the
+    +/- _HALF_WIDTH section by its own decay length.
     """
-    D = min_junction_distance
     edges = skeleton(sol, t)
     edge = _find_edge(edges, arm)
     if edge is None:
@@ -260,9 +260,9 @@ def section_anchor(sol: ResonantSolution, arm: ArmDescriptor, t: float,
     verts = _skeleton_vertices(edges)
 
     def ok(pt):
-        if any(math.hypot(pt[0] - v[0], pt[1] - v[1]) < D * 0.999 for v in verts):
+        if any(math.hypot(pt[0] - v[0], pt[1] - v[1]) < _JUNCTION_DISTANCE * 0.999 for v in verts):
             return False
-        return _section_clearance(edges, edge, pt, half_width) >= 0.0
+        return _section_clearance(edges, edge, pt) >= 0.0
 
     if edge.bounded:
         mid = 0.5 * (edge.lo + edge.hi)
@@ -278,7 +278,7 @@ def section_anchor(sol: ResonantSolution, arm: ArmDescriptor, t: float,
     s_end = edge.lo if math.isfinite(edge.lo) else edge.hi
     outward = 1.0 if math.isinf(edge.hi) else -1.0
     for mult in range(1, 80):
-        pt = edge.point(s_end + outward * mult * D)
+        pt = edge.point(s_end + outward * mult * _JUNCTION_DISTANCE)
         if ok(pt):
             return pt
     raise AnchorNotFoundError(
@@ -286,28 +286,25 @@ def section_anchor(sol: ResonantSolution, arm: ArmDescriptor, t: float,
 
 
 def asymptotic_match(sol: ResonantSolution, arm: ArmDescriptor, t: float,
-                     half_width: float = 12.0, n_samples: int = 801,
-                     min_junction_distance: float = 10.0,
                      profile_arm: ArmDescriptor | None = None) -> float:
     """Sup |u - arm profile| on the perpendicular section through the anchor.
 
     profile_arm overrides the compared profile (negative-control hook);
     the section itself always follows `arm`.
     """
-    anchor = section_anchor(sol, arm, t, min_junction_distance, half_width)
+    anchor = section_anchor(sol, arm, t)
     A, B, _ = normalize_line(arm.line_coeffs(t))
-    s = np.linspace(-half_width, half_width, n_samples)
+    s = np.linspace(-_HALF_WIDTH, _HALF_WIDTH, 801)
     xs = anchor[0] + s * A
     ys = anchor[1] + s * B
     u = u_on_grid(sol.tau, xs, ys, t)
-    prof = arm_profile(profile_arm if profile_arm is not None else arm,
-                       sol, (xs, ys, t))
+    prof = arm_profile(profile_arm if profile_arm is not None else arm, (xs, ys, t))
     return float(np.abs(u - prof).max())
 
 
 def ridge_trace(sol: ResonantSolution, t: float, approx_line,
                 scan_window=(-10.0, 10.0), n_scans: int = 21,
-                search_halfwidth: float = 4.0, anchor=None,
+                search_halfwidth: float = 4.0, anchor=(0.0, 0.0),
                 tol: float = 1e-6) -> RidgeTrace:
     """Trace the ridge of u near a guess line and fit a line through it.
 
@@ -320,8 +317,6 @@ def ridge_trace(sol: ResonantSolution, t: float, approx_line,
     fitted through the refined points.
     """
     A, B, C = normalize_line(approx_line)
-    if anchor is None:
-        anchor = (0.0, 0.0)
     dproj = A * anchor[0] + B * anchor[1] + C
     foot = (anchor[0] - dproj * A, anchor[1] - dproj * B)
     s = np.linspace(scan_window[0], scan_window[1], n_scans)

@@ -145,6 +145,20 @@ def test_generic_template_has_eight_terms():
     assert len(sol.tau) == 8
 
 
+def test_generic_computes_each_coefficient_once(monkeypatch):
+    import kpii_stem.catalog as catalog
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return phase_shift_param(*args)
+
+    monkeypatch.setattr(catalog, "phase_shift_param", counted)
+    sol = make_generic((1.0, 2.0, 3.0), (0.2, -0.3, 0.1))
+    assert len(calls) == 3
+    assert sol.resonance == classify_resonance(sol.params, sol.spec)
+
+
 def test_generic_rejects_resonant_parameters():
     # on the strong manifold a13 is infinite: not representable generically
     params = resolve_constraints((-1.0, -2.0, -4.0 / 3.0), 1.0, CaseSpec(Case.C2_1))

@@ -388,6 +388,39 @@ def test_section_bad_arguments_exit_2(capsys, bad):
     assert line.startswith("error:")
 
 
+# 10**20 is past numpy's size limit, so it is refused without allocating
+@pytest.mark.parametrize("command", [
+    ("sample", "--t=0", "--grid=-1,1,99999999999999999999,-1,1,2"),
+    ("sample", "--t=0", "--grid=-1,1,2,-1,1,99999999999999999999"),
+    ("section", "--t=1", "--line", "3", "--n", "99999999999999999999"),
+    ("stem", "--t=,"),
+    ("stem", "--t= "),
+], ids=" ".join)
+def test_unsizable_or_empty_inputs_exit_2(tmp_path, capsys, command):
+    out = tmp_path / "existing.csv"
+    out.write_text("keep me\n")
+    code, err = _run_in_process(capsys, command[0], "--scenario",
+                                str(SCENARIOS / "c2_1.json"), *command[1:],
+                                "--out", str(out))
+    assert code == 2
+    (line,) = err.splitlines()
+    assert line.startswith("error:")
+    assert out.read_text() == "keep me\n"
+
+
+def test_stem_nonfinite_endpoints_exit_1(tmp_path, capsys):
+    # at t = 1e308 the endpoints overflow; the dual-path check must not pass
+    out = tmp_path / "existing.csv"
+    out.write_text("keep me\n")
+    code, err = _run_in_process(capsys, "stem", "--scenario",
+                                str(SCENARIOS / "c2_1.json"), "--t=1e308",
+                                "--out", str(out))
+    assert code == 1
+    (line,) = err.splitlines()
+    assert line.startswith("error: closed-form and geometric endpoints disagree")
+    assert out.read_text() == "keep me\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sample_write_error_mid_stream_exits_4(capsys, fmt):

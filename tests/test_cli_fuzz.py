@@ -1,0 +1,101 @@
+"""Fuzzed command lines: every run ends in a documented exit code (0-4).
+
+Each subcommand gets argv built from valid and invalid values alike; the run
+must return an exit code or leave through argparse's SystemExit, and raise
+nothing else.  Grid and sample counts stay small (at most 50) or are far past
+numpy's size limit, so no run allocates much.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from kpii_stem.cli import main
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def mostly(common, rare):
+    """common four times in five, so that most runs get past parsing."""
+    return st.integers(0, 4).flatmap(lambda i: rare if i == 4 else common)
+
+
+numbers = mostly(st.floats(-30.0, 30.0).map(repr), st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**30, 10**30).map(str),
+    st.sampled_from(["", " ", "x", "1e400", "-0", "nan", "-inf", "1_0", "0x10"]),
+    st.text(max_size=4),
+))
+counts = mostly(st.integers(2, 50).map(str), st.one_of(
+    st.integers(-2, 1).map(str), st.sampled_from(["", "x", "2.5", "99999999999999999999"])))
+ordered = st.tuples(st.floats(-30.0, 30.0), st.floats(0.5, 30.0)).map(
+    lambda p: (repr(p[0]), repr(p[0] + p[1])))
+intervals = mostly(ordered, st.tuples(numbers, numbers))
+extras = mostly(st.just(()), st.sampled_from(
+    ["--bogus", "--format=xml", "--t=0", "--out", "-h"]).map(lambda a: (a,)))
+
+
+def _scenario():
+    paths = [str(p) for p in sorted(SCENARIOS.glob("*.json"))]
+    return mostly(st.sampled_from(paths),
+                  st.sampled_from([str(SCENARIOS / "missing.json"), str(SCENARIOS)]))
+
+
+def _out(out_dir):
+    return mostly(st.just(str(out_dir / "out.txt")),
+                  st.sampled_from([str(out_dir / "missing" / "out.txt"), str(out_dir)]))
+
+
+def _argv(command, out_dir):
+    head = st.tuples(st.just(command), st.just("--scenario"), _scenario())
+    if command == "build":
+        body = st.just(())
+    elif command == "sample":
+        grid = st.tuples(intervals, counts, intervals, counts).map(
+            lambda g: ",".join([*g[0], g[1], *g[2], g[3]]))
+        body = st.tuples(numbers.map("--t={}".format), grid.map("--grid={}".format),
+                         st.just("--out"), _out(out_dir),
+                         st.sampled_from(["--format=csv", "--format=json"]))
+    elif command == "stem":
+        ts = mostly(st.lists(numbers, min_size=1, max_size=4), st.lists(numbers, max_size=4))
+        body = st.tuples(ts.map(",".join).map("--t={}".format),
+                         st.sampled_from(["--format=csv", "--format=json"]))
+    elif command == "verify":
+        body = st.tuples(st.sampled_from(["residual", "limits", "asymptotics", "ridge",
+                                          "all", "bogus"]).map("--suite={}".format),
+                         mostly(st.just("--tol=1e-3"), numbers.map("--tol={}".format)))
+    else:
+        line = st.one_of(st.sampled_from(["3", "1+3", "1-3^", "1+2+3^", "perp", "bogus",
+                                          "abc:1,0,0", "abc:0,0,1", "abc:", ""]),
+                         st.lists(numbers, min_size=3, max_size=3)
+                         .map(",".join).map("abc:{}".format))
+        body = st.tuples(numbers.map("--t={}".format), line.map("--line={}".format),
+                         intervals.map(",".join).map("--range={}".format),
+                         counts.map("--n={}".format), st.just("--out"), _out(out_dir))
+    return st.tuples(head, body, extras).map(lambda parts: [a for p in parts for a in p])
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("command", ["build", "sample", "stem", "verify", "section"])
+def test_fuzzed_argv_exits_with_documented_code(command, out_dir):
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_argv(command, out_dir))
+    def run(argv):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2, 3, 4), (argv, code)
+
+    run()

@@ -125,12 +125,12 @@ def test_arm_profile_values(solutions):
     A, B, C = stem.line_coeffs(t)
     y0 = 1.0
     x0 = -(B * y0 + C) / A
-    assert arm_profile(stem, sol, (x0, y0, t)) == pytest.approx(
+    assert arm_profile(stem, (x0, y0, t)) == pytest.approx(
         stem.amplitude, rel=1e-13)
     # quarter amplitude where the phase combination reaches 2 asech(1/2)
     xi = 2.0 * math.acosh(2.0)
     x1 = -(B * y0 + C - xi) / A
-    assert arm_profile(stem, sol, (x1, y0, t)) == pytest.approx(
+    assert arm_profile(stem, (x1, y0, t)) == pytest.approx(
         stem.amplitude / 4.0, rel=1e-12)
 
 
@@ -416,7 +416,7 @@ def test_perpendicular_section_matches_stem_profile(solutions):
     for s, u in pts:
         x = foot[0] - Bn * s
         y = foot[1] + An * s
-        dev = max(dev, abs(u - arm_profile(stem, sol, (x, y, t))))
+        dev = max(dev, abs(u - arm_profile(stem, (x, y, t))))
     assert dev < 1e-2
 
 

@@ -8,6 +8,7 @@ import pytest
 from kpii_stem import (
     ExpSumTau,
     ExpTerm,
+    ResonanceKind,
     arm_catalog,
     asymptotic_match,
     find_arm,
@@ -23,9 +24,9 @@ from kpii_stem import (
     trajectory_line,
     u_on_grid,
 )
-from kpii_stem.errors import RidgeNotFoundError
+from kpii_stem.errors import RidgeNotFoundError, UnsupportedCaseError
 from kpii_stem.geometry import normalize_line
-from kpii_stem.verify import section_anchor
+from kpii_stem.verify import _limit_shift, section_anchor
 
 
 def test_residual_zero_solution():
@@ -111,6 +112,36 @@ def test_limit_degenerate_family_is_identical(solutions):
     d = np.abs(u_on_grid(sol.tau, pts[:, 0], pts[:, 1], pts[:, 2])
                - u_on_grid(sol.tau, pts[:, 0], pts[:, 1], pts[:, 2])).max()
     assert d == 0.0
+
+
+# the per-case recentring table that _limit_shift replaced, kept as reference
+_OLD_LIMIT_SHIFTS = {
+    "c2_1": lambda l13, l23: (0.0, 0.0, -l13 - l23),
+    "c2_2": lambda l13, l23: (-l13, 0.0, -l23),
+    "c2_3": lambda l13, l23: (0.0, -l23, -l13),
+    "c2_4": lambda l13, l23: (-l13, -l23, 0.0),
+    "w2": lambda l13, l23: (0.0, 0.0, 0.0),
+    "m2": lambda l13, l23: (0.0, 0.0, -l13),
+    "c3_1": lambda l13, l23: (0.0, 0.0, 0.0),
+    "c3_2": lambda l13, l23: (-l13, -l23, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OLD_LIMIT_SHIFTS))
+def test_limit_shift_derived_from_template(name, solutions):
+    sol = solutions[name]
+    strong = [sol.resonance.kinds[(i, 3)] is ResonanceKind.STRONG for i in (1, 2)]
+    shift = _limit_shift(sol.template, strong)
+    rng = np.random.default_rng(20261018)
+    logs = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)]
+    logs += [tuple(v) for v in rng.normal(0.0, 10.0, (200, 2)).tolist()]
+    for l13, l23 in logs:
+        assert repr(shift(l13, l23)) == repr(_OLD_LIMIT_SHIFTS[name](l13, l23))
+
+
+def test_limit_family_rejects_generic():
+    with pytest.raises(UnsupportedCaseError):
+        limit_family(make_generic((1.0, 2.0, 3.0), (0.1, 0.2, 0.35)), [1e3])
 
 
 def test_asymptotic_match_all_arms(solutions):

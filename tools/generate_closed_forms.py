@@ -127,8 +127,6 @@ def main():
         "exponent vectors over (xi1, xi2, xi3).",
         '"""',
         "",
-        "from math import sqrt  # noqa: F401  (kept for generated expressions)",
-        "",
     ]
     vertex_entries = {}
     segment_entries = {}
