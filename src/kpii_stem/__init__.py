@@ -13,6 +13,7 @@ from .catalog import (
     ResonantSolution,
     SolitonParams,
     a12_closed_form,
+    aij_factors,
     build_case,
     build_solution,
     classify_resonance,

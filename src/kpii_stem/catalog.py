@@ -3,14 +3,10 @@
 Each solution u = 2 (ln f)_xx is built from three wave numbers k = (k1, k2, k3)
 and a single free transverse parameter p3; the remaining p1, p2 are resolved
 from the selected resonance case so that the pairwise interaction coefficients
-
-    a_ij = [ki^2 kj^2 (ki-kj)^2 - (kj pi - ki pj)^2]
-         / [ki^2 kj^2 (ki+kj)^2 - (kj pi - ki pj)^2]
-
-reach the case's limits (0 for weak, infinity for strong resonance) exactly on
-the constraint manifold.  The surviving finite coefficient a12 has a closed
-form per case, identical for both constraint branches.  The two branches map
-onto each other by the mirror (p3, y) -> (-p3, -y).
+a_ij (see aij_factors) reach the case's limits (0 for weak, infinity for strong
+resonance) exactly on the constraint manifold.  The surviving finite coefficient
+a12 has a closed form per case, identical for both constraint branches.  The two
+branches map onto each other by the mirror (p3, y) -> (-p3, -y).
 """
 
 from __future__ import annotations
@@ -83,6 +79,13 @@ class SolitonParams:
         for v in self.p + self.xi0:
             if not math.isfinite(v):
                 raise DomainError("non-finite parameter")
+        try:  # once here: exponent_of reads omegas on every skeleton edge
+            finite = all(map(math.isfinite, self.omegas))
+        except OverflowError:  # k**4 beyond the float range
+            finite = False
+        if not finite:
+            raise InadmissibleParameterError(
+                f"omega is not finite for k = {self.k}, p = {self.p}")
 
     @property
     def omegas(self) -> Triple:
@@ -132,27 +135,37 @@ def omega(k: float, p: float) -> float:
     return -(k**4 + 3.0 * p * p) / k
 
 
+def aij_factors(ki, pi, kj, pj):
+    """Factor pairs (num, den) of a_ij = num / den, and the operand size S.
+
+    num = (m (ki - kj) - c)(m (ki - kj) + c), den = (m (ki + kj) - c)(m (ki + kj) + c)
+    with m = ki kj, c = kj pi - ki pj; S = |m| (|ki| + |kj|) + |kj pi| + |ki pj|.
+    """
+    m = ki * kj
+    c = kj * pi - ki * pj
+    size = abs(m) * (abs(ki) + abs(kj)) + abs(kj * pi) + abs(ki * pj)
+    md, ms = m * (ki - kj), m * (ki + kj)
+    return (md - c, md + c), (ms - c, ms + c), size
+
+
+# Zero test: each factor sums the signed products m ki, m kj, kj pi, ki pj.
+# From exact k, p3, a pair (i, 3) takes kj pi = m ki + m kj + ki pj through the
+# 5 roundings of pi's constraint formula and 3 in aij_factors, and m ki, m kj,
+# ki pj directly through 4, 4 and 3: to first order an exact zero computes to
+# at most 12 u |m| (|ki| + |kj|) + 9 u |ki pj| <= 12 u S, u = 2**-53 (Higham
+# 2002, section 3.1); for the pair (1, 2) only while pi's terms do not cancel.
 def phase_shift_param(ki, pi, kj, pj):
     """Pairwise interaction coefficient a_ij (0, positive real, or INFINITE)."""
     if ki == 0 or kj == 0:
         raise DegenerateParameterError("phase shift undefined for zero wave number")
-    cross = kj * pi - ki * pj
-    base = ki * ki * kj * kj
-    num_lead, num_sub = base * (ki - kj) ** 2, cross * cross
-    den_lead, den_sub = base * (ki + kj) ** 2, cross * cross
-    num = num_lead - num_sub
-    den = den_lead - den_sub
-    tol = 1e-11
-    num_zero = abs(num) <= tol * max(num_lead, num_sub, 1e-300)
-    den_zero = abs(den) <= tol * max(den_lead, den_sub, 1e-300)
+    num, den, size = aij_factors(ki, pi, kj, pj)
+    num_zero, den_zero = (min(map(abs, f)) <= 12 * 2.0**-53 * size for f in (num, den))
     if num_zero and den_zero:
         raise IndeterminateResonanceError(
             f"numerator and denominator both vanish for ({ki}, {pi}), ({kj}, {pj})")
-    if den_zero:
-        return INFINITE
-    if num_zero:
-        return 0.0
-    a = num / den
+    if num_zero or den_zero:
+        return INFINITE if den_zero else 0.0
+    a = math.prod(num) / math.prod(den)
     if a < 0:
         raise InadmissibleParameterError(
             f"negative interaction coefficient a = {a} for ({ki}, {pi}), ({kj}, {pj})")

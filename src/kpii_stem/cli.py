@@ -21,7 +21,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -145,16 +145,7 @@ def load_scenario(path: str) -> Scenario:
 
 
 def _scenario_echo(sc: Scenario) -> dict:
-    echo = {"case": sc.case, "branch": sc.branch, "k": list(sc.k)}
-    if sc.case == "generic":
-        echo["p"] = list(sc.p)
-    else:
-        echo["p3"] = sc.p3
-    echo["xi0"] = list(sc.xi0)
-    echo["t_min"] = sc.t_min
-    if sc.limit_target:
-        echo["limit_target"] = sc.limit_target
-    return echo
+    return {k: v for k, v in asdict(sc).items() if v is not None}
 
 
 def _dump_json(obj, out):

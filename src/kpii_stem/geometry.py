@@ -29,6 +29,7 @@ from . import _closed_forms
 from .catalog import Branch, Case, ResonantSolution
 from .errors import (
     DegenerateLineError,
+    DomainError,
     InternalConsistencyError,
     UnsupportedCaseError,
     UnsupportedFormulaError,
@@ -424,9 +425,9 @@ def stem_endpoints(sol: ResonantSolution, t: float, t_min: float = 3.0) -> StemR
     checked against the closed-form VERTEX tables; a disagreement beyond 1e-9
     relative is an internal error, and the largest relative disagreement is
     reported as endpoint_mismatch (None with nonzero phase constants, where
-    the tables do not apply).  Inside |t| < t_min the report carries
-    valid=False (the straight-trajectory description degrades near the
-    reconnection).
+    the tables do not apply and a non-finite endpoint raises DomainError).
+    Inside |t| < t_min the report carries valid=False (the
+    straight-trajectory description degrades near the reconnection).
     """
     if sol.spec.case is Case.GENERIC:
         raise UnsupportedCaseError("stem endpoints require a resonant case")
@@ -450,6 +451,8 @@ def stem_endpoints(sol: ResonantSolution, t: float, t_min: float = 3.0) -> StemR
                 raise InternalConsistencyError(
                     f"closed-form and geometric endpoints disagree: {geo} vs {closed}")
             mismatch = max(mismatch or 0.0, err / scale)
+        elif not all(map(math.isfinite, geo)):
+            raise DomainError(f"stem endpoint {geo} is not finite at t = {t}")
         pts.append(geo)
     (xa, ya), (xb, yb) = pts
     mid = ((xa + xb) / 2.0, (ya + yb) / 2.0)

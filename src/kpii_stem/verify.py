@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import Case, ResonanceKind, ResonantSolution, make_generic
+from .catalog import Case, ResonanceKind, ResonantSolution, aij_factors, make_generic
 from .errors import (
     AnchorNotFoundError,
     InadmissibleFamilyError,
@@ -76,33 +76,23 @@ def _limit_shift(template, strong):
         for a, b in coeffs)
 
 
-def _aij_raw(ki, pi, kj, pj):
-    cross = kj * pi - ki * pj
-    num = ki**2 * kj**2 * (ki - kj) ** 2 - cross**2
-    den = ki**2 * kj**2 * (ki + kj) ** 2 - cross**2
-    return num, den
+def _perturbation_root(ki, pi, kj, pj, target: float) -> float | None:
+    """Smallest p_i offset delta with a_ij(p_i + delta) = target, or None: the
+    root of the family that converges to the resonance.
 
-
-def _perturbation_roots(ki, pi, kj, pj, target: float) -> list[float]:
-    """Exact p_i offsets delta with a_ij(p_i + delta) = target (0, 1 or 2 roots).
-
-    num and den are quadratic in delta through cross = kj pi - ki pj + kj delta,
-    so a_ij = target is a quadratic equation in delta.
+    Only c = kj pi - ki pj moves, to z = c + kj delta; a_ij = target where
+    (1 - target)(z^2 - c^2) = num - target den.  z of the sign of c gives the
+    smallest delta = (z^2 - c^2) / ((z + c) kj), free of cancellation.
     """
-    num, den = _aij_raw(ki, pi, kj, pj)
-    cross = kj * pi - ki * pj
-    c1, c2 = -2.0 * cross * kj, -kj * kj
-    # num(d) = num + c1 d + c2 d^2, den(d) = den + c1 d + c2 d^2
-    a = c2 * (1.0 - target)
-    b = c1 * (1.0 - target)
-    c = num - target * den
-    if a == 0:
-        return [] if b == 0 else [-c / b]
-    disc = b * b - 4.0 * a * c
-    if disc < 0:
-        return []
-    root = math.sqrt(disc)
-    return sorted([(-b - root) / (2.0 * a), (-b + root) / (2.0 * a)], key=abs)
+    if target == 1.0:  # num = den needs ki kj = 0
+        return None
+    num, den, _ = aij_factors(ki, pi, kj, pj)
+    c = kj * pi - ki * pj
+    gap = (math.prod(num) - target * math.prod(den)) / (1.0 - target)
+    z2 = c * c + gap
+    if z2 < 0:
+        return None
+    return gap / ((math.copysign(math.sqrt(z2), c) + c) * kj)
 
 
 def limit_family(sol: ResonantSolution, magnitudes) -> list[ResonantSolution]:
@@ -123,23 +113,19 @@ def limit_family(sol: ResonantSolution, magnitudes) -> list[ResonantSolution]:
     out = []
     for mag in magnitudes:
         t13, t23 = (mag if s else 1.0 / mag for s in strong)
-        # a_ij = target is an exact quadratic in the offset; only the root
-        # with the smallest offset belongs to a family converging to sol.
         # The target ratio zeta is scanned so that a12 stays admissible
         # (nonnegative and near its intended limit).
         best = None
+        d1 = _perturbation_root(k[0], p1s, k[2], p3, t13)
         for zeta in (1.0, 0.9, 1.1, 0.75, 4.0 / 3.0, 0.5, 2.0, 0.25, 4.0,
                      0.1, 10.0):
-            roots1 = _perturbation_roots(k[0], p1s, k[2], p3, t13)
-            roots2 = _perturbation_roots(k[1], p2s, k[2], p3, t23 * zeta)
-            if not roots1 or not roots2:
+            d2 = _perturbation_root(k[1], p2s, k[2], p3, t23 * zeta)
+            if d1 is None or d2 is None:
                 continue
-            d1, d2 = roots1[0], roots2[0]
             p = (p1s + d1, p2s + d2, p3)
-            n13, dd13 = _aij_raw(k[0], p[0], k[2], p3)
-            n23, dd23 = _aij_raw(k[1], p[1], k[2], p3)
-            n12, dd12 = _aij_raw(k[0], p[0], k[1], p[1])
-            a13, a23, a12 = n13 / dd13, n23 / dd23, n12 / dd12
+            a13, a23, a12 = (math.prod(num) / math.prod(den) for num, den, _ in (
+                aij_factors(k[0], p[0], k[2], p3), aij_factors(k[1], p[1], k[2], p3),
+                aij_factors(k[0], p[0], k[1], p[1])))
             if a13 <= 0 or a23 <= 0 or a12 < 0:
                 continue
             score = abs(a12 - a12_goal)

@@ -74,7 +74,7 @@ def test_criterion_02_amplitude_limits(solutions):
 
 
 def _draw_solutions(case, n):
-    rng = np.random.default_rng(abs(hash(("acc", case.value))) % 2**32)
+    rng = np.random.default_rng([77, RESONANT_CASES.index(case)])
     out = []
     while len(out) < n:
         params = draw_params(rng, case)

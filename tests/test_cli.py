@@ -421,6 +421,36 @@ def test_stem_nonfinite_endpoints_exit_1(tmp_path, capsys):
     assert out.read_text() == "keep me\n"
 
 
+def test_stem_nonfinite_endpoints_with_phase_constants_exit_1(tmp_path, capsys):
+    # nonzero phase constants skip the closed-form check, not the finiteness one
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(f'{{{_C2_1}, "p3": 1.0, "xi0": [0.5, 0, 0]}}')
+    out = tmp_path / "existing.csv"
+    out.write_text("keep me\n")
+    code, err = _run_in_process(capsys, "stem", "--scenario", str(scenario),
+                                "--t=1e308", "--out", str(out))
+    assert code == 1
+    (line,) = err.splitlines()
+    assert line.startswith("error: stem endpoint") and "not finite" in line
+    assert out.read_text() == "keep me\n"
+
+
+# finite scenario numbers whose frequency omega = -(k^4 + 3 p^2) / k overflows
+@pytest.mark.parametrize("text", [
+    '{"case": "c2_1", "k": [1e100, -2.0, -1.3333333333333333], "p3": 1.0}',
+    f'{{{_C2_1}, "p3": 1e200}}',
+], ids=["k", "p3"])
+def test_overflowing_frequency_exits_3(tmp_path, capsys, text):
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    for command in (("build",), ("stem", "--t=-20,20")):
+        code, err = _run_in_process(capsys, command[0], "--scenario", str(path),
+                                    *command[1:])
+        assert code == 3, (command, err)
+        (line,) = err.splitlines()
+        assert line.startswith("error: inadmissible scenario: omega is not finite"), line
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sample_write_error_mid_stream_exits_4(capsys, fmt):

@@ -577,7 +577,7 @@ def test_endpoint_pairs_stay_distinct_near_reconnection(solutions):
 @pytest.mark.parametrize("case", RESONANT_CASES)
 def test_random_draw_endpoint_consistency(case):
     """Closed-form vs intersection endpoints over random admissible draws."""
-    rng = np.random.default_rng(abs(hash(("geo", case.value))) % 2**32)
+    rng = np.random.default_rng([580, RESONANT_CASES.index(case)])
     done = 0
     while done < 15:
         params = draw_params(rng, case)
