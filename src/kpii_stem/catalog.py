@@ -271,6 +271,11 @@ def resolve_constraints(k, p3: float, spec: CaseSpec, xi0=(0.0, 0.0, 0.0)) -> So
         p1, p2 = constraint(*k, p3)
     else:
         p1, p2 = (-p for p in constraint(*k, -p3))
+    # finite k, p3 whose p1 or p2 overflows are inadmissible, as an overflowing
+    # omega is; non-finite k, p3 are rejected by SolitonParams
+    if all(map(math.isfinite, k + (p3,))) and not all(map(math.isfinite, (p1, p2))):
+        raise InadmissibleParameterError(
+            f"resolved p1 = {p1}, p2 = {p2} are not finite for k = {k}, p3 = {p3}")
     a12 = a12_closed_form(spec.case, k)
     if a12 is not None:
         if not math.isfinite(a12):

@@ -283,7 +283,7 @@ def _parse_tlist(raw: str):
 def cmd_stem(args) -> int:
     sc = load_scenario(args.scenario)
     sol = sc.build()
-    rows = []
+    rows, mismatches = [], []
     for t in _parse_tlist(args.t):
         rep = stem_endpoints(sol, t, t_min=sc.t_min)
         try:
@@ -299,6 +299,7 @@ def cmd_stem(args) -> int:
             "midpoint_amplitude": rep.midpoint_amplitude,
             "valid": rep.valid,
         })
+        mismatches.append(rep.endpoint_mismatch)
     with _open_output(args.out) as out:
         if args.format == "csv":
             out.write(f"# kpii-stem v{__version__} case={sc.case}\n")
@@ -307,6 +308,9 @@ def cmd_stem(args) -> int:
                 out.write(",".join("" if v is None else repr(v)
                                    for v in row.values()) + "\n")
         else:
+            # the closed form vs intersection margin (err/scale, gate 1e-9)
+            # is JSON-only: a CSV column would change the CSV bytes
+            rows = [dict(row, endpoint_mismatch=m) for row, m in zip(rows, mismatches)]
             _dump_json({"version": __version__, "scenario": _scenario_echo(sc),
                         "rows": rows}, out)
     return EXIT_OK

@@ -151,20 +151,47 @@ class Edge:
                 self.base[1] + s * self.direction[1])
 
 
-def _term_planes(sol: ResonantSolution, t: float):
-    """(K, P, const) of psi_m at time t for terms with positive coefficient."""
-    planes = []
-    for idx, (eps, coeff) in enumerate(sol.template):
-        if coeff <= 0:
-            continue
-        K, P, W, s0 = sol.exponent_of(eps)
-        planes.append((idx, K, P, W * t + s0 + math.log(coeff)))
-    return planes
+class _Record:
+    """The t-independent state of one solution, built once: per positive term
+    (index, K, P, W, xi0-part, ln c), the term index of each exponent vector,
+    the pair arms as _arm_from_terms builds them, and the arm catalog."""
+
+    __slots__ = ("planes", "index", "arms", "catalog")
+
+    def __init__(self, sol: ResonantSolution):
+        self.planes = tuple((idx, *sol.exponent_of(eps), math.log(coeff))
+                            for idx, (eps, coeff) in enumerate(sol.template)
+                            if coeff > 0)
+        self.index = {eps: i for i, (eps, _) in enumerate(sol.template)}
+        self.arms: dict[tuple[int, int], ArmDescriptor] = {}
+        self.catalog: AsymptoticCatalog | None = None
+
+
+# one record per solution, freed together with it (it holds no reference back)
+_RECORDS = weakref.WeakKeyDictionary()
+
+
+def _record(sol: ResonantSolution) -> _Record:
+    rec = _RECORDS.get(sol)
+    if rec is None:
+        rec = _RECORDS[sol] = _Record(sol)
+    return rec
+
+
+def _arm(sol: ResonantSolution, rec: _Record, m: int, n: int) -> ArmDescriptor:
+    """The arm of the term pair (m, n), built once per ordered pair: (n, m)
+    takes ln(c_n / c_m), which can differ from -ln(c_m / c_n) in the last bit."""
+    arm = rec.arms.get((m, n))
+    if arm is None:
+        arm = rec.arms[(m, n)] = _arm_from_terms(sol, m, n)
+    return arm
 
 
 def skeleton(sol: ResonantSolution, t: float) -> list[Edge]:
     """Realized dominance-boundary edges of the tau function at time t."""
-    planes = _term_planes(sol, t)
+    rec = _record(sol)
+    # (index, K, P, const) of psi_m at time t for terms with positive coefficient
+    planes = [(idx, K, P, W * t + s0 + lnc) for idx, K, P, W, s0, lnc in rec.planes]
     edges = []
     for a in range(len(planes)):
         for b in range(a + 1, len(planes)):
@@ -204,7 +231,7 @@ def skeleton(sol: ResonantSolution, t: float) -> list[Edge]:
                 continue
             edges.append(Edge(m=ia, n=ib, lo=lo, hi=hi, lo_bind=lo_bind,
                               hi_bind=hi_bind, base=base, direction=direction,
-                              arm=_arm_from_terms(sol, ia, ib)))
+                              arm=_arm(sol, rec, ia, ib)))
     return edges
 
 
@@ -300,10 +327,6 @@ def _catalog_side(sol: ResonantSolution, t_ref: float, regime: str | None = None
     return stem, tuple(listing), regime
 
 
-# one catalog per solution, freed together with it
-_CATALOGS = weakref.WeakKeyDictionary()
-
-
 def arm_catalog(sol: ResonantSolution) -> AsymptoticCatalog:
     """Asymptotic arm/stem catalog derived from the dominance skeleton.
 
@@ -317,8 +340,9 @@ def arm_catalog(sol: ResonantSolution) -> AsymptoticCatalog:
     """
     if sol.spec.case is Case.GENERIC:
         raise UnsupportedCaseError("arm catalog requires a resonant case")
-    if sol in _CATALOGS:
-        return _CATALOGS[sol]
+    rec = _record(sol)
+    if rec.catalog is not None:
+        return rec.catalog
     T = 50.0
     for _ in range(6):
         past = _catalog_side(sol, -T)
@@ -338,7 +362,7 @@ def arm_catalog(sol: ResonantSolution) -> AsymptoticCatalog:
         stem_past=stem_p.arm, stem_future=stem_f.arm, regime=regime,
         past_junctions=_junctions(sol, stem_p),
         future_junctions=_junctions(sol, stem_f))
-    _CATALOGS[sol] = catalog
+    rec.catalog = catalog
     return catalog
 
 
@@ -398,12 +422,12 @@ def stem_side(sol: ResonantSolution,
 def junction_lines(sol: ResonantSolution, junction: Junction, t: float):
     """Normalized trajectory lines of the three term pairs of a junction at
     time t; the three lines meet in the junction point."""
-    index = {eps: i for i, (eps, _) in enumerate(sol.template)}
+    rec = _record(sol)
     # the pair order sets the last bits of the endpoints (a line's offset is
     # ln(c_m / c_n), and stem_endpoints keeps the first best-conditioned
     # pair); the frozenset order is the one the goldens were computed in
-    idxs = [index[eps] for eps in frozenset(junction)]
-    return [trajectory_line(_arm_from_terms(sol, a, b), t)
+    idxs = [rec.index[eps] for eps in frozenset(junction)]
+    return [trajectory_line(_arm(sol, rec, a, b), t)
             for a, b in combinations(idxs, 2)]
 
 
@@ -417,6 +441,17 @@ def _closed_form_args(sol: ResonantSolution):
     return k1, k2, k3, -p3 if sol.spec.branch is Branch.SECOND else p3
 
 
+# Midpoint budget: u = 2 Var_w(K) over the term weights w_m ~ c_m exp(E_m).
+# Moving every exponent E_m by at most d moves Var_w(K) by at most
+# d sum_m w_m |(K_m - mean)^2 - Var| <= 2 d Var, so u by at most 2 d u.  tau
+# forms E_m = ((K x + P y) + W t) + s in 3 products and 3 sums, so to first
+# order d <= 4 u S, u = 2**-53 and S = max_m |K x| + |P y| + |W t| + |s|
+# (Higham 2002, section 3.1): the amplitude is good to 8 u S relative, plus
+# roundings that do not grow with S.  Within the endpoint check's 1e-9 that
+# asks u S <= 1.25e-10.
+_MIDPOINT_BUDGET = 1e-9 / 8
+
+
 def stem_endpoints(sol: ResonantSolution, t: float, t_min: float = 3.0) -> StemReport:
     """Endpoints, length and midpoint amplitude of the stem at time t.
 
@@ -427,7 +462,9 @@ def stem_endpoints(sol: ResonantSolution, t: float, t_min: float = 3.0) -> StemR
     reported as endpoint_mismatch (None with nonzero phase constants, where
     the tables do not apply and a non-finite endpoint raises DomainError).
     Inside |t| < t_min the report carries valid=False (the
-    straight-trajectory description degrades near the reconnection).
+    straight-trajectory description degrades near the reconnection), and so
+    does a midpoint so far out that rounding of the tau exponents there can
+    move the amplitude by more than 1e-9 relative.
     """
     if sol.spec.case is Case.GENERIC:
         raise UnsupportedCaseError("stem endpoints require a resonant case")
@@ -457,9 +494,12 @@ def stem_endpoints(sol: ResonantSolution, t: float, t_min: float = 3.0) -> StemR
     (xa, ya), (xb, yb) = pts
     mid = ((xa + xb) / 2.0, (ya + yb) / 2.0)
     amp = float(u_on_grid(sol.tau, mid[0], mid[1], t))
+    size = max(abs(K * mid[0]) + abs(P * mid[1]) + abs(W * t) + abs(s0)
+               for _, K, P, W, s0, _ in _record(sol).planes)
     return StemReport(t=t, endpoint_a=(xa, ya), endpoint_b=(xb, yb),
                       length=math.hypot(xa - xb, ya - yb), midpoint=mid,
-                      midpoint_amplitude=amp, valid=abs(t) >= t_min,
+                      midpoint_amplitude=amp,
+                      valid=abs(t) >= t_min and 2.0**-53 * size <= _MIDPOINT_BUDGET,
                       endpoint_mismatch=mismatch)
 
 

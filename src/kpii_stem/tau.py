@@ -11,12 +11,20 @@ are weighted averages and stay well conditioned for exponents of order 1e3.
 Derivatives of ln f are recovered from the moments through the standard
 moment/cumulant recursion, which keeps every partial of u exact to rounding
 (no finite differencing anywhere in the production path).
+
+Nothing that is independent of the evaluation point is rebuilt per call.  An
+ExpSumTau holds its term columns (coeff, kx, py, wt, phase) as read-only
+arrays built at construction, beside the merge of duplicate exponents.  The
+moment lattice and the cumulant recursion's steps depend only on the tuple of
+requested multi-indices, a finite set, and are built once per tuple (_plan).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -56,6 +64,8 @@ class ExpSumTau:
     """
 
     terms: tuple[ExpTerm, ...]
+    # (coeff, kx, py, wt, phase) of the merged terms: read-only contiguous rows
+    columns: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.terms:
@@ -64,6 +74,10 @@ class ExpSumTau:
         if not any(t.coeff > 0 for t in merged):
             raise DomainError("tau requires at least one positive coefficient")
         object.__setattr__(self, "terms", merged)
+        table = np.array([(t.coeff, t.kx, t.py, t.wt, t.phase) for t in merged],
+                         dtype=float).T.copy()
+        table.flags.writeable = False
+        object.__setattr__(self, "columns", tuple(table))
 
     def __len__(self):
         return len(self.terms)
@@ -98,43 +112,27 @@ def _merge_terms(terms: Sequence[ExpTerm]) -> tuple[ExpTerm, ...]:
     return tuple(out)
 
 
-def _term_arrays(tau: ExpSumTau):
-    coeff = np.array([t.coeff for t in tau.terms])
-    kx = np.array([t.kx for t in tau.terms])
-    py = np.array([t.py for t in tau.terms])
-    wt = np.array([t.wt for t in tau.terms])
-    phase = np.array([t.phase for t in tau.terms])
-    return coeff, kx, py, wt, phase
-
-
-def _scaled_weights(arrays, x, y, t):
-    """Return (r, M) from _term_arrays: r_m = c_m exp(E_m - M), M = max E_m."""
-    coeff, kx, py, wt, phase = arrays
+def _scaled_weights(tau: ExpSumTau, x, y, t):
+    """Return (r, M, cols): r_m = c_m exp(E_m - M), M = max E_m, and tau's
+    kx, py, wt columns indexed to broadcast against r."""
     x, y, t = np.asarray(x, float), np.asarray(y, float), np.asarray(t, float)
-    shape = np.broadcast_shapes(x.shape, y.shape, t.shape)
-    expo = (kx.reshape(kx.shape + (1,) * len(shape)) * x
-            + py.reshape(py.shape + (1,) * len(shape)) * y
-            + wt.reshape(wt.shape + (1,) * len(shape)) * t
-            + phase.reshape(phase.shape + (1,) * len(shape)))
+    lead = (slice(None),) + (None,) * max(x.ndim, y.ndim, t.ndim)
+    coeff, kx, py, wt, phase = (col[lead] for col in tau.columns)
+    expo = kx * x + py * y + wt * t + phase
     M = expo.max(axis=0)
-    r = coeff.reshape(coeff.shape + (1,) * len(shape)) * np.exp(expo - M)
-    return r, M
+    r = coeff * np.exp(expo - M)
+    return r, M, (kx, py, wt)
 
 
-def _moments(tau: ExpSumTau, x, y, t, lattice: Iterable[MultiIndex]):
-    """Normalized moments mu_beta = (d^beta f)/f for every beta in lattice."""
-    arrays = _term_arrays(tau)
-    r, _ = _scaled_weights(arrays, x, y, t)
-    _, kx, py, wt, _ = arrays
-    extra = r.ndim - 1
-    kx = kx.reshape(kx.shape + (1,) * extra)
-    py = py.reshape(py.shape + (1,) * extra)
-    wt = wt.reshape(wt.shape + (1,) * extra)
+def _moments(tau: ExpSumTau, x, y, t, betas: Iterable[MultiIndex]):
+    """Normalized moments mu_beta = (d^beta f)/f for nonzero betas."""
+    r, _, cols = _scaled_weights(tau, x, y, t)
     s0 = r.sum(axis=0)
     out = {}
-    for beta in lattice:
-        bx, by, bt = beta
-        out[beta] = (kx**bx * py**by * wt**bt * r).sum(axis=0) / s0
+    for beta in betas:
+        # kx**bx * py**by * wt**bt without its factors of exponent 0 (exactly 1.0)
+        w = functools.reduce(operator.mul, [col**b for col, b in zip(cols, beta) if b])
+        out[beta] = (w * r).sum(axis=0) / s0
     return out
 
 
@@ -146,41 +144,54 @@ def _down_closed(indices: Iterable[MultiIndex]) -> list[MultiIndex]:
                    for gt in range(bt + 1)})
 
 
-def _cumulants(moments: Mapping[MultiIndex, np.ndarray]):
-    """Derivatives of ln f from moments of f via the cumulant recursion.
+@functools.cache
+def _plan(indices: tuple[MultiIndex, ...]):
+    """The moments and the cumulant recursion's steps for the u-partials at
+    indices: every nonzero beta of the down-closed lattice, and per step
 
-    For alpha = alpha' + e_i (i the first active axis):
         c_alpha = mu_alpha - sum_{gamma < alpha'} C(alpha', gamma)
                              mu_{alpha' - gamma} c_{gamma + e_i}
+
+    for alpha = alpha' + e_i (i the first active axis) as (alpha, ((C,
+    alpha' - gamma, gamma + e_i), ...)).  mu_0 = 1 is never read.
     """
-    cum: dict[MultiIndex, np.ndarray] = {}
-    for alpha in sorted(moments, key=lambda a: (sum(a), a)):
-        if alpha == (0, 0, 0):
-            continue
+    lattice = _down_closed((ax + 2, ay, at) for ax, ay, at in indices)
+    betas = [b for b in lattice if any(b)]
+    steps = []
+    for alpha in sorted(betas, key=lambda a: (sum(a), a)):
         axis = next(i for i in range(3) if alpha[i] > 0)
         e = tuple(1 if i == axis else 0 for i in range(3))
         ap = tuple(a - b for a, b in zip(alpha, e))
-        acc = moments[alpha]
+        terms = []
         for gx in range(ap[0] + 1):
             for gy in range(ap[1] + 1):
                 for gt in range(ap[2] + 1):
-                    gamma = (gx, gy, gt)
-                    if gamma == ap:
+                    if (gx, gy, gt) == ap:
                         continue
                     comb = (math.comb(ap[0], gx) * math.comb(ap[1], gy)
                             * math.comb(ap[2], gt))
-                    rest = (ap[0] - gx, ap[1] - gy, ap[2] - gt)
-                    gplus = (gx + e[0], gy + e[1], gt + e[2])
-                    acc = acc - comb * moments[rest] * cum[gplus]
+                    terms.append((comb, (ap[0] - gx, ap[1] - gy, ap[2] - gt),
+                                  (gx + e[0], gy + e[1], gt + e[2])))
+        steps.append((alpha, tuple(terms)))
+    return tuple(betas), tuple(steps)
+
+
+def _cumulants(moments: Mapping[MultiIndex, np.ndarray], steps):
+    """Derivatives of ln f from moments of f, by _plan's recursion steps."""
+    cum: dict[MultiIndex, np.ndarray] = {}
+    for alpha, terms in steps:
+        acc = moments[alpha]
+        for comb, rest, gplus in terms:
+            acc = acc - comb * moments[rest] * cum[gplus]
         cum[alpha] = acc
     return cum
 
 
 def _u_partials(tau: ExpSumTau, x, y, t, indices: Sequence[MultiIndex]):
     """Array-valued partials of u; index (0,0,0) is u itself."""
-    needed = [(ax + 2, ay, at) for ax, ay, at in indices]
-    lattice = _down_closed(needed)
-    cum = _cumulants(_moments(tau, x, y, t, lattice))
+    betas, steps = _plan(tuple(indices))
+    # the moments are freed before the partials are formed
+    cum = _cumulants(_moments(tau, x, y, t, betas), steps)
     return {idx: 2.0 * cum[(idx[0] + 2, idx[1], idx[2])] for idx in indices}
 
 
@@ -205,7 +216,7 @@ def _check_index(idx: MultiIndex) -> MultiIndex:
 def eval_tau(tau: ExpSumTau, point) -> float:
     """f(x, y, t); returns inf when the true value overflows a double."""
     x, y, t = _check_point(point)
-    r, M = _scaled_weights(_term_arrays(tau), x, y, t)
+    r, M, _ = _scaled_weights(tau, x, y, t)
     with np.errstate(over="ignore"):
         return float(r.sum(axis=0) * np.exp(M))
 
@@ -213,7 +224,7 @@ def eval_tau(tau: ExpSumTau, point) -> float:
 def log_eval_tau(tau: ExpSumTau, point) -> float:
     """ln f(x, y, t) via max-exponent rescaling (always finite)."""
     x, y, t = _check_point(point)
-    r, M = _scaled_weights(_term_arrays(tau), x, y, t)
+    r, M, _ = _scaled_weights(tau, x, y, t)
     return float(M + np.log(r.sum(axis=0)))
 
 
@@ -241,7 +252,15 @@ def eval_partials(tau: ExpSumTau, point, multi_indices) -> FieldSample:
 
 
 def u_on_grid(tau: ExpSumTau, x, y, t) -> np.ndarray:
-    """Vectorized u over broadcastable coordinate arrays."""
+    """Vectorized u over broadcastable coordinate arrays.
+
+    With 8 or more terms a point's u can differ in the last bits between a
+    one-point call (scalar or length 1) and a call with more points: numpy
+    sums the terms of a single point in unrolled blocks of 8, and those of
+    several points one term row at a time.  For the eight-term
+    make_generic((1, 2, 3), (0.1, 0.2, 0.35)) the two differ by up to 7.8e-14
+    over 3000 points in [-10, 10]^3.  Both are exact to rounding.
+    """
     vals = _u_partials(tau, np.asarray(x, float), np.asarray(y, float),
                        np.asarray(t, float), [(0, 0, 0)])
     return np.asarray(vals[(0, 0, 0)])

@@ -451,6 +451,37 @@ def test_overflowing_frequency_exits_3(tmp_path, capsys, text):
         assert line.startswith("error: inadmissible scenario: omega is not finite"), line
 
 
+def test_overflowing_resolved_p_exits_3(tmp_path, capsys):
+    # k1 = 1e200 is finite, but the constraint's p1 = k1 (k1 k3 + k3^2 + p3) / k3
+    # overflows
+    path = tmp_path / "scenario.json"
+    path.write_text('{"case": "c2_1", "k": [1e200, -2.0, -1.3333333333333333], "p3": 1.0}')
+    code, err = _run_in_process(capsys, "build", "--scenario", str(path))
+    assert code == 3, err
+    (line,) = err.splitlines()
+    assert line.startswith("error: inadmissible scenario:"), line
+
+
+def test_stem_json_reports_endpoint_mismatch(tmp_path):
+    res = run_cli("stem", "--scenario", str(SCENARIOS / "c2_1.json"),
+                  "--t=-20,0,20", "--format", "json")
+    assert res.returncode == 0
+    for row in json.loads(res.stdout)["rows"]:
+        assert list(row)[-1] == "endpoint_mismatch"
+        assert 0.0 <= row["endpoint_mismatch"] < 1e-9
+    # with phase constants the closed forms do not apply: null
+    doc = json.loads((SCENARIOS / "c3_1.json").read_text())
+    doc["xi0"] = [0.3, 0.0, 0.0]
+    path = tmp_path / "shifted.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("stem", "--scenario", str(path), "--t=-20,20", "--format", "json")
+    assert res.returncode == 0
+    assert [row["endpoint_mismatch"] for row in json.loads(res.stdout)["rows"]] == [None, None]
+    # the CSV has no such column
+    res = run_cli("stem", "--scenario", str(path), "--t=-20,20")
+    assert b"endpoint_mismatch" not in res.stdout
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sample_write_error_mid_stream_exits_4(capsys, fmt):

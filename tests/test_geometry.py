@@ -19,6 +19,7 @@ from kpii_stem import (
     make_generic,
     midpoint_amplitude,
     parse_arm_label,
+    skeleton,
     stem_endpoints,
     stem_length_formula,
     stem_side,
@@ -111,6 +112,41 @@ def test_catalog_memo_is_weak_and_skips_skeleton(monkeypatch):
     assert len(calls) == cold_calls
     ref = weakref.ref(sol)
     del sol, cat
+    gc.collect()
+    assert ref() is None
+
+
+def test_skeleton_bases_bitwise_as_planes_built_per_call(solutions):
+    """Kept per solution, each plane constant still associates as
+    (W t + xi0-part) + ln c, so the edge bases keep every bit."""
+    sols = dict(solutions)
+    for case in ("c2_1", "m2", "c3_1"):  # phase constants make xi0-part nonzero
+        params = solutions[case].params
+        sols[f"{case}_xi0"] = build_case(case, params.k, params.p[2],
+                                         xi0=(0.3, -0.7, 1.1))
+    for name, sol in sols.items():
+        for t in (-20.0, -3.0, 0.5, 20.0):
+            planes = {}
+            for idx, (eps, coeff) in enumerate(sol.template):
+                K, P, W, s0 = sol.exponent_of(eps)
+                planes[idx] = (K, P, W * t + s0 + math.log(coeff))
+            for e in skeleton(sol, t):
+                (Ka, Pa, ca), (Kb, Pb, cb) = planes[e.m], planes[e.n]
+                dK, dP, dc = Ka - Kb, Pa - Pb, ca - cb
+                nrm = math.hypot(dK, dP)
+                assert e.base == (-dc * dK / nrm**2, -dc * dP / nrm**2), (name, t)
+
+
+def test_per_solution_state_does_not_keep_solutions_alive():
+    import gc
+    import weakref
+
+    sol = build_scenario("c2_1")
+    arm_catalog(sol)
+    stem_endpoints(sol, -20.0)
+    stem_endpoints(sol, 20.0)
+    ref = weakref.ref(sol)
+    del sol
     gc.collect()
     assert ref() is None
 
@@ -217,6 +253,16 @@ def test_stem_side_names_stem_and_junctions(solutions):
         for j, (x, y) in zip(junctions, (rep.endpoint_a, rep.endpoint_b)):
             for A, B, C in junction_lines(sol, j, t):
                 assert abs(A * x + B * y + C) < 1e-9 * max(1.0, math.hypot(x, y))
+
+
+def test_midpoint_validity_tracks_exponent_rounding(solutions):
+    sol = solutions["c2_1"]
+    for t in (-20.0, 20.0):
+        assert stem_endpoints(sol, t).valid
+    # at t = 1e20 the midpoint's exponents are ~1e21, far beyond the 1e-9
+    # budget; the amplitude computed there reads 0.0
+    assert not stem_endpoints(sol, 1e20).valid
+    assert not stem_endpoints(sol, -1e20).valid
 
 
 def test_endpoint_mismatch_is_reported(solutions):

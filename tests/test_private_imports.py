@@ -15,7 +15,6 @@ ALLOWED = {
     # the tau kernel's partials and weights, checked against references
     ("tests", "tau._u_partials"),
     ("tests", "tau._scaled_weights"),
-    ("tests", "tau._term_arrays"),
     # the scenario echo that `sample` writes, rebuilt by the byte reference
     ("tests", "cli._scenario_echo"),
     # the limit recentring, checked against the per-case table it replaced

@@ -1,5 +1,6 @@
 """Core tau-function evaluation: values, logs, u, exact partial derivatives."""
 
+import itertools
 import math
 
 import mpmath
@@ -15,6 +16,7 @@ from kpii_stem import (
     eval_tau,
     eval_u,
     log_eval_tau,
+    make_generic,
     omega,
     u_on_grid,
 )
@@ -227,10 +229,86 @@ def test_positivity_over_wide_window(solutions):
         for x, y, t in pts[:: len(pts) // 30]:
             assert log_eval_tau(sol.tau, (x, y, t)) > -math.inf
         # vectorized positivity of the rescaled sum over all draws
-        from kpii_stem.tau import _scaled_weights, _term_arrays
-        r, M = _scaled_weights(_term_arrays(sol.tau), pts[:, 0], pts[:, 1], pts[:, 2])
+        from kpii_stem.tau import _scaled_weights
+        r, M, _ = _scaled_weights(sol.tau, pts[:, 0], pts[:, 1], pts[:, 2])
         assert np.all(r.sum(axis=0) > 0)
         assert np.all(np.isfinite(M + np.log(r.sum(axis=0))))
+
+
+def _reference_partials(tau, x, y, t, indices):
+    """The u-partials as the kernel computed them with per-call state: term
+    arrays and reshapes built on every call, every moment's full weight
+    kx**bx * py**by * wt**bt, and the cumulant recursion derived as it runs."""
+    coeff, kx, py, wt, phase = (np.array([getattr(e, name) for e in tau.terms])
+                                for name in ("coeff", "kx", "py", "wt", "phase"))
+    x, y, t = (np.asarray(v, float) for v in (x, y, t))
+    shape = np.broadcast_shapes(x.shape, y.shape, t.shape)
+    col = lambda a: a.reshape(a.shape + (1,) * len(shape))
+    expo = col(kx) * x + col(py) * y + col(wt) * t + col(phase)
+    r = col(coeff) * np.exp(expo - expo.max(axis=0))
+    s0 = r.sum(axis=0)
+    lattice = sorted({(gx, gy, gt) for ax, ay, at in indices
+                      for gx in range(ax + 3) for gy in range(ay + 1)
+                      for gt in range(at + 1)})
+    mu = {b: (col(kx)**b[0] * col(py)**b[1] * col(wt)**b[2] * r).sum(axis=0) / s0
+          for b in lattice}
+    cum = {}
+    for alpha in sorted(mu, key=lambda a: (sum(a), a)):
+        if alpha == (0, 0, 0):
+            continue
+        axis = next(i for i in range(3) if alpha[i] > 0)
+        e = tuple(1 if i == axis else 0 for i in range(3))
+        ap = tuple(a - b for a, b in zip(alpha, e))
+        acc = mu[alpha]
+        for gamma in itertools.product(*(range(a + 1) for a in ap)):
+            if gamma == ap:
+                continue
+            comb = math.prod(math.comb(a, g) for a, g in zip(ap, gamma))
+            rest = tuple(a - g for a, g in zip(ap, gamma))
+            gplus = tuple(g + d for g, d in zip(gamma, e))
+            acc = acc - comb * mu[rest] * cum[gplus]
+        cum[alpha] = acc
+    return {idx: 2.0 * cum[(idx[0] + 2, idx[1], idx[2])] for idx in indices}
+
+
+SUPPORTED_INDICES = [i for i in itertools.product(range(5), range(3), range(2))
+                     if sum(i) <= 4]
+
+
+def test_partials_bitwise_equal_to_per_call_reference(solutions):
+    """The construction-time columns, the per-index plan and the skipped unit
+    factors leave every bit of u and its partials as they were."""
+    from kpii_stem.tau import _u_partials
+    rng = np.random.default_rng(41)
+    taus = [sol.tau for sol in solutions.values()]
+    taus.append(make_generic((1.0, 2.0, 3.0), (0.1, 0.2, 0.35)).tau)
+    assert len(taus) == 10 and len(taus[-1]) == 8
+    for tau in taus:
+        points = [(0.3, -0.7, 1.1),
+                  tuple(rng.uniform(-9.0, 9.0, 11) for _ in range(3)),
+                  (rng.uniform(-9.0, 9.0, (4, 1)), rng.uniform(-9.0, 9.0, (1, 5)), 0.7)]
+        for x, y, t in points:
+            requests = [[(0, 0, 0), idx] for idx in SUPPORTED_INDICES]
+            requests.append(SUPPORTED_INDICES)
+            for indices in requests:
+                got = _u_partials(tau, x, y, t, indices)
+                want = _reference_partials(tau, x, y, t, indices)
+                for idx in indices:
+                    assert np.shape(got[idx]) == np.shape(want[idx])
+                    assert np.asarray(got[idx]).tobytes() == np.asarray(want[idx]).tobytes()
+            u = u_on_grid(tau, x, y, t)
+            assert u.tobytes() == _reference_partials(tau, x, y, t, [(0, 0, 0)])[(0, 0, 0)].tobytes()
+
+
+def test_tau_columns_are_read_only_and_not_compared():
+    tau = one_soliton(k=2.0, p=0.5)
+    coeff, kx, py, wt, phase = tau.columns
+    assert kx.tolist() == [0.0, 2.0] and py.tolist() == [0.0, 0.5]
+    with pytest.raises(ValueError):
+        kx[0] = 1.0
+    assert tau == one_soliton(k=2.0, p=0.5)
+    assert hash(tau) == hash(one_soliton(k=2.0, p=0.5))
+    assert "columns" not in repr(tau)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
