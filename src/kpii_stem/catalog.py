@@ -148,6 +148,12 @@ def aij_factors(ki, pi, kj, pj):
     return (md - c, md + c), (ms - c, ms + c), size
 
 
+def aij_value(num, den) -> float:
+    """a_ij from its factor pairs, one quotient per pair, which stays finite
+    and nonzero where the product of two factors underflows."""
+    return (num[0] / den[0]) * (num[1] / den[1])
+
+
 # Zero test: each factor sums the signed products m ki, m kj, kj pi, ki pj.
 # From exact k, p3, a pair (i, 3) takes kj pi = m ki + m kj + ki pj through the
 # 5 roundings of pi's constraint formula and 3 in aij_factors, and m ki, m kj,
@@ -165,7 +171,7 @@ def phase_shift_param(ki, pi, kj, pj):
             f"numerator and denominator both vanish for ({ki}, {pi}), ({kj}, {pj})")
     if num_zero or den_zero:
         return INFINITE if den_zero else 0.0
-    a = math.prod(num) / math.prod(den)
+    a = aij_value(num, den)
     if a < 0:
         raise InadmissibleParameterError(
             f"negative interaction coefficient a = {a} for ({ki}, {pi}), ({kj}, {pj})")
@@ -267,10 +273,11 @@ def resolve_constraints(k, p3: float, spec: CaseSpec, xi0=(0.0, 0.0, 0.0)) -> So
         raise DegenerateParameterError("constraints require k3 != 0")
     p3 = float(p3)
     constraint = CONSTRAINTS[spec.case]
-    if spec.branch is Branch.FIRST:
-        p1, p2 = constraint(*k, p3)
-    else:
-        p1, p2 = (-p for p in constraint(*k, -p3))
+    try:
+        p1, p2 = (constraint(*k, p3) if spec.branch is Branch.FIRST
+                  else (-p for p in constraint(*k, -p3)))
+    except OverflowError:  # k3**2 beyond the float range
+        p1 = p2 = math.inf
     # finite k, p3 whose p1 or p2 overflows are inadmissible, as an overflowing
     # omega is; non-finite k, p3 are rejected by SolitonParams
     if all(map(math.isfinite, k + (p3,))) and not all(map(math.isfinite, (p1, p2))):

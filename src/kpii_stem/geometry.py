@@ -188,10 +188,16 @@ def _arm(sol: ResonantSolution, rec: _Record, m: int, n: int) -> ArmDescriptor:
 
 
 def skeleton(sol: ResonantSolution, t: float) -> list[Edge]:
-    """Realized dominance-boundary edges of the tau function at time t."""
+    """Realized dominance-boundary edges of the tau function at time t.
+
+    t = -inf or +inf gives the limit skeleton in the coordinates x/|t|, y/|t|:
+    there psi_m / |t| -> K_m x + P_m y + W_m sign(t), so ln c_m and xi0 drop
+    out and every edge that does not grow with |t| shrinks to a point.
+    """
     rec = _record(sol)
     # (index, K, P, const) of psi_m at time t for terms with positive coefficient
-    planes = [(idx, K, P, W * t + s0 + lnc) for idx, K, P, W, s0, lnc in rec.planes]
+    planes = [(idx, K, P, math.copysign(1.0, t) * W if math.isinf(t) else W * t + s0 + lnc)
+              for idx, K, P, W, s0, lnc in rec.planes]
     edges = []
     for a in range(len(planes)):
         for b in range(a + 1, len(planes)):
@@ -259,20 +265,15 @@ def _junctions(sol: ResonantSolution, stem: Edge) -> tuple[Junction, Junction]:
 
 
 def _stem_edge(edges) -> Edge | None:
-    """Bounded edge whose species is absent from the rays (the stem).
+    """The bounded edge whose species no ray carries (the stem), or None
+    unless there is exactly one.
 
-    Inside elastic X-crossings the skeleton carries short phase-shift jogs
-    whose species is also novel; the stem is the longest novel bounded edge
-    (jogs stay of order ln a12 while the stem grows linearly in t).
+    Read on the limit skeleton, where the phase-shift jogs inside elastic
+    X-crossings have shrunk to points and only the stem is left.
     """
     rays = {e.arm.label for e in edges if not e.bounded}
-    best = None
-    for e in edges:
-        if not e.bounded or e.arm.label in rays:
-            continue
-        if best is None or (e.hi - e.lo) > (best.hi - best.lo):
-            best = e
-    return best
+    novel = [e for e in edges if e.bounded and e.arm.label not in rays]
+    return novel[0] if len(novel) == 1 else None
 
 
 def _wings(edges, stem: Edge):
@@ -298,8 +299,8 @@ def _wings(edges, stem: Edge):
     return out
 
 
-def _catalog_side(sol: ResonantSolution, t_ref: float, regime: str | None = None):
-    edges = skeleton(sol, t_ref)
+def _catalog_side(sol: ResonantSolution, t: float, regime: str | None = None):
+    edges = skeleton(sol, t)
     stem = _stem_edge(edges)
     if stem is None:
         return None
@@ -328,35 +329,27 @@ def _catalog_side(sol: ResonantSolution, t_ref: float, regime: str | None = None
 
 
 def arm_catalog(sol: ResonantSolution) -> AsymptoticCatalog:
-    """Asymptotic arm/stem catalog derived from the dominance skeleton.
+    """Asymptotic arm/stem catalog read from the limit skeletons at t = -inf
+    and t = +inf (see skeleton).
 
-    The skeleton is evaluated at t = -T and t = +T; T grows from 50 until the
-    stem species differs between the two sides (the reconnection signature).
-    The four catalog arms per side are the wing edges at the stem junctions.
-    The region axis ("y" vs "x" listing) is a heuristic decided on the past side
-    and used on both: the y-axis listing is used when the V-shaped wing pairs
-    at both past stem junctions open predominantly in y, the x-axis listing
-    otherwise.
+    On each side the stem is the one bounded edge whose species no ray
+    carries, and the four catalog arms are the wing edges at its junctions.
+    The two stems differ (the reconnection).  The region axis ("y" vs "x"
+    listing) is a heuristic decided on the past side and used on both: the
+    y-axis listing is used when the V-shaped wing pairs at both past stem
+    junctions open predominantly in y, the x-axis listing otherwise.
     """
     if sol.spec.case is Case.GENERIC:
         raise UnsupportedCaseError("arm catalog requires a resonant case")
     rec = _record(sol)
     if rec.catalog is not None:
         return rec.catalog
-    T = 50.0
-    for _ in range(6):
-        past = _catalog_side(sol, -T)
-        if past is not None:
-            stem_p, list_p, regime = past
-            future = _catalog_side(sol, +T, regime=regime)
-            if future is not None:
-                stem_f, list_f, _ = future
-                if (stem_p.m, stem_p.n) != (stem_f.m, stem_f.n):
-                    break
-        T *= 4.0
-    else:
+    past = _catalog_side(sol, -math.inf)
+    future = past and _catalog_side(sol, math.inf, regime=past[2])
+    if not future or (past[0].m, past[0].n) == (future[0].m, future[0].n):
         raise InternalConsistencyError(
-            "no stem reconnection found in the scanned time range")
+            "the t -> -inf and t -> +inf skeletons carry no two distinct stems")
+    (stem_p, list_p, regime), (stem_f, list_f, _) = past, future
     catalog = AsymptoticCatalog(
         before=list_p, after=list_f,
         stem_past=stem_p.arm, stem_future=stem_f.arm, regime=regime,

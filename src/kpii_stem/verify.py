@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import Case, ResonanceKind, ResonantSolution, aij_factors, make_generic
+from .catalog import Case, ResonanceKind, ResonantSolution, aij_factors, aij_value, make_generic
 from .errors import (
     AnchorNotFoundError,
     InadmissibleFamilyError,
@@ -123,7 +123,7 @@ def limit_family(sol: ResonantSolution, magnitudes) -> list[ResonantSolution]:
             if d1 is None or d2 is None:
                 continue
             p = (p1s + d1, p2s + d2, p3)
-            a13, a23, a12 = (math.prod(num) / math.prod(den) for num, den, _ in (
+            a13, a23, a12 = (aij_value(num, den) for num, den, _ in (
                 aij_factors(k[0], p[0], k[2], p3), aij_factors(k[1], p[1], k[2], p3),
                 aij_factors(k[0], p[0], k[1], p[1])))
             if a13 <= 0 or a23 <= 0 or a12 < 0:

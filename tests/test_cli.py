@@ -452,14 +452,46 @@ def test_overflowing_frequency_exits_3(tmp_path, capsys, text):
 
 
 def test_overflowing_resolved_p_exits_3(tmp_path, capsys):
-    # k1 = 1e200 is finite, but the constraint's p1 = k1 (k1 k3 + k3^2 + p3) / k3
-    # overflows
+    # k is finite, but the constraint's p1 = k1 (k1 k3 + k3^2 + p3) / k3
+    # overflows: to inf at k1 = 1e200, and k3**2 raises OverflowError at
+    # k3 = 1e300
     path = tmp_path / "scenario.json"
-    path.write_text('{"case": "c2_1", "k": [1e200, -2.0, -1.3333333333333333], "p3": 1.0}')
-    code, err = _run_in_process(capsys, "build", "--scenario", str(path))
-    assert code == 3, err
-    (line,) = err.splitlines()
-    assert line.startswith("error: inadmissible scenario:"), line
+    for text in ('{"case": "c2_1", "k": [1e200, -2.0, -1.3333333333333333], "p3": 1.0}',
+                 '{"case": "c2_1", "k": [1, 2, 1e300], "p3": 1}'):
+        path.write_text(text)
+        code, err = _run_in_process(capsys, "build", "--scenario", str(path))
+        assert code == 3, err
+        (line,) = err.splitlines()
+        assert line.startswith("error: inadmissible scenario:"), line
+
+
+def test_underflowing_generic_coefficients_give_no_traceback(tmp_path, capsys):
+    # each a_ij factor passes the zero test, but the product of two underflows
+    path = tmp_path / "scenario.json"
+    path.write_text('{"case": "generic", "k": [1e-300, 2e-300, 3e-300], '
+                    '"p": [1, 0.5, 0.2]}')
+    for command in (("build",), ("verify", "--suite", "residual"),
+                    ("sample", "--t=0", "--grid=-1,1,3,-1,1,3",
+                     "--out", str(tmp_path / "u.csv"))):
+        code, err = _run_in_process(capsys, command[0], "--scenario", str(path),
+                                    *command[1:])
+        if code:
+            (line,) = err.splitlines()
+            assert line.startswith("error:"), (command, line)
+
+
+@pytest.mark.parametrize("name, xi0", [("c3_1", [1e10, 0, 0]), ("c2_1", [0, 1e300, 0])],
+                         ids=["c3_1", "c2_1"])
+def test_large_phase_constants_build_a_catalog(tmp_path, capsys, name, xi0):
+    # the catalog is read at t = -inf and +inf, where xi0 drops out
+    doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    doc["xi0"] = xi0
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    for command in (("build",), ("stem", "--t=-20,20")):
+        code, err = _run_in_process(capsys, command[0], "--scenario", str(path),
+                                    *command[1:])
+        assert code == 0, (command, err)
 
 
 def test_stem_json_reports_endpoint_mismatch(tmp_path):

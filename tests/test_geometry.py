@@ -106,14 +106,89 @@ def test_catalog_memo_is_weak_and_skips_skeleton(monkeypatch):
                         lambda sol, t: calls.append(t) or real_skeleton(sol, t))
     sol = build_scenario("c2_1")
     cat = arm_catalog(sol)
-    cold_calls = len(calls)
-    assert cold_calls > 0
+    assert calls == [-math.inf, math.inf]
     assert arm_catalog(sol) is cat
-    assert len(calls) == cold_calls
+    assert len(calls) == 2
     ref = weakref.ref(sol)
     del sol, cat
     gc.collect()
     assert ref() is None
+
+
+def _far_stem(sol, t):
+    """The longest bounded edge of skeleton(sol, t) whose species no ray
+    carries, and its junctions."""
+    edges = skeleton(sol, t)
+    rays = {e.arm.label for e in edges if not e.bounded}
+    stem = max((e for e in edges if e.bounded and e.arm.label not in rays),
+               key=lambda e: e.hi - e.lo)
+    eps = [e for e, _ in sol.template]
+    return stem.arm, tuple(sorted(tuple(sorted((eps[stem.m], eps[stem.n], eps[b])))
+                                  for b in (stem.lo_bind, stem.hi_bind)))
+
+
+def _catalog_draws():
+    for case in RESONANT_CASES:
+        for branch in Branch:
+            rng = np.random.default_rng([611, RESONANT_CASES.index(case),
+                                         list(Branch).index(branch)])
+            for _ in range(6):
+                yield build_solution(draw_params(rng, case, branch),
+                                     CaseSpec(case, branch))
+
+
+def test_catalog_stems_are_those_of_far_skeletons(solutions):
+    """Each catalog stem and its junctions are the longest novel bounded edge
+    of the skeleton at t = -1e6 and t = +1e6."""
+    for sol in [*solutions.values(), *_catalog_draws()]:
+        cat = arm_catalog(sol)
+        assert (cat.stem_past, cat.past_junctions) == _far_stem(sol, -1e6)
+        assert (cat.stem_future, cat.future_junctions) == _far_stem(sol, 1e6)
+
+
+@pytest.mark.parametrize("case, k, p3, past, future", [
+    # at t = +-50 a phase-shift jog 1-2 (length 641 and 2024) outgrows the stem
+    ("c2_4", (0.3322126298432059, 2.8142302033330613, -1.5742139621014795),
+     -1.7331770123390928, "2+3", "1+3"),
+    ("c2_1", (0.9952500993670119, 2.470769460720458, -1.7333521002497938),
+     0.3007571204655246, "1+3^", "2+3^"),
+], ids=["c2_4", "c2_1"])
+def test_catalog_reads_the_limit_not_a_finite_time(case, k, p3, past, future):
+    cat = arm_catalog(build_case(case, k, p3))
+    assert (cat.stem_past.label_str(), cat.stem_future.label_str()) == (past, future)
+
+
+def test_near_degenerate_draw_builds_a_catalog():
+    # k1 + k3 = 1e-5: the stem offset s_L ln a12 is about 1.3e6 long, so up to
+    # |t| of about 1e6 both sides show the stem 1+3^; the limit tells them apart
+    sol = build_case("c2_1", (1.0, 0.5, -1.0 + 1e-5), 0.5)
+    cat = arm_catalog(sol)
+    assert (cat.stem_past.label_str(), cat.stem_future.label_str()) == ("2+3^", "1+3^")
+    for t in (-20.0, 20.0):
+        assert stem_length_formula(sol, t) == pytest.approx(
+            stem_endpoints(sol, t).length, rel=1e-9)
+
+
+def test_limit_skeleton_is_the_scaled_far_skeleton(solutions):
+    """skeleton(sol, +-inf) is skeleton(sol, +-T) / T as T grows, without
+    the edges of bounded length, and does not see ln c or xi0."""
+    sol = solutions["c2_1"]
+    shifted = build_case("c2_1", sol.params.k, sol.params.p[2], xi0=(0.3, -0.7, 1e10))
+    for sign in (-1.0, 1.0):
+        limit = skeleton(sol, sign * math.inf)
+        assert [(e.m, e.n, e.lo, e.hi) for e in skeleton(shifted, sign * math.inf)] == [
+            (e.m, e.n, e.lo, e.hi) for e in limit]
+        T = 1e8
+        far = {(e.m, e.n): e for e in skeleton(sol, sign * T)
+               if not e.bounded or e.hi - e.lo > 1e3}
+        assert sorted(far) == sorted((e.m, e.n) for e in limit)
+        for e in limit:
+            f = far[(e.m, e.n)]
+            assert f.direction == e.direction
+            for s, fs in ((e.lo, f.lo), (e.hi, f.hi)):
+                if math.isfinite(s):
+                    p, q = e.point(s), f.point(fs)
+                    assert math.hypot(p[0] - q[0] / T, p[1] - q[1] / T) < 1e-6
 
 
 def test_skeleton_bases_bitwise_as_planes_built_per_call(solutions):
@@ -628,10 +703,6 @@ def test_random_draw_endpoint_consistency(case):
     while done < 15:
         params = draw_params(rng, case)
         sol = build_solution(params, CaseSpec(case, Branch.FIRST))
-        try:
-            arm_catalog(sol)
-        except Exception:
-            continue  # geometrically degenerate draw; resample
         for t in (-20.0, -5.0, -1.0, 1.0, 5.0, 20.0):
             rep = stem_endpoints(sol, t)  # raises on dual-path disagreement
             lf = stem_length_formula(sol, t)
