@@ -42,6 +42,7 @@ from .geometry import (
     stem_endpoints,
     stem_length_formula,
     stem_side,
+    term_planes,
     trajectory_line,
     velocity_table,
 )

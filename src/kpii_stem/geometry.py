@@ -187,17 +187,22 @@ def _arm(sol: ResonantSolution, rec: _Record, m: int, n: int) -> ArmDescriptor:
     return arm
 
 
+def term_planes(sol: ResonantSolution, t: float) -> list[tuple[int, float, float, float]]:
+    """(index, K, P, W t + s0 + ln c) of psi_m = K x + P y + W t + s0 + ln c
+    for each term with positive coefficient.  At t = -inf or +inf the constant
+    is W sign(t): the limit of psi_m / |t| in the coordinates x/|t|, y/|t|."""
+    return [(idx, K, P, math.copysign(1.0, t) * W if math.isinf(t) else W * t + s0 + lnc)
+            for idx, K, P, W, s0, lnc in _record(sol).planes]
+
+
 def skeleton(sol: ResonantSolution, t: float) -> list[Edge]:
     """Realized dominance-boundary edges of the tau function at time t.
 
-    t = -inf or +inf gives the limit skeleton in the coordinates x/|t|, y/|t|:
-    there psi_m / |t| -> K_m x + P_m y + W_m sign(t), so ln c_m and xi0 drop
-    out and every edge that does not grow with |t| shrinks to a point.
+    t = -inf or +inf gives the limit skeleton (see term_planes): ln c_m and
+    xi0 drop out, and every edge that does not grow with |t| shrinks to a point.
     """
     rec = _record(sol)
-    # (index, K, P, const) of psi_m at time t for terms with positive coefficient
-    planes = [(idx, K, P, math.copysign(1.0, t) * W if math.isinf(t) else W * t + s0 + lnc)
-              for idx, K, P, W, s0, lnc in rec.planes]
+    planes = term_planes(sol, t)
     edges = []
     for a in range(len(planes)):
         for b in range(a + 1, len(planes)):

@@ -187,7 +187,7 @@ def _cumulants(moments: Mapping[MultiIndex, np.ndarray], steps):
     return cum
 
 
-def _u_partials(tau: ExpSumTau, x, y, t, indices: Sequence[MultiIndex]):
+def u_partials(tau: ExpSumTau, x, y, t, indices: Sequence[MultiIndex]):
     """Array-valued partials of u; index (0,0,0) is u itself."""
     betas, steps = _plan(tuple(indices))
     # the moments are freed before the partials are formed
@@ -231,7 +231,7 @@ def log_eval_tau(tau: ExpSumTau, point) -> float:
 def eval_u(tau: ExpSumTau, point) -> FieldSample:
     """u = 2 (ln f)_xx = 2 (f f_xx - f_x^2)/f^2, exact up to rounding."""
     x, y, t = _check_point(point)
-    vals = _u_partials(tau, x, y, t, [(0, 0, 0)])
+    vals = u_partials(tau, x, y, t, [(0, 0, 0)])
     return FieldSample(u=float(vals[(0, 0, 0)]))
 
 
@@ -244,7 +244,7 @@ def eval_partials(tau: ExpSumTau, point, multi_indices) -> FieldSample:
     """
     x, y, t = _check_point(point)
     idxs = sorted({_check_index(i) for i in multi_indices})
-    vals = _u_partials(tau, x, y, t, [(0, 0, 0)] + idxs)
+    vals = u_partials(tau, x, y, t, [(0, 0, 0)] + idxs)
     return FieldSample(
         u=float(vals[(0, 0, 0)]),
         partials={i: float(vals[i]) for i in idxs},
@@ -261,6 +261,6 @@ def u_on_grid(tau: ExpSumTau, x, y, t) -> np.ndarray:
     make_generic((1, 2, 3), (0.1, 0.2, 0.35)) the two differ by up to 7.8e-14
     over 3000 points in [-10, 10]^3.  Both are exact to rounding.
     """
-    vals = _u_partials(tau, np.asarray(x, float), np.asarray(y, float),
-                       np.asarray(t, float), [(0, 0, 0)])
+    vals = u_partials(tau, np.asarray(x, float), np.asarray(y, float),
+                      np.asarray(t, float), [(0, 0, 0)])
     return np.asarray(vals[(0, 0, 0)])

@@ -6,8 +6,10 @@ Four families of checks, all independent of the closed-form geometry path:
                       + 3 u_yy evaluated with exact derivatives,
 * limit_convergence -- the eight-term generic solution, recentred and driven
                       toward a resonance, converges to the case template,
-* asymptotic_match -- far from junctions the solution matches the predicted
-                      sech^2 arm profile on perpendicular sections,
+* asymptotic_match -- where every other tau term lies exponentially below
+                      the arm's two (section_anchor), the solution matches
+                      the predicted sech^2 arm profile on perpendicular
+                      sections,
 * ridge_trace      -- brute-force ridge extraction recovers the analytic
                       trajectory lines.
 """
@@ -27,8 +29,9 @@ from .errors import (
     RidgeNotFoundError,
     UnsupportedCaseError,
 )
-from .geometry import ArmDescriptor, arm_profile, normalize_line, skeleton
-from .tau import _u_partials, u_on_grid
+from .geometry import ArmDescriptor, arm_profile, normalize_line, skeleton, term_planes
+# perfbench/spans.py wraps the kernel at this binding, by this name
+from .tau import u_on_grid, u_partials as _u_partials
 
 
 @dataclass(frozen=True)
@@ -158,117 +161,73 @@ def limit_convergence(sol: ResonantSolution, magnitudes, points) -> list[float]:
     return devs
 
 
-# asymptotic sections: half width, and least distance of the anchor to a vertex
+# asymptotic sections: half width, and the bound on the other terms' leakage
+# into u there
 _HALF_WIDTH = 12.0
-_JUNCTION_DISTANCE = 10.0
-
-
-def _skeleton_vertices(edges):
-    return [e.point(s) for e in edges for s in (e.lo, e.hi) if math.isfinite(s)]
+_LEAKAGE = 1e-4
 
 
 def _find_edge(edges, arm: ArmDescriptor):
-    best = None
-    for e in edges:
-        if e.arm.label == arm.label and e.arm.hat == arm.hat:
-            span = (e.hi - e.lo) if e.bounded else math.inf
-            if best is None or span > best[1]:
-                best = (e, span)
-    return best[0] if best is not None else None
-
-
-def _seg_dist(p1, p2, q1, q2):
-    """Distance between two finite 2D segments."""
-    def pt_seg(p, a, b):
-        ax, ay = b[0] - a[0], b[1] - a[1]
-        denom = ax * ax + ay * ay
-        s = 0.0 if denom == 0 else max(0.0, min(1.0, ((p[0] - a[0]) * ax + (p[1] - a[1]) * ay) / denom))
-        cx, cy = a[0] + s * ax, a[1] + s * ay
-        return math.hypot(p[0] - cx, p[1] - cy)
-
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    # crossing test
-    d1, d2 = orient(p1, p2, q1), orient(p1, p2, q2)
-    d3, d4 = orient(q1, q2, p1), orient(q1, q2, p2)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
-        return 0.0
-    return min(pt_seg(p1, q1, q2), pt_seg(p2, q1, q2),
-               pt_seg(q1, p1, p2), pt_seg(q2, p1, p2))
-
-
-def _edge_segment(e, clip: float, extend: float):
-    # a ridge's exponential influence persists past its junctions, so the
-    # realized interval is extended before distance checks
-    lo = max(e.lo - extend, -clip)
-    hi = min(e.hi + extend, clip)
-    return e.point(lo), e.point(hi)
-
-
-def _section_clearance(edges, edge, anchor):
-    """Shortfall of the section's distance to every other realized ridge.
-
-    Each foreign ridge must clear the section by its own decay length
-    ln(4 * amplitude / budget) / |grad psi|, so that its leakage onto the
-    section stays below the budget.  Returns min(distance - required); >= 0
-    means the section is clean.
-    """
-    budget = 1e-4
-    A, B, _ = normalize_line((edge.arm.A, edge.arm.B, 0.0))
-    s1 = (anchor[0] - _HALF_WIDTH * A, anchor[1] - _HALF_WIDTH * B)
-    s2 = (anchor[0] + _HALF_WIDTH * A, anchor[1] + _HALF_WIDTH * B)
-    clip = abs(anchor[0]) + abs(anchor[1]) + 100.0 * _HALF_WIDTH + 1e4
-    worst = math.inf
-    for e in edges:
-        if (e.m, e.n) == (edge.m, edge.n):
-            continue
-        grad = math.hypot(e.arm.A, e.arm.B)
-        need = math.log(max(4.0 * e.arm.amplitude / budget, 2.0)) / grad
-        q1, q2 = _edge_segment(e, clip, extend=2.0 * need + 10.0)
-        worst = min(worst, _seg_dist(s1, s2, q1, q2) - need)
-    return worst
+    """The longest realized edge of the arm's species, or None."""
+    found = [e for e in edges if (e.arm.label, e.arm.hat) == (arm.label, arm.hat)]
+    return max(found, key=lambda e: e.hi - e.lo, default=None)
 
 
 def section_anchor(sol: ResonantSolution, arm: ArmDescriptor,
                    t: float) -> tuple[float, float]:
     """Point on the realized arm whose perpendicular section is clean.
 
-    The anchor keeps at least _JUNCTION_DISTANCE from every skeleton vertex,
-    and is pushed far enough out that every other ridge clears the
-    +/- _HALF_WIDTH section by its own decay length.
+    u = 2 Var_w(K), so a term c at weight e^-gap_c relative to the larger of
+    the arm's terms m, n moves u by at most 2 e^-gap_c Delta_c^2, with
+    Delta_c^2 = max((K_c - K_m)^2, (K_c - K_n)^2).  Over the square of half
+    width _HALF_WIDTH around the anchor each of the n_o other terms keeps
+    gap_c >= ln(2 n_o Delta_c^2 / _LEAKAGE) and >= 0, so no skeleton vertex
+    lies in it.  The gap is affine along the edge and convex across it with
+    its kink on the edge, so each term bounds the edge parameter from one
+    side.  A ray takes the clean point nearest its junction, a bounded edge
+    the middle of its clean interval.
     """
     edges = skeleton(sol, t)
     edge = _find_edge(edges, arm)
     if edge is None:
         raise AnchorNotFoundError(
             f"arm {arm.label_str()} is not realized at t = {t}")
-    verts = _skeleton_vertices(edges)
-
-    def ok(pt):
-        if any(math.hypot(pt[0] - v[0], pt[1] - v[1]) < _JUNCTION_DISTANCE * 0.999 for v in verts):
-            return False
-        return _section_clearance(edges, edge, pt) >= 0.0
-
-    if edge.bounded:
-        mid = 0.5 * (edge.lo + edge.hi)
-        span = 0.5 * (edge.hi - edge.lo)
-        for frac in (0.0, 0.2, -0.2, 0.4, -0.4, 0.6, -0.6, 0.8, -0.8):
-            pt = edge.point(mid + frac * span)
-            if ok(pt):
-                return pt
+    h = _HALF_WIDTH
+    others = {idx: (K, P, c) for idx, K, P, c in term_planes(sol, t)}
+    (Km, Pm, cm), (Kn, Pn, _) = others.pop(edge.m), others.pop(edge.n)
+    (bx, by), (dx, dy) = edge.base, edge.direction
+    # the terms that end the edge also keep the square off its ends
+    lo, hi = -math.inf, math.inf
+    for Kc, Pc, cc in others.values():
+        leak = 2.0 * len(others) * max(abs(Kc - Km), abs(Kc - Kn)) ** 2
+        need = math.log(max(leak / _LEAKAGE, 1.0))
+        # at offsets a along and b across the edge (unit normal (dy, -dx))
+        # the gap is alpha + beta (s + a) + max(g_m b, g_n b), with g_m, g_n
+        # the normal slopes of psi_m - psi_c and psi_n - psi_c; it is least
+        # at a = -h sign(beta) and b in {-h, 0, h}
+        alpha = (Km - Kc) * bx + (Pm - Pc) * by + (cm - cc)
+        beta = (Km - Kc) * dx + (Pm - Pc) * dy
+        across = min(0.0, (Km - Kc) * dy - (Pm - Pc) * dx, (Pn - Pc) * dx - (Kn - Kc) * dy)
+        slack = alpha + h * (across - abs(beta)) - need    # least gap - need at s = 0
+        if abs(beta) < 1e-13 * (1 + abs(Km - Kc) + abs(Pm - Pc)):
+            if slack < 0:
+                lo, hi = math.inf, -math.inf
+        elif beta > 0:
+            lo = max(lo, -slack / beta)
+        else:
+            hi = min(hi, -slack / beta)
+    if not lo <= hi:
         raise AnchorNotFoundError(
-            f"no clean section anchor on segment {arm.label_str()} at t = {t}")
-    if math.isinf(edge.lo) and math.isinf(edge.hi):
-        return edge.base
-    s_end = edge.lo if math.isfinite(edge.lo) else edge.hi
-    outward = 1.0 if math.isinf(edge.hi) else -1.0
-    for mult in range(1, 80):
-        pt = edge.point(s_end + outward * mult * _JUNCTION_DISTANCE)
-        if ok(pt):
-            return pt
-    raise AnchorNotFoundError(
-        f"no junction-distant anchor on arm {arm.label_str()} at t = {t}")
+            f"no clean section anchor on arm {arm.label_str()} at t = {t}")
+    if edge.bounded:
+        s = 0.5 * (lo + hi)
+    elif math.isfinite(edge.lo):    # a ray: the clean point nearest its junction
+        s = lo
+    elif math.isfinite(edge.hi):
+        s = hi
+    else:                           # a line without junctions
+        s = min(max(0.0, lo), hi)
+    return edge.point(s)
 
 
 def asymptotic_match(sol: ResonantSolution, arm: ArmDescriptor, t: float,

@@ -163,6 +163,41 @@ def test_verify_asymptotics_suite_passes():
     assert res.returncode == 0
 
 
+def test_verify_asymptotics_passes_on_crowded_c2_2_draw(tmp_path):
+    # the 1^ arm runs close to other ridges; a section anchored across one
+    # of them misses the profile by 0.437 on both sides
+    path = tmp_path / "c2_2.json"
+    path.write_text(json.dumps({
+        "case": "c2_2", "branch": "second",
+        "k": [2.3893366773367974, -0.6379045762727384, -2.3913616321332127],
+        "p3": -0.4947744352174097}))
+    res = run_cli("verify", "--scenario", str(path), "--suite", "asymptotics")
+    assert res.returncode == 0, res.stdout
+    assert json.loads(res.stdout)["passed"] is True
+
+
+@pytest.mark.parametrize("suite, n_checks", [("asymptotics", 8), ("ridge", 2)])
+def test_verify_refused_anchor_keeps_report(tmp_path, suite, n_checks):
+    # no section of this draw's 1^ arm is clean at t = -20
+    path = tmp_path / "c2_1.json"
+    path.write_text(json.dumps({
+        "case": "c2_1", "branch": "first",
+        "k": [-1.7228282133524533, 1.4063007297135197, 1.771906511241144],
+        "p3": -1.5151554207086688}))
+    res = run_cli("verify", "--scenario", str(path), "--suite", suite)
+    assert res.returncode == 1
+    assert res.stderr == b""
+    doc = json.loads(res.stdout)
+    assert doc["passed"] is False
+    assert len(doc["checks"]) == n_checks
+    refused = [c for c in doc["checks"] if c["measured"] is None]
+    assert refused[0]["check"] == ("asymptotic" if suite == "asymptotics" else suite) + "_before_1^"
+    for c in refused:
+        assert c["pass"] is False
+        assert "no clean section anchor" in c["note"]
+    assert all(isinstance(c["measured"], float) for c in doc["checks"] if c not in refused)
+
+
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
 def test_verify_default_suite_reports_json(name):
     res = run_cli("verify", "--scenario", str(SCENARIOS / name))

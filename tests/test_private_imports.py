@@ -8,12 +8,9 @@ REPO = Path(__file__).resolve().parent.parent
 # (importer, imported name): the only private imports there are.  The importer
 # is the package module's name, or "tests" for any test file.
 ALLOWED = {
-    # perfbench/spans.py wraps kpii_stem.verify._u_partials by that name
-    ("verify", "tau._u_partials"),
     # the generated closed-form tables have one reader
     ("geometry", "_closed_forms"),
-    # the tau kernel's partials and weights, checked against references
-    ("tests", "tau._u_partials"),
+    # the tau kernel's weights, checked against references
     ("tests", "tau._scaled_weights"),
     # the scenario echo that `sample` writes, rebuilt by the byte reference
     ("tests", "cli._scenario_echo"),

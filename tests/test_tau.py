@@ -156,13 +156,13 @@ def test_all_partials_match_richardson(name, solutions):
     u_mp = _mp_u(sol.tau)
     indices = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0),
                (0, 2, 0), (1, 0, 1), (3, 0, 0), (4, 0, 0)]
-    from kpii_stem.tau import _u_partials
+    from kpii_stem.tau import u_partials
     for seed in (133, *PARTIALS_REGRESSION_SEEDS.get(name, ())):
         rng = np.random.default_rng(seed)
         pts = np.column_stack([rng.uniform(-10, 10, 100),
                                rng.uniform(-10, 10, 100),
                                rng.uniform(-3, 3, 100)])
-        got = _u_partials(sol.tau, pts[:, 0], pts[:, 1], pts[:, 2], indices)
+        got = u_partials(sol.tau, pts[:, 0], pts[:, 1], pts[:, 2], indices)
         with mpmath.workdps(50):
             for n, (x, y, t) in enumerate(pts.tolist()):
                 for idx, shifted in (((1, 0, 0), lambda h: u_mp(x + h, y, t)),
@@ -278,7 +278,7 @@ SUPPORTED_INDICES = [i for i in itertools.product(range(5), range(3), range(2))
 def test_partials_bitwise_equal_to_per_call_reference(solutions):
     """The construction-time columns, the per-index plan and the skipped unit
     factors leave every bit of u and its partials as they were."""
-    from kpii_stem.tau import _u_partials
+    from kpii_stem.tau import u_partials
     rng = np.random.default_rng(41)
     taus = [sol.tau for sol in solutions.values()]
     taus.append(make_generic((1.0, 2.0, 3.0), (0.1, 0.2, 0.35)).tau)
@@ -291,7 +291,7 @@ def test_partials_bitwise_equal_to_per_call_reference(solutions):
             requests = [[(0, 0, 0), idx] for idx in SUPPORTED_INDICES]
             requests.append(SUPPORTED_INDICES)
             for indices in requests:
-                got = _u_partials(tau, x, y, t, indices)
+                got = u_partials(tau, x, y, t, indices)
                 want = _reference_partials(tau, x, y, t, indices)
                 for idx in indices:
                     assert np.shape(got[idx]) == np.shape(want[idx])

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from kpii_stem import (
+    Branch,
+    CaseSpec,
     ExpSumTau,
     ExpTerm,
     ResonanceKind,
     arm_catalog,
     asymptotic_match,
+    build_solution,
     find_arm,
     kp_residual,
     limit_convergence,
@@ -24,9 +27,10 @@ from kpii_stem import (
     trajectory_line,
     u_on_grid,
 )
-from kpii_stem.errors import RidgeNotFoundError, UnsupportedCaseError
+from kpii_stem.errors import AnchorNotFoundError, RidgeNotFoundError, UnsupportedCaseError
 from kpii_stem.geometry import normalize_line
 from kpii_stem.verify import _limit_shift, section_anchor
+from test_catalog import RESONANT_CASES, draw_params
 
 
 def test_residual_zero_solution():
@@ -172,6 +176,63 @@ def test_section_anchor_keeps_distance(solutions):
                  for s in (e.lo, e.hi) if math.isfinite(s)]
         dmin = min(math.hypot(anchor[0] - v[0], anchor[1] - v[1]) for v in verts)
         assert dmin >= 10.0 * 0.999
+
+
+def _term_exponents(sol, x, y, t):
+    """K and psi = K x + P y + W t + s0 + ln c of each positive term, psi
+    with one row per term and one column per point."""
+    rows = [(*sol.exponent_of(eps), math.log(c)) for eps, c in sol.template if c > 0]
+    K = np.array([r[0] for r in rows])
+    psi = np.array([Kc * x + Pc * y + Wc * t + s0 + lnc for Kc, Pc, Wc, s0, lnc in rows])
+    return K, psi
+
+
+def test_section_anchor_square_clears_other_terms(solutions):
+    """Brute force over a 41 x 41 grid on each anchor's square: every other
+    positive term sits need_c = ln(2 n_o Delta_c^2 / 1e-4) below the larger of
+    the arm's two terms m, n, Delta_c^2 = max((K_c - K_m)^2, (K_c - K_n)^2)."""
+    h = np.linspace(-12.0, 12.0, 41)
+    u, v = (g.ravel() for g in np.meshgrid(h, h))
+    for name, sol in solutions.items():
+        cat = arm_catalog(sol)
+        for side, t in (("before", -20.0), ("after", 20.0)):
+            for _, arm in getattr(cat, side):
+                ax, ay = section_anchor(sol, arm, t)
+                # the anchor lies on the boundary of the arm's two terms
+                _, at = _term_exponents(sol, np.array([ax]), np.array([ay]), t)
+                n, m = np.argsort(at[:, 0])[-2:]
+                assert abs(at[m, 0] - at[n, 0]) <= 1e-9 * (1 + abs(at[m, 0]))
+                A, B, _ = normalize_line(arm.line_coeffs(t))
+                K, psi = _term_exponents(sol, ax + u * A - v * B, ay + u * B + v * A, t)
+                top = np.maximum(psi[m], psi[n])
+                others = [c for c in range(len(K)) if c not in (m, n)]
+                for c in others:
+                    d2 = max((K[c] - K[m]) ** 2, (K[c] - K[n]) ** 2)
+                    need = math.log(2.0 * len(others) * d2 / 1e-4)
+                    gap = float((top - psi[c]).min())
+                    assert gap >= need - 1e-9, (name, side, arm.label_str(), c, gap, need)
+
+
+def test_section_anchors_on_seeded_draws_are_clean():
+    """On 192 seeded admissible draws, every section anchor placed at
+    |t| = 20 gives a section within 1e-3 of the arm profile.  27 of the 1536
+    arm sections are refused."""
+    rng = np.random.default_rng(17)
+    refused = 0
+    for case in RESONANT_CASES:
+        for branch in Branch:
+            for _ in range(12):
+                sol = build_solution(draw_params(rng, case, branch), CaseSpec(case, branch))
+                cat = arm_catalog(sol)
+                for side, t in (("before", -20.0), ("after", 20.0)):
+                    for _, arm in getattr(cat, side):
+                        try:
+                            dev = asymptotic_match(sol, arm, t)
+                        except AnchorNotFoundError:
+                            refused += 1
+                            continue
+                        assert dev < 1e-3, (case, branch, side, arm.label_str(), dev)
+    assert refused <= 27
 
 
 def test_anchor_queries_build_skeleton_once(solutions, monkeypatch):
