@@ -13,6 +13,13 @@ and its endpoints are triple points of the skeleton.  The same endpoints are
 also evaluated through closed-form coefficient tables (derived offline in
 exact arithmetic, see tools/generate_closed_forms.py); the two paths are
 cross-checked on every call.
+
+The generated module defines each distinct coefficient expression once as a
+function of (k1, k2, k3, p3); VERTEX[case][junction] is the tuple
+(xt, xL, yt, yL) of such functions and SEGMENT[case][(edge, ends)] the tuple
+(st, sL, g).  Only the stem queries read the tables, so they are imported on
+first use, and an entry's coefficients, which do not depend on t, are
+evaluated once per solution.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ from itertools import combinations
 
 import numpy as np
 
-from . import _closed_forms
 from .catalog import Branch, Case, ResonantSolution
 from .errors import (
     DegenerateLineError,
@@ -154,9 +160,10 @@ class Edge:
 class _Record:
     """The t-independent state of one solution, built once: per positive term
     (index, K, P, W, xi0-part, ln c), the term index of each exponent vector,
-    the pair arms as _arm_from_terms builds them, and the arm catalog."""
+    the pair arms as _arm_from_terms builds them, the arm catalog, and the
+    evaluated closed-form table entries."""
 
-    __slots__ = ("planes", "index", "arms", "catalog")
+    __slots__ = ("planes", "index", "arms", "catalog", "closed_forms")
 
     def __init__(self, sol: ResonantSolution):
         self.planes = tuple((idx, *sol.exponent_of(eps), math.log(coeff))
@@ -165,6 +172,7 @@ class _Record:
         self.index = {eps: i for i, (eps, _) in enumerate(sol.template)}
         self.arms: dict[tuple[int, int], ArmDescriptor] = {}
         self.catalog: AsymptoticCatalog | None = None
+        self.closed_forms: dict[tuple[str, object], tuple[float, ...]] = {}
 
 
 # one record per solution, freed together with it (it holds no reference back)
@@ -439,6 +447,20 @@ def _closed_form_args(sol: ResonantSolution):
     return k1, k2, k3, -p3 if sol.spec.branch is Branch.SECOND else p3
 
 
+def _closed_form(sol: ResonantSolution, table: str, key, args) -> tuple[float, ...]:
+    """The coefficients of one VERTEX or SEGMENT entry at args, evaluated once
+    per solution."""
+    rec = _record(sol)
+    coeffs = rec.closed_forms.get((table, key))
+    if coeffs is None:
+        # imported here, on the first stem query, so that start-up without a
+        # bytecode cache does not compile the tables
+        from . import _closed_forms
+        entry = getattr(_closed_forms, table)[sol.spec.case.value][key]
+        coeffs = rec.closed_forms[(table, key)] = tuple(f(*args) for f in entry)
+    return coeffs
+
+
 # Midpoint budget: u = 2 Var_w(K) over the term weights w_m ~ c_m exp(E_m).
 # Moving every exponent E_m by at most d moves Var_w(K) by at most
 # d sum_m w_m |(K_m - mean)^2 - Var| <= 2 d Var, so u by at most 2 d u.  tau
@@ -468,7 +490,6 @@ def stem_endpoints(sol: ResonantSolution, t: float, t_min: float = 3.0) -> StemR
         raise UnsupportedCaseError("stem endpoints require a resonant case")
     _, junctions = stem_side(sol, t)
     args = _closed_form_args(sol)
-    table = _closed_forms.VERTEX[sol.spec.case.value]
     pts, mismatch = [], None
     for junction in junctions:
         pair = max(combinations(junction_lines(sol, junction, t), 2),
@@ -477,7 +498,7 @@ def stem_endpoints(sol: ResonantSolution, t: float, t_min: float = 3.0) -> StemR
         if geo is PARALLEL:
             raise DegenerateLineError(f"junction lines are parallel: {junction}")
         if args is not None:
-            xt, xL, yt, yL = table[junction](*args)
+            xt, xL, yt, yL = _closed_form(sol, "VERTEX", junction, args)
             x, y = xt * t + xL * sol.log_a12, yt * t + yL * sol.log_a12
             closed = (x, -y) if sol.spec.branch is Branch.SECOND else (x, y)
             err = math.hypot(geo[0] - closed[0], geo[1] - closed[1])
@@ -511,7 +532,7 @@ def stem_length_formula(sol: ResonantSolution, t: float) -> float:
     ja, jb = (set(j) for j in stem_side(sol, t)[1])
     # the stem is the edge both junctions share, ended by the other two terms
     key = (tuple(sorted(ja & jb)), tuple(sorted(ja ^ jb)))
-    st, sL, g = _closed_forms.SEGMENT[sol.spec.case.value][key](*args)
+    st, sL, g = _closed_form(sol, "SEGMENT", key, args)
     return abs(st * t + sL * sol.log_a12) * math.sqrt(g)
 
 

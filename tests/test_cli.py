@@ -198,6 +198,26 @@ def test_verify_refused_anchor_keeps_report(tmp_path, suite, n_checks):
     assert all(isinstance(c["measured"], float) for c in doc["checks"] if c not in refused)
 
 
+def test_verify_inadmissible_limit_family_keeps_report(tmp_path):
+    # no perturbation of this draw keeps a_ij admissible at magnitude 1e3
+    path = tmp_path / "c2_1.json"
+    path.write_text(json.dumps({
+        "case": "c2_1", "branch": "first",
+        "k": [-1.7228282133524533, 1.4063007297135197, 1.771906511241144],
+        "p3": -1.5151554207086688}))
+    res = run_cli("verify", "--scenario", str(path))
+    assert res.returncode == 1
+    assert res.stderr == b""
+    doc = json.loads(res.stdout)
+    assert doc["passed"] is False
+    limits = [c for c in doc["checks"] if c["check"].startswith("limit")]
+    assert limits == [{"check": "limit_ladder_end", "measured": None, "tolerance": 1e-4,
+                       "pass": False,
+                       "note": "no admissible perturbation at magnitude 1000.0 for c2_1"}]
+    suites = {c["check"].split("_")[0] for c in doc["checks"]}
+    assert suites == {"field", "limit", "asymptotic", "ridge"}
+
+
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
 def test_verify_default_suite_reports_json(name):
     res = run_cli("verify", "--scenario", str(SCENARIOS / name))

@@ -10,6 +10,8 @@ REPO = Path(__file__).resolve().parent.parent
 ALLOWED = {
     # the generated closed-form tables have one reader
     ("geometry", "_closed_forms"),
+    # ... and their layout and per-solution evaluation are checked directly
+    ("tests", "_closed_forms"),
     # the tau kernel's weights, checked against references
     ("tests", "tau._scaled_weights"),
     # the scenario echo that `sample` writes, rebuilt by the byte reference

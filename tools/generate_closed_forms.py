@@ -16,6 +16,14 @@ in t and L with coefficients that are rational in (k1, k2, k3, p3).  A
 boundary segment between two junctions that share the pair {m, n} has length
 |s_t * t + s_L * L| * sqrt(g), all three factors rational in the parameters.
 
+The generated module defines each distinct expression once, as a function
+_eN(k1, k2, k3, p3) returning it (of 656 table coefficients 282 differ).
+VERTEX[case][key] is the tuple (xt, xL, yt, yL) of such functions and
+SEGMENT[case][key] the tuple (st, sL, g).  Keys spell each exponent vector
+(a, b, c) by the module-level name _abc, which compiles to less than a tuple
+literal.  Only the stem queries read the tables, and kpii_stem.geometry
+imports the module on the first of them.
+
 The case tables (constraint pairs and tau templates) are read from
 kpii_stem.catalog, so the package under src/ must be importable.  The second
 constraint branch never needs its own table: it is the mirror image y -> -y
@@ -111,6 +119,17 @@ def edge_length(terms, edge, ra, rb, points):
     return sp.factor(st), sp.factor(sL), gsq
 
 
+def _vector_name(eps):
+    return "_" + "".join(map(str, eps))
+
+
+def _key_source(key):
+    """Source text of a table key, with its exponent vectors by name."""
+    if all(isinstance(v, int) for v in key):
+        return _vector_name(key)
+    return "(" + ", ".join(map(_key_source, key)) + ")"
+
+
 def main():
     out = Path(__file__).resolve().parents[1] / "src" / "kpii_stem" / "_closed_forms.py"
     lines = [
@@ -118,20 +137,24 @@ def main():
         "",
         "Generated by tools/generate_closed_forms.py; do not edit by hand.",
         "",
-        "VERTEX[case][key](k1, k2, k3, p3) -> (xt, xL, yt, yL): the meeting point",
-        "of the three tau-function terms named by `key` sits at",
+        "Each _eN(k1, k2, k3, p3) evaluates one distinct coefficient expression.",
+        "VERTEX[case][key] = (xt, xL, yt, yL), four such functions: the meeting",
+        "point of the three tau-function terms named by `key` sits at",
         "(xt*t + xL*log_a12, yt*t + yL*log_a12) for the first constraint branch",
-        "with zero phase constants.  SEGMENT[case][(edge, ends)] -> (st, sL, g):",
+        "with zero phase constants.  SEGMENT[case][(edge, ends)] = (st, sL, g):",
         "the separation of the two junctions flanking `edge` has length",
         "|st*t + sL*log_a12| * sqrt(g).  Keys are sorted tuples of term",
-        "exponent vectors over (xi1, xi2, xi3).",
+        "exponent vectors over (xi1, xi2, xi3); _abc names the vector (a, b, c).",
         '"""',
         "",
     ]
+    exprs = {}          # expression text -> function name, in order of first use
+
+    def names(*coeffs):
+        return tuple(exprs.setdefault(sp.pycode(e), f"_e{len(exprs)}") for e in coeffs)
+
     vertex_entries = {}
     segment_entries = {}
-    fn_lines = []
-    fn_count = 0
     for case, (cons, spec_terms) in CASES.items():
         terms = [term_data(cons, eps, lam) for eps, lam in spec_terms]
         eps_list = [eps for eps, _ in spec_terms]
@@ -141,18 +164,10 @@ def main():
             pt = junction_point(terms, tri)
             if pt is None:
                 continue
-            key = frozenset(tri)
-            points[key] = pt
+            points[frozenset(tri)] = pt
             (xt, xL), (yt, yL) = pt
-            fname = f"_v{fn_count}"
-            fn_count += 1
-            fn_lines.append(f"def {fname}(k1, k2, k3, p3):")
-            for nm, e in (("xt", xt), ("xL", xL), ("yt", yt), ("yL", yL)):
-                fn_lines.append(f"    {nm} = {sp.pycode(e)}")
-            fn_lines.append("    return (xt, xL, yt, yL)")
-            fn_lines.append("")
             vkey = tuple(sorted(eps_list[i] for i in tri))
-            vertex_entries[case][vkey] = fname
+            vertex_entries[case][vkey] = names(xt, xL, yt, yL)
         segment_entries[case] = {}
         for edge in itertools.combinations(range(len(terms)), 2):
             rest = [r for r in range(len(terms)) if r not in edge]
@@ -160,37 +175,27 @@ def main():
                 res = edge_length(terms, edge, ra, rb, points)
                 if res is None:
                     continue
-                st, sL, gsq = res
-                fname = f"_s{fn_count}"
-                fn_count += 1
-                fn_lines.append(f"def {fname}(k1, k2, k3, p3):")
-                for nm, e in (("st", st), ("sL", sL), ("g", gsq)):
-                    fn_lines.append(f"    {nm} = {sp.pycode(e)}")
-                fn_lines.append("    return (st, sL, g)")
-                fn_lines.append("")
                 ekey = tuple(sorted((eps_list[edge[0]], eps_list[edge[1]])))
                 endkey = tuple(sorted((eps_list[ra], eps_list[rb])))
-                segment_entries[case][(ekey, endkey)] = fname
+                segment_entries[case][(ekey, endkey)] = names(*res)
         print(f"{case}: {len(vertex_entries[case])} vertices, "
               f"{len(segment_entries[case])} segments", file=sys.stderr)
 
-    lines.extend(fn_lines)
-    lines.append("VERTEX = {")
-    for case, entries in vertex_entries.items():
-        lines.append(f"    {case!r}: {{")
-        for key, fname in entries.items():
-            lines.append(f"        {key!r}: {fname},")
-        lines.append("    },")
-    lines.append("}")
+    for code, fname in exprs.items():
+        lines.extend((f"def {fname}(k1, k2, k3, p3):", f"    return {code}", ""))
+    # a named vector compiles to one load, a literal one to four nodes
+    vectors = sorted({eps for _, terms in CASES.values() for eps, _ in terms})
+    lines.extend(f"{_vector_name(eps)} = {eps!r}" for eps in vectors)
     lines.append("")
-    lines.append("SEGMENT = {")
-    for case, entries in segment_entries.items():
-        lines.append(f"    {case!r}: {{")
-        for key, fname in entries.items():
-            lines.append(f"        {key!r}: {fname},")
-        lines.append("    },")
-    lines.append("}")
-    lines.append("")
+    for table, entries_by_case in (("VERTEX", vertex_entries), ("SEGMENT", segment_entries)):
+        lines.append(f"{table} = {{")
+        for case, entries in entries_by_case.items():
+            lines.append(f"    {case!r}: {{")
+            for key, fnames in entries.items():
+                lines.append(f"        {_key_source(key)}: ({', '.join(fnames)}),")
+            lines.append("    },")
+        lines.append("}")
+        lines.append("")
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("\n".join(lines))
     print(f"wrote {out}", file=sys.stderr)
