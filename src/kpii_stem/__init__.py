@@ -46,7 +46,7 @@ from .geometry import (
     trajectory_line,
     velocity_table,
 )
-from .tau import ExpSumTau, ExpTerm, FieldSample, eval_partials, eval_tau, eval_u, log_eval_tau, u_on_grid
+from .tau import ExpSumTau, ExpTerm, u_on_grid, u_partials
 from .verify import (
     ResidualReport,
     RidgeTrace,

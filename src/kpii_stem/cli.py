@@ -242,35 +242,38 @@ def cmd_sample(args) -> int:
     sol = sc.build()
     t = _parse_finite(args.t, "t")
     xmin, xmax, nx, ymin, ymax, ny = _parse_grid(args.grid)
-    try:
-        xs, ys = np.linspace(xmin, xmax, nx), np.linspace(ymin, ymax, ny)
-    except _UNSIZABLE as exc:
-        raise ScenarioError(f"grid of {nx} x {ny} points is too large") from exc
-    rows = -(-_BLOCK_POINTS // ny)
-    blocks = ((xs[i:i + rows], u_on_grid(sol.tau, xs[i:i + rows, None], ys, t))
-              for i in range(0, nx, rows))
-    with _open_output(args.out) as fh:
-        if args.format == "csv":
-            fh.write(f"# kpii-stem v{__version__} case={sc.case} t={t!r}\n")
-            fh.write("x,y,u\n")
-            mids = [f",{y!r}," for y in ys.tolist()]
-            for xb, ub in blocks:
-                for x, urow in zip(xb.tolist(), ub.tolist()):
-                    xr = repr(x)
-                    fh.write("".join([f"{xr}{m}{u!r}\n" for m, u in zip(mids, urow)]))
-        else:
-            # the header as json.dumps(indent=2) lays it out, with "values"
-            # last; each block's values go through the C encoder, one per line
-            head, tail = json.dumps(
-                {"version": __version__, "scenario": _scenario_echo(sc), "t": t,
-                 "x_range": [xmin, xmax, nx], "y_range": [ymin, ymax, ny],
-                 "values": []}, indent=2).rsplit("[]", 1)
-            sep = head + "[\n    "
-            for _, ub in blocks:
-                fh.write(sep + json.dumps(ub.ravel().tolist())[1:-1]
-                         .replace(", ", ",\n    "))
-                sep = ",\n    "
-            fh.write("\n  ]" + tail + "\n")
+    # a finite grid or t can still overflow (linspace's step, the tau
+    # exponents); those points print as nan or inf, without numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            xs, ys = np.linspace(xmin, xmax, nx), np.linspace(ymin, ymax, ny)
+        except _UNSIZABLE as exc:
+            raise ScenarioError(f"grid of {nx} x {ny} points is too large") from exc
+        rows = -(-_BLOCK_POINTS // ny)
+        blocks = ((xs[i:i + rows], u_on_grid(sol.tau, xs[i:i + rows, None], ys, t))
+                  for i in range(0, nx, rows))
+        with _open_output(args.out) as fh:
+            if args.format == "csv":
+                fh.write(f"# kpii-stem v{__version__} case={sc.case} t={t!r}\n")
+                fh.write("x,y,u\n")
+                mids = [f",{y!r}," for y in ys.tolist()]
+                for xb, ub in blocks:
+                    for x, urow in zip(xb.tolist(), ub.tolist()):
+                        xr = repr(x)
+                        fh.write("".join([f"{xr}{m}{u!r}\n" for m, u in zip(mids, urow)]))
+            else:
+                # the header as json.dumps(indent=2) lays it out, with "values"
+                # last; each block's values go through the C encoder, one per line
+                head, tail = json.dumps(
+                    {"version": __version__, "scenario": _scenario_echo(sc), "t": t,
+                     "x_range": [xmin, xmax, nx], "y_range": [ymin, ymax, ny],
+                     "values": []}, indent=2).rsplit("[]", 1)
+                sep = head + "[\n    "
+                for _, ub in blocks:
+                    fh.write(sep + json.dumps(ub.ravel().tolist())[1:-1]
+                             .replace(", ", ",\n    "))
+                    sep = ",\n    "
+                fh.write("\n  ]" + tail + "\n")
     return EXIT_OK
 
 

@@ -12,11 +12,16 @@ Derivatives of ln f are recovered from the moments through the standard
 moment/cumulant recursion, which keeps every partial of u exact to rounding
 (no finite differencing anywhere in the production path).
 
+u_partials is the one evaluation path; u_on_grid is its form for u alone.
+Both take broadcastable coordinate arrays, and a point whose exponents are not
+finite (a NaN or infinite coordinate, or one large enough to overflow) gives
+NaN.
+
 Nothing that is independent of the evaluation point is rebuilt per call.  An
 ExpSumTau holds its term columns (coeff, kx, py, wt, phase) as read-only
-arrays built at construction, beside the merge of duplicate exponents.  The
-moment lattice and the cumulant recursion's steps depend only on the tuple of
-requested multi-indices, a finite set, and are built once per tuple (_plan).
+arrays built at construction.  The moment lattice and the cumulant recursion's
+steps depend only on the tuple of requested multi-indices, a finite set, and
+are built once per tuple (_plan), which also checks the supported orders.
 """
 
 from __future__ import annotations
@@ -59,57 +64,24 @@ class ExpTerm:
 class ExpSumTau:
     """Immutable exponential sum with at least one strictly positive term.
 
-    Terms sharing an exponent direction (kx, py, wt) are merged at
-    construction; the merged coefficient absorbs the phase offsets.
+    The terms are kept as given: two terms on one exponent direction (kx, py,
+    wt) stay two rows, which gives the u of their merged form to rounding.
     """
 
     terms: tuple[ExpTerm, ...]
-    # (coeff, kx, py, wt, phase) of the merged terms: read-only contiguous rows
+    # (coeff, kx, py, wt, phase) of the terms: read-only contiguous rows
     columns: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.terms:
-            raise DomainError("tau requires at least one term")
-        merged = _merge_terms(self.terms)
-        if not any(t.coeff > 0 for t in merged):
+        if not any(t.coeff > 0 for t in self.terms):
             raise DomainError("tau requires at least one positive coefficient")
-        object.__setattr__(self, "terms", merged)
-        table = np.array([(t.coeff, t.kx, t.py, t.wt, t.phase) for t in merged],
+        table = np.array([(t.coeff, t.kx, t.py, t.wt, t.phase) for t in self.terms],
                          dtype=float).T.copy()
         table.flags.writeable = False
         object.__setattr__(self, "columns", tuple(table))
 
     def __len__(self):
         return len(self.terms)
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """Value of u at a point, optionally with requested partial derivatives."""
-
-    u: float
-    partials: Mapping[MultiIndex, float] | None = None
-
-
-def _merge_terms(terms: Sequence[ExpTerm]) -> tuple[ExpTerm, ...]:
-    groups: dict[tuple[float, float, float], list[ExpTerm]] = {}
-    order: list[tuple[float, float, float]] = []
-    for term in terms:
-        key = (term.kx, term.py, term.wt)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(term)
-    out = []
-    for key in order:
-        group = groups[key]
-        if len(group) == 1:
-            out.append(group[0])
-            continue
-        pmax = max(t.phase for t in group)
-        coeff = sum(t.coeff * math.exp(t.phase - pmax) for t in group)
-        out.append(ExpTerm(coeff, *key, phase=pmax))
-    return tuple(out)
 
 
 def _scaled_weights(tau: ExpSumTau, x, y, t):
@@ -153,8 +125,15 @@ def _plan(indices: tuple[MultiIndex, ...]):
                              mu_{alpha' - gamma} c_{gamma + e_i}
 
     for alpha = alpha' + e_i (i the first active axis) as (alpha, ((C,
-    alpha' - gamma, gamma + e_i), ...)).  mu_0 = 1 is never read.
+    alpha' - gamma, gamma + e_i), ...)).  mu_0 = 1 is never read.  An index
+    outside the supported orders raises UnsupportedDerivativeError.
     """
+    for ax, ay, at in indices:
+        if not (0 <= ax <= _MAX_X and 0 <= ay <= _MAX_Y and 0 <= at <= _MAX_T
+                and ax + ay + at <= _MAX_TOTAL):
+            raise UnsupportedDerivativeError(
+                f"multi-index {(ax, ay, at)} outside supported range "
+                f"(x<={_MAX_X}, y<={_MAX_Y}, t<={_MAX_T}, total<={_MAX_TOTAL})")
     lattice = _down_closed((ax + 2, ay, at) for ax, ay, at in indices)
     betas = [b for b in lattice if any(b)]
     steps = []
@@ -193,62 +172,6 @@ def u_partials(tau: ExpSumTau, x, y, t, indices: Sequence[MultiIndex]):
     # the moments are freed before the partials are formed
     cum = _cumulants(_moments(tau, x, y, t, betas), steps)
     return {idx: 2.0 * cum[(idx[0] + 2, idx[1], idx[2])] for idx in indices}
-
-
-def _check_point(point) -> tuple[float, float, float]:
-    x, y, t = point
-    if not all(math.isfinite(v) for v in (x, y, t)):
-        raise DomainError(f"non-finite evaluation point: {point}")
-    return float(x), float(y), float(t)
-
-
-def _check_index(idx: MultiIndex) -> MultiIndex:
-    ax, ay, at = idx
-    ok = (0 <= ax <= _MAX_X and 0 <= ay <= _MAX_Y and 0 <= at <= _MAX_T
-          and ax + ay + at <= _MAX_TOTAL)
-    if not ok:
-        raise UnsupportedDerivativeError(
-            f"multi-index {idx} outside supported range "
-            f"(x<={_MAX_X}, y<={_MAX_Y}, t<={_MAX_T}, total<={_MAX_TOTAL})")
-    return (int(ax), int(ay), int(at))
-
-
-def eval_tau(tau: ExpSumTau, point) -> float:
-    """f(x, y, t); returns inf when the true value overflows a double."""
-    x, y, t = _check_point(point)
-    r, M, _ = _scaled_weights(tau, x, y, t)
-    with np.errstate(over="ignore"):
-        return float(r.sum(axis=0) * np.exp(M))
-
-
-def log_eval_tau(tau: ExpSumTau, point) -> float:
-    """ln f(x, y, t) via max-exponent rescaling (always finite)."""
-    x, y, t = _check_point(point)
-    r, M, _ = _scaled_weights(tau, x, y, t)
-    return float(M + np.log(r.sum(axis=0)))
-
-
-def eval_u(tau: ExpSumTau, point) -> FieldSample:
-    """u = 2 (ln f)_xx = 2 (f f_xx - f_x^2)/f^2, exact up to rounding."""
-    x, y, t = _check_point(point)
-    vals = u_partials(tau, x, y, t, [(0, 0, 0)])
-    return FieldSample(u=float(vals[(0, 0, 0)]))
-
-
-def eval_partials(tau: ExpSumTau, point, multi_indices) -> FieldSample:
-    """u and the requested partial derivatives d^(ax,ay,at) u.
-
-    Every derivative is an exact closed form: each derivative of f is again an
-    exponential sum, and derivatives of ln f follow from the moment/cumulant
-    recursion.
-    """
-    x, y, t = _check_point(point)
-    idxs = sorted({_check_index(i) for i in multi_indices})
-    vals = u_partials(tau, x, y, t, [(0, 0, 0)] + idxs)
-    return FieldSample(
-        u=float(vals[(0, 0, 0)]),
-        partials={i: float(vals[i]) for i in idxs},
-    )
 
 
 def u_on_grid(tau: ExpSumTau, x, y, t) -> np.ndarray:

@@ -60,8 +60,9 @@ def kp_residual(sol, points, tol: float = 1e-8) -> ResidualReport:
     res = (d[(1, 0, 1)] + 6.0 * d[(1, 0, 0)] ** 2 + 6.0 * u * d[(2, 0, 0)]
            + d[(4, 0, 0)] + 3.0 * d[(0, 2, 0)])
     absres = np.abs(res)
+    # a NaN residual (overflowed exponents) counts as exceeding tol
     bad = [(float(x[i]), float(y[i]), float(t[i]), float(res[i]))
-           for i in np.nonzero(absres > tol)[0]]
+           for i in np.nonzero(~(absres <= tol))[0]]
     return ResidualReport(max_abs_residual=float(absres.max()),
                           n_points=len(x), points_exceeding_tol=tuple(bad))
 

@@ -369,6 +369,24 @@ def test_sample_bytes_match_per_point_reference(tmp_path, case, fmt):
         assert any(v != v for v in values)
 
 
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("t,grid", [
+    (1e308, (-1.0, 1.0, 3, -1.0, 1.0, 2)),              # every u is nan
+    (0.0, (-1.7e308, 1.7e308, 3, -1.0, 1.0, 2)),        # linspace overflows
+], ids=["t", "grid"])
+def test_sample_overflow_is_silent(tmp_path, t, grid, fmt):
+    # finite inputs whose arithmetic overflows print nan/inf values, exit 0
+    # and write nothing to stderr
+    out = tmp_path / f"sample.{fmt}"
+    scenario = str(SCENARIOS / "c2_1.json")
+    res = run_cli("sample", "--scenario", scenario, f"--t={t!r}",
+                  "--grid=" + ",".join(repr(v) for v in grid), "--out", str(out),
+                  "--format", fmt)
+    assert (res.returncode, res.stderr) == (0, b"")
+    assert out.read_bytes() == _sample_reference(scenario, t, grid, fmt)
+
 def _run_in_process(capsys, *argv):
     """Exit code and stderr of the CLI; an uncaught exception fails the test."""
     from kpii_stem.cli import main

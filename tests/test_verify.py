@@ -83,6 +83,15 @@ def test_residual_reports_offenders():
     assert len(rep.points_exceeding_tol) == 1
 
 
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_residual_counts_nan_as_exceeding(solutions):
+    # x = -1e308 is finite, but the tau exponents overflow there
+    rep = kp_residual(solutions["c2_1"], [(-1e308, 0.0, 0.0), (0.0, 0.0, 0.0)])
+    assert math.isnan(rep.max_abs_residual)
+    ((x, y, t, res),) = rep.points_exceeding_tol
+    assert (x, y, t) == (-1e308, 0.0, 0.0) and math.isnan(res)
+
 def _ladder_points(rng):
     return np.column_stack([rng.uniform(-1.25, 1.25, 200),
                             rng.uniform(-1.25, 1.25, 200),
