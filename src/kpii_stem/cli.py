@@ -41,7 +41,7 @@ from .geometry import (
     trajectory_line,
     velocity_table,
 )
-from .tau import u_on_grid
+from .tau import BLOCK_POINTS, u_on_grid
 from .verify import (asymptotic_match, kp_residual, limit_convergence,
                      ridge_trace, section_anchor)
 
@@ -232,10 +232,6 @@ def _parse_grid(spec: str):
 # numpy's refusals to size a sample count (IndexError from 2**63 - 1 to 1e19)
 _UNSIZABLE = (ValueError, IndexError, MemoryError)
 
-# `sample` evaluates and writes whole x-rows in blocks of at least this many
-# points, so its memory is bounded by one block whatever the grid size.
-_BLOCK_POINTS = 16384
-
 
 def cmd_sample(args) -> int:
     sc = load_scenario(args.scenario)
@@ -249,7 +245,10 @@ def cmd_sample(args) -> int:
             xs, ys = np.linspace(xmin, xmax, nx), np.linspace(ymin, ymax, ny)
         except _UNSIZABLE as exc:
             raise ScenarioError(f"grid of {nx} x {ny} points is too large") from exc
-        rows = -(-_BLOCK_POINTS // ny)
+        # whole x-rows, four evaluation blocks per call and write (a block is
+        # one row where a row is longer), so memory is bounded by four blocks
+        # whatever the grid size
+        rows = 4 * max(1, BLOCK_POINTS // ny)
         blocks = ((xs[i:i + rows], u_on_grid(sol.tau, xs[i:i + rows, None], ys, t))
                   for i in range(0, nx, rows))
         with _open_output(args.out) as fh:

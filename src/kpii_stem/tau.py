@@ -17,6 +17,16 @@ Both take broadcastable coordinate arrays, and a point whose exponents are not
 finite (a NaN or infinite coordinate, or one large enough to overflow) gives
 NaN.
 
+An input of more than BLOCK_POINTS points is evaluated in blocks of whole rows
+along the leading axis of its broadcast shape, each written into a
+preallocated result, so the kernel's transient memory is that of one block (of
+at most BLOCK_POINTS + 1 points, or one row where a row is longer) whatever
+the point count.  The blocks give the bits of one-array evaluation: every
+per-point operation is elementwise, and the sums over terms run row by row for
+any block of two or more points.  A block of one point would sum like a scalar
+call (see u_on_grid), so a one-point remainder joins the block before it.
+Within a block each moment and cumulant is dropped after its last read.
+
 Nothing that is independent of the evaluation point is rebuilt per call.  An
 ExpSumTau holds its term columns (coeff, kx, py, wt, phase) as read-only
 arrays built at construction.  The moment lattice and the cumulant recursion's
@@ -30,7 +40,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -40,6 +50,9 @@ MultiIndex = tuple[int, int, int]
 
 # supported u-derivative orders: total <= 4 with x <= 4, y <= 2, t <= 1
 _MAX_X, _MAX_Y, _MAX_T, _MAX_TOTAL = 4, 2, 1, 4
+
+# points per evaluation block; also sizes the row blocks of `kpii-stem sample`
+BLOCK_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -85,9 +98,8 @@ class ExpSumTau:
 
 
 def _scaled_weights(tau: ExpSumTau, x, y, t):
-    """Return (r, M, cols): r_m = c_m exp(E_m - M), M = max E_m, and tau's
-    kx, py, wt columns indexed to broadcast against r."""
-    x, y, t = np.asarray(x, float), np.asarray(y, float), np.asarray(t, float)
+    """Return (r, M, cols) at float arrays x, y, t: r_m = c_m exp(E_m - M),
+    M = max E_m, and tau's kx, py, wt columns indexed to broadcast against r."""
     lead = (slice(None),) + (None,) * max(x.ndim, y.ndim, t.ndim)
     coeff, kx, py, wt, phase = (col[lead] for col in tau.columns)
     expo = kx * x + py * y + wt * t + phase
@@ -125,8 +137,10 @@ def _plan(indices: tuple[MultiIndex, ...]):
                              mu_{alpha' - gamma} c_{gamma + e_i}
 
     for alpha = alpha' + e_i (i the first active axis) as (alpha, ((C,
-    alpha' - gamma, gamma + e_i), ...)).  mu_0 = 1 is never read.  An index
-    outside the supported orders raises UnsupportedDerivativeError.
+    alpha' - gamma, gamma + e_i), ...), moments done, cumulants done): the
+    last two name the moments and cumulants that no later step reads, except
+    the cumulants behind the requested indices.  mu_0 = 1 is never read.  An
+    index outside the supported orders raises UnsupportedDerivativeError.
     """
     for ax, ay, at in indices:
         if not (0 <= ax <= _MAX_X and 0 <= ay <= _MAX_Y and 0 <= at <= _MAX_T
@@ -152,30 +166,92 @@ def _plan(indices: tuple[MultiIndex, ...]):
                     terms.append((comb, (ap[0] - gx, ap[1] - gy, ap[2] - gt),
                                   (gx + e[0], gy + e[1], gt + e[2])))
         steps.append((alpha, tuple(terms)))
+    # the step of each moment's and cumulant's last read
+    last_mu, last_cum = {}, {}
+    for k, (alpha, terms) in enumerate(steps):
+        last_mu[alpha] = last_cum[alpha] = k
+        for _, rest, gplus in terms:
+            last_mu[rest] = last_cum[gplus] = k
+    kept = {(ax + 2, ay, at) for ax, ay, at in indices}
+    steps = [(alpha, terms,
+              tuple(b for b, j in last_mu.items() if j == k),
+              tuple(g for g, j in last_cum.items() if j == k and g not in kept))
+             for k, (alpha, terms) in enumerate(steps)]
     return tuple(betas), tuple(steps)
 
 
-def _cumulants(moments: Mapping[MultiIndex, np.ndarray], steps):
-    """Derivatives of ln f from moments of f, by _plan's recursion steps."""
+def _cumulants(moments: dict[MultiIndex, np.ndarray], steps):
+    """Derivatives of ln f from moments of f, by _plan's recursion steps.
+
+    Consumes moments; of the cumulants only those behind the requested
+    indices are returned."""
     cum: dict[MultiIndex, np.ndarray] = {}
-    for alpha, terms in steps:
+    for alpha, terms, mu_done, cum_done in steps:
         acc = moments[alpha]
         for comb, rest, gplus in terms:
             acc = acc - comb * moments[rest] * cum[gplus]
         cum[alpha] = acc
+        for beta in mu_done:
+            del moments[beta]
+        for gamma in cum_done:
+            del cum[gamma]
     return cum
 
 
-def u_partials(tau: ExpSumTau, x, y, t, indices: Sequence[MultiIndex]):
-    """Array-valued partials of u; index (0,0,0) is u itself."""
-    betas, steps = _plan(tuple(indices))
-    # the moments are freed before the partials are formed
+def _block(tau: ExpSumTau, x, y, t, indices, plan):
+    """The partials at indices over the points of x, y, t as one array."""
+    betas, steps = plan
     cum = _cumulants(_moments(tau, x, y, t, betas), steps)
     return {idx: 2.0 * cum[(idx[0] + 2, idx[1], idx[2])] for idx in indices}
 
 
+def _blocked(tau: ExpSumTau, x, y, t, indices, plan):
+    """_block over whole rows of the leading broadcast axis, at most
+    BLOCK_POINTS points (or one row) per block, never a one-point block."""
+    shape = np.broadcast_shapes(x.shape, y.shape, t.shape)
+    rows, row = shape[0], math.prod(shape[1:])
+    starts = list(range(0, rows, max(1, BLOCK_POINTS // row)))
+    if row == 1 and len(starts) > 1 and rows - starts[-1] == 1:
+        starts.pop()
+    if len(starts) == 1:
+        return _block(tau, x, y, t, indices, plan)
+    # leading axes of length 1 added in place of broadcasting: views, no copies
+    x, y, t = (a.reshape((1,) * (len(shape) - a.ndim) + a.shape) for a in (x, y, t))
+    out = {idx: np.empty(shape) for idx in indices}
+    for lo, hi in zip(starts, starts[1:] + [rows]):
+        part = _block(tau, *(a if len(a) == 1 else a[lo:hi] for a in (x, y, t)),
+                      indices, plan)
+        for idx, vals in part.items():
+            out[idx][lo:hi] = vals
+    return out
+
+
+def u_partials(tau: ExpSumTau, x, y, t, indices: Sequence[MultiIndex]):
+    """Array-valued partials of u; index (0,0,0) is u itself.
+
+    More than BLOCK_POINTS points run in blocks (module docstring): the
+    transient memory is bounded by one block, the bits are those of one
+    array."""
+    indices = tuple(indices)
+    plan = _plan(indices)
+    x, y, t = np.asarray(x, float), np.asarray(y, float), np.asarray(t, float)
+    # the product of the sizes bounds the broadcast size, and the largest size
+    # is it where the inputs of several points share one shape: most calls of
+    # one block are told from the sizes, without a broadcast shape
+    if x.size * y.size * t.size > BLOCK_POINTS and (
+            max(x.size, y.size, t.size) > BLOCK_POINTS
+            or len({a.shape for a in (x, y, t) if a.size > 1}) > 1):
+        return _blocked(tau, x, y, t, indices, plan)
+    return _block(tau, x, y, t, indices, plan)
+
+
 def u_on_grid(tau: ExpSumTau, x, y, t) -> np.ndarray:
     """Vectorized u over broadcastable coordinate arrays.
+
+    Evaluated in blocks of at most BLOCK_POINTS points (one row where a row
+    of the leading broadcast axis is longer, never a block of one point), so
+    the transient memory stays that of one block while the result's bits are
+    those of one-array evaluation.
 
     With 8 or more terms a point's u can differ in the last bits between a
     one-point call (scalar or length 1) and a call with more points: numpy
@@ -184,6 +260,4 @@ def u_on_grid(tau: ExpSumTau, x, y, t) -> np.ndarray:
     make_generic((1, 2, 3), (0.1, 0.2, 0.35)) the two differ by up to 7.8e-14
     over 3000 points in [-10, 10]^3.  Both are exact to rounding.
     """
-    vals = u_partials(tau, np.asarray(x, float), np.asarray(y, float),
-                      np.asarray(t, float), [(0, 0, 0)])
-    return np.asarray(vals[(0, 0, 0)])
+    return np.asarray(u_partials(tau, x, y, t, ((0, 0, 0),))[(0, 0, 0)])

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from kpii_stem.tau import BLOCK_POINTS
+
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SCENARIOS = REPO / "scenarios"
@@ -337,10 +339,11 @@ def _sample_reference(scenario, t, grid, fmt):
     return (json.dumps(doc, indent=2) + "\n").encode()
 
 
-# ny = 4097 puts at most four x-rows in a block of 16384 points, so eleven
-# rows span three blocks, the last one short
+# ny = BLOCK_POINTS + 1 makes every x-row longer than an evaluation block, so
+# `sample` takes four rows per call and eleven rows span three calls, the last
+# one short
 SAMPLE_REFERENCE_CASES = {
-    "blocks": ("c2_1.json", -2.0, (-20.0, 20.0, 11, -20.0, 20.0, 4097)),
+    "blocks": ("c2_1.json", -2.0, (-20.0, 20.0, 11, -20.0, 20.0, BLOCK_POINTS + 1)),
     "underflow": ("w2.json", 12.0, (-30.0, 30.0, 31, -30.0, 30.0, 29)),
     "nonfinite": ("c2_1.json", 0.0, (-1e308, 1e308, 5, -30.0, 30.0, 3)),
 }

@@ -23,6 +23,7 @@ from kpii_stem import (
     u_partials,
 )
 from kpii_stem.errors import DomainError, UnsupportedDerivativeError
+from kpii_stem.tau import BLOCK_POINTS
 
 from conftest import build_scenario
 
@@ -297,6 +298,97 @@ def test_partials_bitwise_equal_to_per_call_reference(solutions):
                     assert np.asarray(got[idx]).tobytes() == np.asarray(want[idx]).tobytes()
             u = u_on_grid(tau, x, y, t)
             assert u.tobytes() == _reference_partials(tau, x, y, t, [(0, 0, 0)])[(0, 0, 0)].tobytes()
+
+
+RESIDUAL_INDICES = ((0, 0, 0), (1, 0, 0), (2, 0, 0), (4, 0, 0), (0, 2, 0), (1, 0, 1))
+
+# a point whose eight-term generic partials differ in the last bits between a
+# one-point evaluation and an array one; it ends the one-point remainders below
+ODD_POINT = (1.7, -2.92, -1.95)
+
+
+def _block_shapes(rng):
+    """Coordinates around the block boundaries: (label, x, y, t)."""
+    B = BLOCK_POINTS
+    u = lambda *shape: rng.uniform(-9.0, 9.0, shape)
+    cases = [("scalar", 0.3, -0.7, 1.1)]
+    for n in (B - 1, B, B + 1, B + 2, 3 * B + 5):
+        x, y, t = u(n), u(n), u(n)
+        x[-1], y[-1], t[-1] = ODD_POINT
+        cases.append((f"1-D {n}", x, y, t))
+    column = u(2 * B + 1, 1)
+    column[-1] = ODD_POINT[0]
+    cases += [
+        # every row longer than a block: one row per block
+        ("rows of B+1", u(3, 1), u(B + 1), 0.7),
+        # four rows per block, the last block one row of 1000 points
+        ("13 x 1000", u(13, 1), u(1000), -0.4),
+        # one point per row: the one-point remainder joins the block before
+        ("column 2B+1", column, ODD_POINT[1], ODD_POINT[2]),
+        ("5 x 30 x 40", u(5, 1, 1), u(1, 30, 1), u(1, 1, 40)),
+    ]
+    return cases
+
+
+def test_blocked_evaluation_bitwise_equal_to_one_array(solutions):
+    """Blocks give the bits of the one-array reference at every block
+    boundary, for the shipped taus and an eight-term generic one."""
+    rng = np.random.default_rng(43)
+    taus = [sol.tau for sol in solutions.values()]
+    taus.append(make_generic((1, 2, 3), (0.1, 0.2, 0.35)).tau)
+    assert len(taus) == 10 and len(taus[-1]) == 8
+    alone = _reference_partials(taus[-1], *ODD_POINT, RESIDUAL_INDICES)
+    pair = _reference_partials(taus[-1], *np.repeat([ODD_POINT], 2, axis=0).T,
+                               RESIDUAL_INDICES)
+    assert all(alone[idx] != pair[idx][1] for idx in RESIDUAL_INDICES)
+    for label, x, y, t in _block_shapes(rng):
+        for tau in taus:
+            got = u_partials(tau, x, y, t, RESIDUAL_INDICES)
+            want = _reference_partials(tau, x, y, t, RESIDUAL_INDICES)
+            for idx in RESIDUAL_INDICES:
+                assert np.shape(got[idx]) == np.shape(want[idx]), (label, idx)
+                assert np.asarray(got[idx]).tobytes() == want[idx].tobytes(), (label, idx)
+            u = u_on_grid(tau, x, y, t)
+            assert u.tobytes() == want[(0, 0, 0)].tobytes(), label
+
+
+def test_calls_of_one_block_take_the_one_array_path(monkeypatch):
+    """Calls of at most one block are told from the input sizes alone; a
+    grid of 65 x 64 points is the first that is not."""
+    import kpii_stem.tau as tau_module
+
+    def refuse(*args):
+        raise AssertionError("blocked path taken")
+
+    monkeypatch.setattr(tau_module, "_blocked", refuse)
+    tau = one_soliton(k=2.0, p=0.5)
+    xs = np.linspace(-5.0, 5.0, BLOCK_POINTS)
+    assert u_on_grid(tau, 0.1, 0.2, 0.3).shape == ()
+    assert u_on_grid(tau, xs, 0.0, 0.0).shape == (BLOCK_POINTS,)
+    assert u_on_grid(tau, xs, xs, xs).shape == (BLOCK_POINTS,)
+    assert u_on_grid(tau, xs[:64, None], xs[:64], 0.0).shape == (64, 64)
+    with pytest.raises(AssertionError):
+        u_on_grid(tau, xs[:65, None], xs[:64], 0.0)
+
+
+def test_bundle_transient_memory_does_not_grow_with_points(solutions):
+    """The six-partial bundle's traced peak beyond its result bytes is that
+    of one block, at 2e4 and at 2e5 points alike (one array grows 10x)."""
+    import tracemalloc
+    tau = solutions["c3_1"].tau
+    rng = np.random.default_rng(47)
+    u_partials(tau, 0.0, 0.0, 0.0, RESIDUAL_INDICES)  # the plan, outside the trace
+    transient = []
+    for n in (20_000, 200_000):
+        x, y, t = rng.uniform(-20.0, 20.0, (3, n))
+        tracemalloc.start()
+        try:
+            out = u_partials(tau, x, y, t, RESIDUAL_INDICES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        transient.append(peak - sum(v.nbytes for v in out.values()))
+    assert transient[1] <= 1.25 * transient[0], transient
 
 
 def test_tau_columns_are_read_only_and_not_compared():
