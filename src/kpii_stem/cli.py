@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .catalog import Case, ResonantSolution, build_case, make_generic
 from .errors import (AnchorNotFoundError, DegenerateParameterError, InadmissibleFamilyError,
-                     InadmissibleParameterError, KPStemError)
+                     InadmissibleParameterError, InternalConsistencyError, KPStemError)
 from .geometry import (
     arm_catalog,
     arm_profile,
@@ -233,16 +233,24 @@ def _parse_grid(spec: str):
 _UNSIZABLE = (ValueError, IndexError, MemoryError)
 
 
+def _axis(lo: float, hi: float, n: int) -> np.ndarray:
+    """n evenly spaced points from lo to hi.  Where hi - lo overflows, the
+    axis is built at half scale and doubled, which is exact."""
+    if math.isfinite(hi - lo):
+        return np.linspace(lo, hi, n)
+    return 2.0 * np.linspace(0.5 * lo, 0.5 * hi, n)
+
+
 def cmd_sample(args) -> int:
     sc = load_scenario(args.scenario)
     sol = sc.build()
     t = _parse_finite(args.t, "t")
     xmin, xmax, nx, ymin, ymax, ny = _parse_grid(args.grid)
-    # a finite grid or t can still overflow (linspace's step, the tau
-    # exponents); those points print as nan or inf, without numpy warnings
+    # a finite grid or t can still overflow the tau exponents; those points
+    # print as nan or inf, without numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            xs, ys = np.linspace(xmin, xmax, nx), np.linspace(ymin, ymax, ny)
+            xs, ys = _axis(xmin, xmax, nx), _axis(ymin, ymax, ny)
         except _UNSIZABLE as exc:
             raise ScenarioError(f"grid of {nx} x {ny} points is too large") from exc
         # whole x-rows, four evaluation blocks per call and write (a block is
@@ -372,10 +380,15 @@ def _verify_arms(sol, tol, suite, T=20.0):
     # asymptotics: the profile of every catalog arm; ridge: the fitted ridge
     # line of the first catalog arm of each side (the stem's ridge line is
     # curved, so it is not fitted).  An arm without a clean section fails its
-    # check with a note, and the other checks are still reported.
+    # check with a note, and so does the suite without an arm catalog; the
+    # other checks are still reported.
     name, measure = (("asymptotic", asymptotic_match) if suite == "asymptotics"
                      else ("ridge", _ridge_deviation))
-    cat = arm_catalog(sol)
+    try:
+        cat = arm_catalog(sol)
+    except InternalConsistencyError as exc:
+        return [{"check": suite, "measured": None, "tolerance": tol, "pass": False,
+                 "note": str(exc)}]
     checks = []
     for side, tsign in (("before", -1.0), ("after", 1.0)):
         arms = [arm for _, arm in getattr(cat, side)]

@@ -189,7 +189,9 @@ def _cumulants(moments: dict[MultiIndex, np.ndarray], steps):
     for alpha, terms, mu_done, cum_done in steps:
         acc = moments[alpha]
         for comb, rest, gplus in terms:
-            acc = acc - comb * moments[rest] * cum[gplus]
+            # a unit binomial's multiply is exact, so skipping it keeps the bits
+            mu = moments[rest] if comb == 1 else comb * moments[rest]
+            acc = acc - mu * cum[gplus]
         cum[alpha] = acc
         for beta in mu_done:
             del moments[beta]

@@ -86,7 +86,8 @@ def _perturbation_root(ki, pi, kj, pj, target: float) -> float | None:
 
     Only c = kj pi - ki pj moves, to z = c + kj delta; a_ij = target where
     (1 - target)(z^2 - c^2) = num - target den.  z of the sign of c gives the
-    smallest delta = (z^2 - c^2) / ((z + c) kj), free of cancellation.
+    smallest delta = (z^2 - c^2) / ((z + c) kj), free of cancellation; None
+    where (z + c) kj is 0.
     """
     if target == 1.0:  # num = den needs ki kj = 0
         return None
@@ -96,7 +97,8 @@ def _perturbation_root(ki, pi, kj, pj, target: float) -> float | None:
     z2 = c * c + gap
     if z2 < 0:
         return None
-    return gap / ((math.copysign(math.sqrt(z2), c) + c) * kj)
+    divisor = (math.copysign(math.sqrt(z2), c) + c) * kj
+    return gap / divisor if divisor else None
 
 
 def limit_family(sol: ResonantSolution, magnitudes) -> list[ResonantSolution]:
@@ -104,7 +106,10 @@ def limit_family(sol: ResonantSolution, magnitudes) -> list[ResonantSolution]:
 
     For strong pairs the target magnitude is the size of a_ij (e.g. 1e6); for
     weak pairs its reciprocal is used, so magnitudes can be shared across
-    cases.  Raises InadmissibleFamilyError if a rung leaves a_ij >= 0.
+    cases.  A candidate is admissible when a13 and a23 are positive and a12
+    nonnegative, all finite, with no exactly-zero factor (decided from
+    aij_factors before any quotient).  Raises InadmissibleFamilyError if a
+    rung has no admissible candidate.
     """
     case = sol.spec.case
     if case is Case.GENERIC:
@@ -127,10 +132,13 @@ def limit_family(sol: ResonantSolution, magnitudes) -> list[ResonantSolution]:
             if d1 is None or d2 is None:
                 continue
             p = (p1s + d1, p2s + d2, p3)
-            a13, a23, a12 = (aij_value(num, den) for num, den, _ in (
-                aij_factors(k[0], p[0], k[2], p3), aij_factors(k[1], p[1], k[2], p3),
-                aij_factors(k[0], p[0], k[1], p[1])))
-            if a13 <= 0 or a23 <= 0 or a12 < 0:
+            factors = (aij_factors(k[0], p[0], k[2], p3), aij_factors(k[1], p[1], k[2], p3),
+                       aij_factors(k[0], p[0], k[1], p[1]))
+            # an exactly-zero factor makes its a_ij 0 or infinite: inadmissible
+            if any(0.0 in num + den for num, den, _ in factors):
+                continue
+            a13, a23, a12 = (aij_value(num, den) for num, den, _ in factors)
+            if not (0 < a13 < math.inf and 0 < a23 < math.inf and 0 <= a12 < math.inf):
                 continue
             score = abs(a12 - a12_goal)
             if best is None or score < best[0]:
@@ -258,10 +266,16 @@ def ridge_trace(sol: ResonantSolution, t: float, approx_line,
     relative to the anchor's projection; anchor defaults to the origin).
     One array evaluation gives every scan's 41-point coarse profile on its
     perpendicular; a scan whose maximum is not interior is dropped.  The
-    maximum nearest the line is then refined by golden-section search on all
-    scans at once, one evaluation per step, and a total-least-squares line is
-    fitted through the refined points.
+    bracket around the maximum is then refined by the same 41-point profile
+    taken across it, for all scans in one evaluation per round: the grid
+    neighbours of the profile's maximum (clipped at an end) are the next
+    bracket, 20 times narrower.  A scan stops once its bracket is at most
+    tol, or when it no longer narrows (tol below the spacing of floats).
+    A total-least-squares line is fitted through the bracket midpoints.
+    Raises ValueError for a negative or NaN tol.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"ridge tolerance must be >= 0, got {tol}")
     A, B, C = normalize_line(approx_line)
     dproj = A * anchor[0] + B * anchor[1] + C
     foot = (anchor[0] - dproj * A, anchor[1] - dproj * B)
@@ -278,22 +292,19 @@ def ridge_trace(sol: ResonantSolution, t: float, approx_line,
     if found < max(2, n_scans // 2):
         raise RidgeNotFoundError(f"ridge found on only {found} of {n_scans} scans")
     cx, cy, i = cx[interior], cy[interior], i[interior]
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = coarse[i - 1], coarse[i + 1]
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = u_at(np.stack([c, d]))
-    # a scan leaves the loop once its bracket is below tol, so each scan
-    # takes the steps that a search on it alone would take
-    while (live := np.flatnonzero(b - a > tol)).size:
-        left = fc[live] > fd[live]
-        lo, hi = live[left], live[~left]
-        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
-        c[lo] = b[lo] - phi * (b[lo] - a[lo])
-        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
-        d[hi] = a[hi] + phi * (b[hi] - a[hi])
-        f = u_at(np.where(left, c[live], d[live]), live)
-        fc[lo], fd[hi] = f[left], f[~left]
+    frac = np.linspace(0.0, 1.0, len(coarse))[:, None]
+    # each scan takes the rounds that a search on it alone would take
+    live = np.flatnonzero(b - a > tol)
+    while live.size:
+        width = b[live] - a[live]
+        grid = a[live] + width * frac
+        j = np.argmax(u_at(grid, live), axis=0)
+        cols = np.arange(live.size)
+        a[live] = grid[np.maximum(j - 1, 0), cols]
+        b[live] = grid[np.minimum(j + 1, len(frac) - 1), cols]
+        narrower = b[live] - a[live]
+        live = live[(narrower > tol) & (narrower < width)]
     mid = 0.5 * (a + b)
     px, py = cx + mid * A, cy + mid * B
     samples = tuple(((x0, y0), (x1, y1), v) for x0, y0, x1, y1, v in zip(

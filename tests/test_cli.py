@@ -220,6 +220,30 @@ def test_verify_inadmissible_limit_family_keeps_report(tmp_path):
     assert suites == {"field", "limit", "asymptotic", "ridge"}
 
 
+def test_verify_zero_aij_factor_keeps_report(tmp_path, capsys):
+    # k1 = 4e-88 leaves an a_ij factor of every limit candidate exactly 0
+    path = tmp_path / "c2_1.json"
+    path.write_text(json.dumps({
+        "case": "c2_1", "branch": "first",
+        "k": [3.952049501376851e-88, -1.7288327383456552, -1.0107464608951817],
+        "p3": -2.024990949721954}))
+    from kpii_stem.cli import main
+    code = main(["verify", "--scenario", str(path)])
+    out, err = capsys.readouterr()
+    assert 0 <= code <= 4
+    assert err == ""
+    doc = json.loads(out)
+    limits = [c for c in doc["checks"] if c["check"].startswith("limit")]
+    assert limits == [{"check": "limit_ladder_end", "measured": None, "tolerance": 1e-4,
+                       "pass": False,
+                       "note": "no admissible perturbation at magnitude 1000.0 for c2_1"}]
+    # the draw has no arm catalog either: one failing check per arm suite
+    arms = [c for c in doc["checks"] if c["check"] in ("asymptotics", "ridge")]
+    assert [(c["check"], c["pass"], c["note"]) for c in arms] == [
+        (suite, False, "the t -> -inf and t -> +inf skeletons carry no two distinct stems")
+        for suite in ("asymptotics", "ridge")]
+
+
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
 def test_verify_default_suite_reports_json(name):
     res = run_cli("verify", "--scenario", str(SCENARIOS / name))
@@ -313,6 +337,15 @@ def test_sample_golden_outputs(tmp_path, fmt):
     assert out.read_bytes() == (GOLDEN / f"sample_m2.{fmt}").read_bytes()
 
 
+def _grid_axis(lo, hi, n):
+    """The grid's coordinates: an overflowing span hi - lo is spaced at half
+    scale and doubled, which is exact."""
+    import numpy as np
+    if hi - lo < float("inf"):
+        return np.linspace(lo, hi, n)
+    return 2.0 * np.linspace(0.5 * lo, 0.5 * hi, n)
+
+
 def _sample_reference(scenario, t, grid, fmt):
     """The bytes of `sample` formatted point by point from one full-grid call."""
     import numpy as np
@@ -322,8 +355,8 @@ def _sample_reference(scenario, t, grid, fmt):
     sc = load_scenario(scenario)
     sol = sc.build()
     xmin, xmax, nx, ymin, ymax, ny = grid
-    xs = np.linspace(xmin, xmax, nx)
-    ys = np.linspace(ymin, ymax, ny)
+    xs = _grid_axis(xmin, xmax, nx)
+    ys = _grid_axis(ymin, ymax, ny)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     U = u_on_grid(sol.tau, X, Y, t)
     if fmt == "csv":
@@ -389,6 +422,32 @@ def test_sample_overflow_is_silent(tmp_path, t, grid, fmt):
                   "--format", fmt)
     assert (res.returncode, res.stderr) == (0, b"")
     assert out.read_bytes() == _sample_reference(scenario, t, grid, fmt)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sample_overflowing_span_keeps_grid_coordinates(tmp_path, fmt):
+    # -1.7e308 - 1.7e308 overflows, yet the grid's x are -1.7e308, 0, 1.7e308
+    import numpy as np
+    from kpii_stem.cli import load_scenario, main
+    from kpii_stem.tau import u_on_grid
+    scenario = SCENARIOS / "c2_1.json"
+    out = tmp_path / f"sample.{fmt}"
+    assert main(["sample", "--scenario", str(scenario), "--t=0",
+                 "--grid=-1.7e308,1.7e308,3,-1,1,2", "--out", str(out),
+                 "--format", fmt]) == 0
+    xs, ys = [-1.7e308, 0.0, 1.7e308], [-1.0, 1.0]
+    want = u_on_grid(load_scenario(scenario).build().tau,
+                     np.array(xs)[:, None], np.array(ys), 0.0).ravel().tolist()
+    if fmt == "csv":
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        assert [(float(x), float(y)) for x, y, _ in rows] == [(x, y) for x in xs for y in ys]
+        got = [float(u) for _, _, u in rows]
+    else:
+        got = json.loads(out.read_text())["values"]
+    # repr compares nan as equal to nan
+    assert repr(got) == repr(want)
+    assert 0.0 in got and any(u != u for u in got)
 
 def _run_in_process(capsys, *argv):
     """Exit code and stderr of the CLI; an uncaught exception fails the test."""

@@ -252,6 +252,12 @@ def _reference_partials(tau, x, y, t, indices):
                       for gt in range(at + 1)})
     mu = {b: (col(kx)**b[0] * col(py)**b[1] * col(wt)**b[2] * r).sum(axis=0) / s0
           for b in lattice}
+    return _reference_recursion(mu, indices)
+
+
+def _reference_recursion(mu, indices):
+    """The u-partials at indices from the moments mu of their lattice, by the
+    cumulant recursion with every binomial multiplied in."""
     cum = {}
     for alpha in sorted(mu, key=lambda a: (sum(a), a)):
         if alpha == (0, 0, 0):
@@ -301,6 +307,41 @@ def test_partials_bitwise_equal_to_per_call_reference(solutions):
 
 
 RESIDUAL_INDICES = ((0, 0, 0), (1, 0, 0), (2, 0, 0), (4, 0, 0), (0, 2, 0), (1, 0, 1))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_unit_binomial_skip_keeps_bits(solutions, monkeypatch):
+    """The recursion without its multiplies by a unit binomial gives the bits
+    of the recursion with them: on the shipped taus and the eight-term generic
+    one at points with NaN and infinite coordinates, and on moments drawn
+    with signed zeros and NaN."""
+    rng = np.random.default_rng(47)
+    taus = [sol.tau for sol in solutions.values()]
+    taus.append(make_generic((1, 2, 3), (0.1, 0.2, 0.35)).tau)
+    assert len(taus) == 10 and len(taus[-1]) == 8
+    x, y, t = rng.uniform(-9.0, 9.0, (3, 40))
+    x[:3], y[3], t[4] = (math.nan, math.inf, -math.inf), math.nan, math.inf
+    plans = (((0, 0, 0),), RESIDUAL_INDICES, tuple(SUPPORTED_INDICES))
+    for tau in taus:
+        for indices in plans:
+            got = u_partials(tau, x, y, t, indices)
+            want = _reference_partials(tau, x, y, t, indices)
+            assert all(got[i].tobytes() == want[i].tobytes() for i in indices)
+    pool = np.array([0.0, -0.0, math.nan, 1.0, -1.0, 0.5, -2.0])
+    drawn = {}
+    monkeypatch.setattr("kpii_stem.tau._moments", lambda tau, x, y, t, betas: {
+        b: drawn[b].copy() for b in betas})
+    for indices in plans:
+        lattice = {(gx, gy, gt) for ax, ay, at in indices for gx in range(ax + 3)
+                   for gy in range(ay + 1) for gt in range(at + 1)}
+        drawn = {b: rng.choice(pool, 400) for b in lattice}
+        got = u_partials(taus[0], np.zeros(400), 0.0, 0.0, indices)
+        want = _reference_recursion(drawn, indices)
+        assert all(got[i].tobytes() == want[i].tobytes() for i in indices)
+        signed_zero = [v for i in indices for v in got[i].tolist()
+                       if v == 0.0 and math.copysign(1.0, v) < 0]
+        assert signed_zero and any(np.isnan(got[i]).any() for i in indices)
+
 
 # a point whose eight-term generic partials differ in the last bits between a
 # one-point evaluation and an array one; it ends the one-point remainders below

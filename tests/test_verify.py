@@ -27,6 +27,7 @@ from kpii_stem import (
     trajectory_line,
     u_on_grid,
 )
+from kpii_stem import verify
 from kpii_stem.errors import AnchorNotFoundError, RidgeNotFoundError, UnsupportedCaseError
 from kpii_stem.geometry import normalize_line
 from kpii_stem.verify import _limit_shift, section_anchor
@@ -370,29 +371,39 @@ def _golden_max_reference(f, lo, hi, tol):
 def _ridge_trace_reference(sol, t, approx_line, scan_window=(-10.0, 10.0),
                            n_scans=21, search_halfwidth=4.0, anchor=None,
                            tol=1e-6):
-    """ridge_trace as a scalar golden-section search, one scan at a time."""
+    """ridge_trace one scan at a time: (samples, fitted line, golden d), the
+    last the golden-section maximum on each kept scan's coarse bracket."""
     A, B, C = normalize_line(approx_line)
     if anchor is None:
         anchor = (0.0, 0.0)
     dproj = A * anchor[0] + B * anchor[1] + C
     foot = (anchor[0] - dproj * A, anchor[1] - dproj * B)
     direction = (-B, A)
-    samples = []
+    coarse = np.linspace(-search_halfwidth, search_halfwidth, 41)
+    frac = np.linspace(0.0, 1.0, 41)
+    samples, golden = [], []
     for s in np.linspace(scan_window[0], scan_window[1], n_scans):
         cx = foot[0] + s * direction[0]
         cy = foot[1] + s * direction[1]
 
         def u_of(d):
-            return float(u_on_grid(sol.tau, cx + d * A, cy + d * B, t))
+            return u_on_grid(sol.tau, cx + d * A, cy + d * B, t)
 
-        coarse = np.linspace(-search_halfwidth, search_halfwidth, 41)
-        vals = u_on_grid(sol.tau, cx + coarse * A, cy + coarse * B, t)
-        i = int(np.argmax(vals))
+        i = int(np.argmax(u_of(coarse)))
         if i == 0 or i == len(coarse) - 1:
             continue
-        d0, _ = _golden_max_reference(u_of, coarse[i - 1], coarse[i + 1], tol)
-        pt = (cx + d0 * A, cy + d0 * B)
-        samples.append(((cx, cy), pt, u_of(d0)))
+        a, b = coarse[i - 1], coarse[i + 1]
+        while b - a > tol:
+            width = b - a
+            grid = a + width * frac
+            j = int(np.argmax(u_of(grid)))
+            a, b = grid[max(j - 1, 0)], grid[min(j + 1, len(frac) - 1)]
+            if not b - a < width:
+                break
+        d0 = 0.5 * (a + b)
+        samples.append(((cx, cy), (cx + d0 * A, cy + d0 * B), float(u_of(d0))))
+        golden.append(_golden_max_reference(lambda d: float(u_of(d)), coarse[i - 1],
+                                            coarse[i + 1], tol)[0])
     assert len(samples) >= max(2, n_scans // 2)
     pts = np.array([p for _, p, _ in samples])
     mean = pts.mean(axis=0)
@@ -400,7 +411,7 @@ def _ridge_trace_reference(sol, t, approx_line, scan_window=(-10.0, 10.0),
     tang = vt[0]
     normal = (-tang[1], tang[0])
     line = (normal[0], normal[1], -(normal[0] * mean[0] + normal[1] * mean[1]))
-    return samples, normalize_line(line)
+    return samples, normalize_line(line), golden
 
 
 def _ridge_reference_calls(solutions):
@@ -426,12 +437,51 @@ def _ridge_reference_calls(solutions):
 
 
 def test_ridge_trace_matches_per_scan_reference(solutions):
-    """The array search returns the same floats as a scalar search per scan."""
+    """The array search returns the same floats as the search on each scan
+    alone, and each ridge point lies within tol of a golden-section search
+    on the same bracket."""
     dropped = 0
     for case, sol, t, line, kw in _ridge_reference_calls(solutions):
         trace = ridge_trace(sol, t, line, **kw)
-        samples, fitted = _ridge_trace_reference(sol, t, line, **kw)
+        samples, fitted, golden = _ridge_trace_reference(sol, t, line, **kw)
         assert trace.samples == tuple(samples), case
         assert trace.fitted_line == fitted, case
+        A, B, _ = normalize_line(line)
+        for ((cx, cy), (px, py), _), d in zip(samples, golden):
+            assert math.dist((px, py), (cx + d * A, cy + d * B)) <= 1e-6, case
         dropped += kw["n_scans"] - len(samples)
     assert dropped > 0
+
+
+def test_ridge_trace_takes_seven_kernel_calls(solutions, monkeypatch):
+    """Criterion 09's traces: one coarse call, five rounds, one value call."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return u_on_grid(*args)
+
+    monkeypatch.setattr(verify, "u_on_grid", counted)
+    for case, sol, t, line, kw in _ridge_reference_calls(solutions):
+        if case.endswith(("-before", "-after")):
+            calls.clear()
+            ridge_trace(sol, t, line, **kw)
+            assert len(calls) == 7, case
+
+
+def test_ridge_trace_stops_below_float_spacing(solutions):
+    """A tol the bracket cannot reach ends when the bracket stops narrowing,
+    near the ridge points of the default tol; a negative or NaN tol raises."""
+    sol = solutions["c2_1"]
+    arm = arm_catalog(sol).before[0][1]
+    line = trajectory_line(arm, -20.0)
+    kw = dict(scan_window=(-5.0, 5.0), n_scans=7,
+              anchor=section_anchor(sol, arm, -20.0))
+    ref = ridge_trace(sol, -20.0, line, **kw)
+    for tol in (0.0, 1e-15):
+        trace = ridge_trace(sol, -20.0, line, tol=tol, **kw)
+        for (_, got, _), (_, want, _) in zip(trace.samples, ref.samples, strict=True):
+            assert math.dist(got, want) <= 1e-6
+    for tol in (-1e-6, math.nan):
+        with pytest.raises(ValueError):
+            ridge_trace(sol, -20.0, line, tol=tol, **kw)
