@@ -41,6 +41,7 @@ from .geometry import (
     skeleton,
     stem_endpoints,
     stem_length_formula,
+    stem_reports,
     stem_side,
     term_planes,
     trajectory_line,

@@ -12,7 +12,7 @@ branches map onto each other by the mirror (p3, y) -> (-p3, -y).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import (
@@ -71,6 +71,9 @@ class SolitonParams:
     k: Triple
     p: Triple
     xi0: Triple = (0.0, 0.0, 0.0)
+    # omega(k_j, p_j) per soliton, computed once on construction: the
+    # exponent sums read them for every tau term, plane and arm of a solution
+    omegas: Triple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for kj in self.k:
@@ -79,17 +82,14 @@ class SolitonParams:
         for v in self.p + self.xi0:
             if not math.isfinite(v):
                 raise DomainError("non-finite parameter")
-        try:  # once here: exponent_of reads omegas on every skeleton edge
-            finite = all(map(math.isfinite, self.omegas))
+        try:
+            omegas = tuple(omega(kj, pj) for kj, pj in zip(self.k, self.p))
         except OverflowError:  # k**4 beyond the float range
-            finite = False
-        if not finite:
+            omegas = (math.inf,)
+        if not all(map(math.isfinite, omegas)):
             raise InadmissibleParameterError(
                 f"omega is not finite for k = {self.k}, p = {self.p}")
-
-    @property
-    def omegas(self) -> Triple:
-        return tuple(omega(kj, pj) for kj, pj in zip(self.k, self.p))
+        object.__setattr__(self, "omegas", omegas)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,8 @@ import numpy as np
 from . import __version__
 from .catalog import Case, ResonantSolution, build_case, make_generic
 from .errors import (AnchorNotFoundError, DegenerateParameterError, InadmissibleFamilyError,
-                     InadmissibleParameterError, InternalConsistencyError, KPStemError)
+                     InadmissibleParameterError, IndeterminateResonanceError,
+                     InternalConsistencyError, KPStemError)
 from .geometry import (
     arm_catalog,
     arm_profile,
@@ -37,6 +38,7 @@ from .geometry import (
     normalize_line,
     stem_endpoints,
     stem_length_formula,
+    stem_reports,
     stem_side,
     trajectory_line,
     velocity_table,
@@ -295,8 +297,8 @@ def cmd_stem(args) -> int:
     sc = load_scenario(args.scenario)
     sol = sc.build()
     rows, mismatches = [], []
-    for t in _parse_tlist(args.t):
-        rep = stem_endpoints(sol, t, t_min=sc.t_min)
+    for rep in stem_reports(sol, _parse_tlist(args.t), t_min=sc.t_min):
+        t = rep.t
         try:
             closed = stem_length_formula(sol, t)
         except KPStemError:
@@ -540,7 +542,8 @@ def main(argv=None) -> int:
     except OutputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (InadmissibleParameterError, DegenerateParameterError) as exc:
+    except (InadmissibleParameterError, DegenerateParameterError,
+            IndeterminateResonanceError) as exc:
         print(f"error: inadmissible scenario: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
     except KPStemError as exc:

@@ -20,6 +20,14 @@ function of (k1, k2, k3, p3); VERTEX[case][junction] is the tuple
 (st, sL, g).  Only the stem queries read the tables, so they are imported on
 first use, and an entry's coefficients, which do not depend on t, are
 evaluated once per solution.
+
+Everything else about a side's stem that does not depend on t is built once
+too, on the first stem query of that side: the stem plan holds, per end
+junction, the best-conditioned pair of trajectory lines with their
+normalized normals, signs, norms and determinant, and the VERTEX
+coefficients with ln a12 multiplied in.  A query at t forms the two line
+offsets C(t), intersects, compares with the closed form and evaluates u at
+the midpoint; stem_reports does so for a vector of times with one u call.
 """
 
 from __future__ import annotations
@@ -160,10 +168,12 @@ class Edge:
 class _Record:
     """The t-independent state of one solution, built once: per positive term
     (index, K, P, W, xi0-part, ln c), the term index of each exponent vector,
-    the pair arms as _arm_from_terms builds them, the arm catalog, and the
-    evaluated closed-form table entries."""
+    the pair arms as _arm_from_terms builds them, the arm catalog, the
+    evaluated closed-form table entries, and per side (past, future) the stem
+    plan and the closed-form SEGMENT entry (st, sL ln a12, sqrt(g))."""
 
-    __slots__ = ("planes", "index", "arms", "catalog", "closed_forms")
+    __slots__ = ("planes", "index", "arms", "catalog", "closed_forms", "plans",
+                 "segments")
 
     def __init__(self, sol: ResonantSolution):
         self.planes = tuple((idx, *sol.exponent_of(eps), math.log(coeff))
@@ -173,6 +183,8 @@ class _Record:
         self.arms: dict[tuple[int, int], ArmDescriptor] = {}
         self.catalog: AsymptoticCatalog | None = None
         self.closed_forms: dict[tuple[str, object], tuple[float, ...]] = {}
+        self.plans: list[tuple | None] = [None, None]
+        self.segments: list[tuple[float, float, float] | None] = [None, None]
 
 
 # one record per solution, freed together with it (it holds no reference back)
@@ -389,52 +401,77 @@ def trajectory_line(arm: ArmDescriptor, t: float):
     return normalize_line(arm.line_coeffs(t))
 
 
-def normalize_line(line):
-    A, B, C = line
+def _orientation(A: float, B: float) -> tuple[float, float]:
+    """(sign, norm) that scale a line with normal (A, B) to A^2 + B^2 = 1 and
+    A > 0 (or B > 0 when A == 0)."""
     nrm = math.hypot(A, B)
     if nrm == 0:
         raise DegenerateLineError("line has zero normal vector")
     sign = 1.0
     if A < -1e-15 * nrm or (abs(A) <= 1e-15 * nrm and B < 0):
         sign = -1.0
+    return sign, nrm
+
+
+def normalize_line(line):
+    A, B, C = line
+    sign, nrm = _orientation(A, B)
     return (sign * A / nrm, sign * B / nrm, sign * C / nrm)
+
+
+def _determinant(A1: float, B1: float, A2: float, B2: float) -> float | None:
+    """A1 B2 - A2 B1 of two line normals, or None where they are parallel."""
+    det = A1 * B2 - A2 * B1
+    scale = math.hypot(A1, B1) * math.hypot(A2, B2)
+    return None if abs(det) <= 1e-12 * max(scale, 1e-300) else det
+
+
+def _meet(A1, B1, C1, A2, B2, C2, det) -> tuple[float, float]:
+    return ((-C1 * B2 + C2 * B1) / det, (-A1 * C2 + A2 * C1) / det)
 
 
 def intersect_lines(l1, l2):
     """Intersection point of two lines, or PARALLEL."""
     A1, B1, C1 = l1
     A2, B2, C2 = l2
-    det = A1 * B2 - A2 * B1
-    scale = math.hypot(A1, B1) * math.hypot(A2, B2)
-    if abs(det) <= 1e-12 * max(scale, 1e-300):
-        return PARALLEL
-    x = (-C1 * B2 + C2 * B1) / det
-    y = (-A1 * C2 + A2 * C1) / det
-    return (x, y)
+    det = _determinant(A1, B1, A2, B2)
+    return PARALLEL if det is None else _meet(A1, B1, C1, A2, B2, C2, det)
+
+
+def _future(t: float) -> bool:
+    """Whether t is on the future side; a non-finite t is on neither."""
+    if not math.isfinite(t):
+        raise DomainError(f"stem queries need a finite time, got t = {t}")
+    return bool(t > 0)  # numpy's bool does not index the per-side lists
 
 
 def stem_side(sol: ResonantSolution,
               t: float) -> tuple[ArmDescriptor, tuple[Junction, Junction]]:
     """The stem species at time t and its two end junctions, sorted.
 
-    The past stem is the one for t <= 0, the future stem for t > 0.
+    The past stem is the one for t <= 0, the future stem for t > 0; a
+    non-finite t raises DomainError.
     """
+    future = _future(t)
     cat = arm_catalog(sol)
-    if t <= 0:
-        return cat.stem_past, cat.past_junctions
-    return cat.stem_future, cat.future_junctions
+    if future:
+        return cat.stem_future, cat.future_junctions
+    return cat.stem_past, cat.past_junctions
+
+
+def _junction_arms(sol: ResonantSolution, rec: _Record, junction: Junction):
+    """The arms of the three term pairs of a junction."""
+    # the pair order sets the last bits of the endpoints (a line's offset is
+    # ln(c_m / c_n), and the stem plan keeps the first best-conditioned
+    # pair); the frozenset order is the one the goldens were computed in
+    idxs = [rec.index[eps] for eps in frozenset(junction)]
+    return [_arm(sol, rec, a, b) for a, b in combinations(idxs, 2)]
 
 
 def junction_lines(sol: ResonantSolution, junction: Junction, t: float):
     """Normalized trajectory lines of the three term pairs of a junction at
     time t; the three lines meet in the junction point."""
-    rec = _record(sol)
-    # the pair order sets the last bits of the endpoints (a line's offset is
-    # ln(c_m / c_n), and stem_endpoints keeps the first best-conditioned
-    # pair); the frozenset order is the one the goldens were computed in
-    idxs = [rec.index[eps] for eps in frozenset(junction)]
-    return [trajectory_line(_arm(sol, rec, a, b), t)
-            for a, b in combinations(idxs, 2)]
+    return [trajectory_line(arm, t) for arm in _junction_arms(sol, _record(sol), junction)]
 
 
 def _closed_form_args(sol: ResonantSolution):
@@ -472,6 +509,111 @@ def _closed_form(sol: ResonantSolution, table: str, key, args) -> tuple[float, .
 _MIDPOINT_BUDGET = 1e-9 / 8
 
 
+def _plan_end(sol: ResonantSolution, rec: _Record, junction: Junction, args):
+    """One end junction of a side's stem, as far as it does not depend on t:
+    (junction, det, line1, line2, closed, mirror).
+
+    The endpoint is the meeting point of the junction's best-conditioned two
+    trajectory lines A x + B y + C(t) = 0, each given as (A, B, W, xi0,
+    offset, sign, norm): (A, B) is the normalized normal and C(t) =
+    sign (W t + xi0 + offset) / norm, the offset that normalize_line forms.
+    det is None where the two lines are parallel.  closed is (xt, xL ln a12,
+    yt, yL ln a12) of the junction's VERTEX entry, or None with nonzero phase
+    constants; mirror marks the second branch, whose closed-form y is negated.
+    """
+    lines = []
+    for arm in _junction_arms(sol, rec, junction):
+        sign, nrm = _orientation(arm.A, arm.B)
+        lines.append((sign * arm.A / nrm, sign * arm.B / nrm,
+                      arm.W, arm.xi0, arm.profile_offset, sign, nrm))
+    # the normals do not depend on t, so neither does the best pair
+    l1, l2 = max(combinations(lines, 2),
+                 key=lambda p: abs(p[0][0] * p[1][1] - p[1][0] * p[0][1]))
+    closed = None
+    if args is not None:
+        xt, xL, yt, yL = _closed_form(sol, "VERTEX", junction, args)
+        closed = (xt, xL * sol.log_a12, yt, yL * sol.log_a12)
+    return (junction, _determinant(l1[0], l1[1], l2[0], l2[1]), l1, l2,
+            closed, sol.spec.branch is Branch.SECOND)
+
+
+def _plan(sol: ResonantSolution, rec: _Record, t: float):
+    """The stem plan of t's side, built on the first query of that side: the
+    _plan_end of each end junction."""
+    future = _future(t)
+    plan = rec.plans[future]
+    if plan is None:
+        args = _closed_form_args(sol)
+        plan = rec.plans[future] = tuple(_plan_end(sol, rec, junction, args)
+                                         for junction in stem_side(sol, t)[1])
+    return plan
+
+
+def _endpoints(plan, t: float):
+    """The two stem endpoints at t and their largest relative disagreement
+    with the closed form (None where the closed forms are off)."""
+    pts, mismatch = [], None
+    for (junction, det, (A1, B1, W1, xi1, offset1, sign1, norm1),
+         (A2, B2, W2, xi2, offset2, sign2, norm2), closed, mirror) in plan:
+        if det is None:
+            raise DegenerateLineError(f"junction lines are parallel: {junction}")
+        geo = _meet(A1, B1, sign1 * (W1 * t + xi1 + offset1) / norm1,
+                    A2, B2, sign2 * (W2 * t + xi2 + offset2) / norm2, det)
+        if closed is not None:
+            xt, xL, yt, yL = closed
+            x, y = xt * t + xL, yt * t + yL
+            closed = (x, -y) if mirror else (x, y)
+            err = math.hypot(geo[0] - closed[0], geo[1] - closed[1])
+            scale = max(1.0, math.hypot(*geo), math.hypot(*closed))
+            if not (all(map(math.isfinite, geo + closed)) and err <= 1e-9 * scale):
+                raise InternalConsistencyError(
+                    f"closed-form and geometric endpoints disagree: {geo} vs {closed}")
+            mismatch = max(mismatch or 0.0, err / scale)
+        elif not all(map(math.isfinite, geo)):
+            raise DomainError(f"stem endpoint {geo} is not finite at t = {t}")
+        pts.append(geo)
+    return pts[0], pts[1], mismatch
+
+
+def _stem_rows(sol: ResonantSolution, ts):
+    """(t, endpoint_a, endpoint_b, midpoint, endpoint_mismatch) per time of ts,
+    from the stem plan of its side."""
+    if sol.spec.case is Case.GENERIC:
+        raise UnsupportedCaseError("stem endpoints require a resonant case")
+    rec = _record(sol)
+    rows = []
+    for t in ts:
+        (xa, ya), (xb, yb), mismatch = _endpoints(_plan(sol, rec, t), t)
+        rows.append((t, (xa, ya), (xb, yb), ((xa + xb) / 2.0, (ya + yb) / 2.0), mismatch))
+    return rows
+
+
+def stem_reports(sol: ResonantSolution, ts, t_min: float = 3.0) -> list[StemReport]:
+    """The stem report at each time of ts, as stem_endpoints describes it.
+
+    Each time's geometry comes from its side's stem plan; the midpoint
+    amplitudes of all times take one u_on_grid call.
+    """
+    rows = _stem_rows(sol, ts)
+    points = [(mid[0], mid[1], t) for t, _, _, mid, _ in rows]
+    # one array per coordinate; a single point goes in as scalars, which
+    # u_on_grid evaluates faster than length-1 arrays and to the same bits
+    amps = (u_on_grid(sol.tau, *points[0]) if len(points) == 1 else
+            u_on_grid(sol.tau, *np.array(points, dtype=float).reshape(-1, 3).T))
+    rec = _record(sol)
+    reports = []
+    for (t, a, b, mid, mismatch), amp in zip(rows, amps.reshape(-1).tolist()):
+        size = max(abs(K * mid[0]) + abs(P * mid[1]) + abs(W * t) + abs(s0)
+                   for _, K, P, W, s0, _ in rec.planes)
+        reports.append(StemReport(
+            t=t, endpoint_a=a, endpoint_b=b,
+            length=math.hypot(a[0] - b[0], a[1] - b[1]), midpoint=mid,
+            midpoint_amplitude=amp,
+            valid=abs(t) >= t_min and 2.0**-53 * size <= _MIDPOINT_BUDGET,
+            endpoint_mismatch=mismatch))
+    return reports
+
+
 def stem_endpoints(sol: ResonantSolution, t: float, t_min: float = 3.0) -> StemReport:
     """Endpoints, length and midpoint amplitude of the stem at time t.
 
@@ -484,56 +626,34 @@ def stem_endpoints(sol: ResonantSolution, t: float, t_min: float = 3.0) -> StemR
     Inside |t| < t_min the report carries valid=False (the
     straight-trajectory description degrades near the reconnection), and so
     does a midpoint so far out that rounding of the tau exponents there can
-    move the amplitude by more than 1e-9 relative.
+    move the amplitude by more than 1e-9 relative.  The one-time case of
+    stem_reports.
     """
-    if sol.spec.case is Case.GENERIC:
-        raise UnsupportedCaseError("stem endpoints require a resonant case")
-    _, junctions = stem_side(sol, t)
-    args = _closed_form_args(sol)
-    pts, mismatch = [], None
-    for junction in junctions:
-        pair = max(combinations(junction_lines(sol, junction, t), 2),
-                   key=lambda p: abs(p[0][0] * p[1][1] - p[1][0] * p[0][1]))
-        geo = intersect_lines(*pair)
-        if geo is PARALLEL:
-            raise DegenerateLineError(f"junction lines are parallel: {junction}")
-        if args is not None:
-            xt, xL, yt, yL = _closed_form(sol, "VERTEX", junction, args)
-            x, y = xt * t + xL * sol.log_a12, yt * t + yL * sol.log_a12
-            closed = (x, -y) if sol.spec.branch is Branch.SECOND else (x, y)
-            err = math.hypot(geo[0] - closed[0], geo[1] - closed[1])
-            scale = max(1.0, math.hypot(*geo), math.hypot(*closed))
-            if not (all(map(math.isfinite, geo + closed)) and err <= 1e-9 * scale):
-                raise InternalConsistencyError(
-                    f"closed-form and geometric endpoints disagree: {geo} vs {closed}")
-            mismatch = max(mismatch or 0.0, err / scale)
-        elif not all(map(math.isfinite, geo)):
-            raise DomainError(f"stem endpoint {geo} is not finite at t = {t}")
-        pts.append(geo)
-    (xa, ya), (xb, yb) = pts
-    mid = ((xa + xb) / 2.0, (ya + yb) / 2.0)
-    amp = float(u_on_grid(sol.tau, mid[0], mid[1], t))
-    size = max(abs(K * mid[0]) + abs(P * mid[1]) + abs(W * t) + abs(s0)
-               for _, K, P, W, s0, _ in _record(sol).planes)
-    return StemReport(t=t, endpoint_a=(xa, ya), endpoint_b=(xb, yb),
-                      length=math.hypot(xa - xb, ya - yb), midpoint=mid,
-                      midpoint_amplitude=amp,
-                      valid=abs(t) >= t_min and 2.0**-53 * size <= _MIDPOINT_BUDGET,
-                      endpoint_mismatch=mismatch)
+    return stem_reports(sol, (t,), t_min)[0]
 
 
 def stem_length_formula(sol: ResonantSolution, t: float) -> float:
-    """Closed-form stem length |s_t t + s_L ln a12| sqrt(g) for the side of t."""
+    """Closed-form stem length |s_t t + s_L ln a12| sqrt(g) for the side of t.
+
+    The SEGMENT entry is evaluated on the first length query of a side, so
+    an endpoint query never evaluates it.
+    """
     if sol.spec.case is Case.GENERIC:
         raise UnsupportedCaseError("stem length requires a resonant case")
-    args = _closed_form_args(sol)
-    if args is None:
-        raise UnsupportedFormulaError("closed forms assume zero phase constants")
-    ja, jb = (set(j) for j in stem_side(sol, t)[1])
-    # the stem is the edge both junctions share, ended by the other two terms
-    key = (tuple(sorted(ja & jb)), tuple(sorted(ja ^ jb)))
-    st, sL, g = _closed_form(sol, "SEGMENT", key, args)
-    return abs(st * t + sL * sol.log_a12) * math.sqrt(g)
+    rec = _record(sol)
+    future = _future(t)
+    segment = rec.segments[future]
+    if segment is None:
+        args = _closed_form_args(sol)
+        if args is None:
+            raise UnsupportedFormulaError("closed forms assume zero phase constants")
+        ja, jb = (set(j) for j in stem_side(sol, t)[1])
+        # the stem is the edge both junctions share, ended by the other two terms
+        key = (tuple(sorted(ja & jb)), tuple(sorted(ja ^ jb)))
+        st, sL, g = _closed_form(sol, "SEGMENT", key, args)
+        segment = rec.segments[future] = (st, sL * sol.log_a12, math.sqrt(g))
+    st, sL, root = segment
+    return abs(st * t + sL) * root
 
 
 def midpoint_amplitude(sol: ResonantSolution, t: float) -> float:
@@ -546,7 +666,8 @@ def cross_section(sol: ResonantSolution, t: float, line, s_range=(-20.0, 20.0),
     """Sample u along a line, parametrized by arclength from the anchor.
 
     line is an ArmDescriptor or raw (A, B, C) coefficients.  The anchor
-    defaults to the stem midpoint at time t; its projection onto the line is
+    defaults to the stem midpoint at time t (its endpoints checked as in
+    stem_endpoints, no u evaluated there); its projection onto the line is
     arclength zero.  Returns a list of (s, u) pairs.
     """
     if n_samples < 2:
@@ -555,7 +676,7 @@ def cross_section(sol: ResonantSolution, t: float, line, s_range=(-20.0, 20.0),
         line = line.line_coeffs(t)
     A, B, C = normalize_line(line)
     if anchor is None:
-        anchor = stem_endpoints(sol, t).midpoint
+        anchor = _stem_rows(sol, (t,))[0][3]
     # foot of the anchor on the line
     d = A * anchor[0] + B * anchor[1] + C
     foot = (anchor[0] - d * A, anchor[1] - d * B)

@@ -600,6 +600,24 @@ def test_overflowing_resolved_p_exits_3(tmp_path, capsys):
         assert line.startswith("error: inadmissible scenario:"), line
 
 
+def test_indeterminate_resonance_exits_3(tmp_path, capsys):
+    # p1 and p2 differ by one ulp at 1e17, so both factor pairs of a12 vanish
+    # to rounding: the resonance type is undecidable, an inadmissible input
+    path = tmp_path / "scenario.json"
+    path.write_text('{"case": "generic", "k": [1.0, 1.0, 2.0], '
+                    '"p": [1.0000000000000002e17, 1e17, 0.0]}')
+    for command in (("build",), ("stem", "--t=-20,20"), ("verify",),
+                    ("section", "--t=0", "--line", "perp"),
+                    ("sample", "--t=0", "--grid=-1,1,3,-1,1,3",
+                     "--out", str(tmp_path / "u.csv"))):
+        code, err = _run_in_process(capsys, command[0], "--scenario", str(path),
+                                    *command[1:])
+        assert code == 3, (command, err)
+        (line,) = err.splitlines()
+        assert line.startswith("error: inadmissible scenario: numerator and denominator "
+                               "both vanish"), line
+
+
 def test_underflowing_generic_coefficients_give_no_traceback(tmp_path, capsys):
     # each a_ij factor passes the zero test, but the product of two underflows
     path = tmp_path / "scenario.json"
