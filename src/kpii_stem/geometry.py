@@ -651,6 +651,11 @@ def stem_length_formula(sol: ResonantSolution, t: float) -> float:
         # the stem is the edge both junctions share, ended by the other two terms
         key = (tuple(sorted(ja & jb)), tuple(sorted(ja ^ jb)))
         st, sL, g = _closed_form(sol, "SEGMENT", key, args)
+        if g < 0:
+            # g >= 0 exactly but is expanded (one of c3_1's is (k1 - k3)**2 *
+            # ((k1 k3 - p3)**2 + k3**2) / k3**2), and at extreme parameters its
+            # cancellation rounds it below zero
+            raise UnsupportedFormulaError(f"closed-form stem length: g = {g!r} rounds below zero")
         segment = rec.segments[future] = (st, sL * sol.log_a12, math.sqrt(g))
     st, sL, root = segment
     return abs(st * t + sL) * root

@@ -27,6 +27,16 @@ any block of two or more points.  A block of one point would sum like a scalar
 call (see u_on_grid), so a one-point remainder joins the block before it.
 Within a block each moment and cumulant is dropped after its last read.
 
+How a block forms its moments: r is built in place in one array (with one
+scratch array), s0 = r.sum(axis=0), and every requested moment comes from one
+contraction np.einsum("bm,m...->b...", W, r) of the stacked weight rows W with
+r, divided by s0 in place.  The contraction adds the products one term row at
+a time, in term order, which is how r.sum(axis=0) and (w * r).sum(axis=0) add
+the rows of two or more points, so the moments keep the bits of one weighted
+sum per moment.  A single point's terms are summed pairwise by numpy, so a
+one-point call forms each moment as (w * r).sum(axis=0) / s0.  The cumulant
+recursion then runs in place on the moment arrays.
+
 Nothing that is independent of the evaluation point is rebuilt per call.  An
 ExpSumTau holds its term columns (coeff, kx, py, wt, phase) as read-only
 arrays built at construction.  The moment lattice and the cumulant recursion's
@@ -99,25 +109,56 @@ class ExpSumTau:
 
 def _scaled_weights(tau: ExpSumTau, x, y, t):
     """Return (r, M, cols) at float arrays x, y, t: r_m = c_m exp(E_m - M),
-    M = max E_m, and tau's kx, py, wt columns indexed to broadcast against r."""
-    lead = (slice(None),) + (None,) * max(x.ndim, y.ndim, t.ndim)
-    coeff, kx, py, wt, phase = (col[lead] for col in tau.columns)
-    expo = kx * x + py * y + wt * t + phase
-    M = expo.max(axis=0)
-    r = coeff * np.exp(expo - M)
+    M = max E_m, and tau's kx, py, wt columns indexed to broadcast against r.
+
+    For two or more points r is built in one array of the broadcast shape with
+    one scratch array: E = ((kx x + py y) + wt t) + phase, then E - M, exp and
+    the multiply by c, each in place.  These are the operations, in order, of
+    the plain expression that one point takes: its arrays are too small for
+    the in-place set-up to pay."""
+    nd = max(x.ndim, y.ndim, t.ndim)
+    coeff, kx, py, wt, phase = (tau.columns if nd == 0 else
+                                (col[(slice(None),) + (None,) * nd] for col in tau.columns))
+    if x.size * y.size * t.size == 1:
+        expo = kx * x + py * y + wt * t + phase
+        M = expo.max(axis=0)
+        return coeff * np.exp(expo - M), M, (kx, py, wt)
+    r = np.empty((len(tau),) + np.broadcast(x, y, t).shape)
+    part = np.empty_like(r)
+    np.multiply(kx, x, out=r)
+    r += np.multiply(py, y, out=part)
+    r += np.multiply(wt, t, out=part)
+    r += phase
+    M = r.max(axis=0)
+    r -= M
+    np.exp(r, out=r)
+    r *= coeff
     return r, M, (kx, py, wt)
 
 
-def _moments(tau: ExpSumTau, x, y, t, betas: Iterable[MultiIndex]):
-    """Normalized moments mu_beta = (d^beta f)/f for nonzero betas."""
+def _moments(tau: ExpSumTau, x, y, t, betas: Sequence[MultiIndex]):
+    """Normalized moments mu_beta = (d^beta f)/f for nonzero betas.
+
+    The weight of beta is kx**bx * py**by * wt**bt over the terms, without its
+    factors of exponent 0 (exactly 1.0), and a power 1 is the column itself
+    (col**1 is a copy).  Two or more points contract all the weights with r
+    in one einsum and divide by s0 in place; one point (scalar or length 1)
+    forms each moment as (w * r).sum(axis=0) / s0, since numpy sums a single
+    point's terms pairwise (module docstring).
+    """
     r, _, cols = _scaled_weights(tau, x, y, t)
     s0 = r.sum(axis=0)
     out = {}
     for beta in betas:
-        # kx**bx * py**by * wt**bt without its factors of exponent 0 (exactly 1.0)
-        w = functools.reduce(operator.mul, [col**b for col, b in zip(cols, beta) if b])
-        out[beta] = (w * r).sum(axis=0) / s0
-    return out
+        out[beta] = functools.reduce(operator.mul, [col if b == 1 else col**b
+                                                    for col, b in zip(cols, beta) if b])
+    if r.size == len(r):
+        for beta, w in out.items():
+            out[beta] = (w * r).sum(axis=0) / s0
+        return out
+    S = np.einsum("bm,m...->b...", np.array(list(out.values())).reshape(len(out), len(r)), r)
+    S /= s0
+    return dict(zip(betas, S))
 
 
 def _down_closed(indices: Iterable[MultiIndex]) -> list[MultiIndex]:
@@ -183,15 +224,32 @@ def _plan(indices: tuple[MultiIndex, ...]):
 def _cumulants(moments: dict[MultiIndex, np.ndarray], steps):
     """Derivatives of ln f from moments of f, by _plan's recursion steps.
 
-    Consumes moments; of the cumulants only those behind the requested
-    indices are returned."""
+    A step is acc = mu_alpha - sum C mu_rest c_gplus, each product formed as
+    (C mu_rest) c_gplus; the multiply by a unit C is skipped, which is exact
+    and so keeps the bits.  On arrays the products go through one scratch array
+    and acc is updated in place, in the moment's own storage once no later
+    step reads that moment; the numpy scalars of one point take the plain
+    expression.  Consumes moments; of the cumulants only those behind the
+    requested indices are returned."""
     cum: dict[MultiIndex, np.ndarray] = {}
+    part = None
     for alpha, terms, mu_done, cum_done in steps:
         acc = moments[alpha]
-        for comb, rest, gplus in terms:
-            # a unit binomial's multiply is exact, so skipping it keeps the bits
-            mu = moments[rest] if comb == 1 else comb * moments[rest]
-            acc = acc - mu * cum[gplus]
+        if not isinstance(acc, np.ndarray):
+            for comb, rest, gplus in terms:
+                mu = moments[rest] if comb == 1 else comb * moments[rest]
+                acc = acc - mu * cum[gplus]
+        elif terms:
+            if part is None:
+                part = np.empty_like(acc)
+            out = acc if alpha in mu_done else None
+            for comb, rest, gplus in terms:
+                if comb == 1:
+                    np.multiply(moments[rest], cum[gplus], out=part)
+                else:
+                    np.multiply(comb, moments[rest], out=part)
+                    part *= cum[gplus]
+                acc = out = np.subtract(acc, part, out=out)
         cum[alpha] = acc
         for beta in mu_done:
             del moments[beta]

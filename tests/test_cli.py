@@ -570,6 +570,26 @@ def test_stem_nonfinite_endpoints_with_phase_constants_exit_1(tmp_path, capsys):
     assert out.read_text() == "keep me\n"
 
 
+def test_stem_negative_segment_g_leaves_closed_form_empty(tmp_path, capsys):
+    # the future side's SEGMENT g rounds below zero at these extreme parameters
+    path = tmp_path / "scenario.json"
+    path.write_text('{"case": "c3_1", "k": [153261905.58773607, 507956682.225713, '
+                    '-7410221.174899173], "p3": -1135704618253105.8}')
+    out = tmp_path / "stem.csv"
+    code, err = _run_in_process(capsys, "stem", "--scenario", str(path), "--t=-20,20",
+                                "--out", str(out))
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    closed = dict(zip(rows[0], zip(*rows[1:])))["length_closed_form"]
+    assert closed[0] != "" and closed[1] == ""
+    from kpii_stem.cli import load_scenario
+    from kpii_stem.errors import UnsupportedFormulaError
+    from kpii_stem.geometry import stem_length_formula
+    sol = load_scenario(str(path)).build()
+    with pytest.raises(UnsupportedFormulaError, match="rounds below zero"):
+        stem_length_formula(sol, 20.0)
+
+
 # finite scenario numbers whose frequency omega = -(k^4 + 3 p^2) / k overflows
 @pytest.mark.parametrize("text", [
     '{"case": "c2_1", "k": [1e100, -2.0, -1.3333333333333333], "p3": 1.0}',

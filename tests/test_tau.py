@@ -5,8 +5,10 @@ u alone; the references are 50- and 60-digit mpmath evaluations of the same
 exponential sums.
 """
 
+import functools
 import itertools
 import math
+import operator
 
 import mpmath
 import numpy as np
@@ -430,6 +432,104 @@ def test_bundle_transient_memory_does_not_grow_with_points(solutions):
             tracemalloc.stop()
         transient.append(peak - sum(v.nbytes for v in out.values()))
     assert transient[1] <= 1.25 * transient[0], transient
+
+
+def _per_beta_moments(tau, x, y, t, betas):
+    """Reference moments: r from the plain weight expression, then one
+    (w * r).sum(axis=0) / s0 per beta at any point count."""
+    lead = (slice(None),) + (None,) * max(x.ndim, y.ndim, t.ndim)
+    coeff, kx, py, wt, phase = (col[lead] for col in tau.columns)
+    expo = kx * x + py * y + wt * t + phase
+    r = coeff * np.exp(expo - expo.max(axis=0))
+    s0 = r.sum(axis=0)
+    out = {}
+    for beta in betas:
+        w = functools.reduce(operator.mul,
+                             [col**b for col, b in zip((kx, py, wt), beta) if b])
+        out[beta] = (w * r).sum(axis=0) / s0
+    return out
+
+
+def _allocating_cumulants(moments, steps):
+    """The cumulant recursion with a new array per operation."""
+    cum = {}
+    for alpha, terms, mu_done, cum_done in steps:
+        acc = moments[alpha]
+        for comb, rest, gplus in terms:
+            mu = moments[rest] if comb == 1 else comb * moments[rest]
+            acc = acc - mu * cum[gplus]
+        cum[alpha] = acc
+        for beta in mu_done:
+            del moments[beta]
+        for gamma in cum_done:
+            del cum[gamma]
+    return cum
+
+
+def _per_beta(monkeypatch, call):
+    """call() with u_partials running the per-beta reference kernel."""
+    import kpii_stem.tau as tau_module
+    with monkeypatch.context() as m:
+        m.setattr(tau_module, "_moments", _per_beta_moments)
+        m.setattr(tau_module, "_cumulants", _allocating_cumulants)
+        return call()
+
+
+def _kernel_taus(solutions):
+    """c3_1 (4 terms), m2 (5), the eight-term generic tau, and the generic
+    tau with phase constants (the shipped taus have phase 0 in every term)."""
+    taus = {"c3_1": solutions["c3_1"].tau, "m2": solutions["m2"].tau,
+            "generic": make_generic((1, 2, 3), (0.1, 0.2, 0.35)).tau,
+            "generic xi0": make_generic((1, 2, 3), (0.1, 0.2, 0.35), xi0=(0.4, -1.1, 0.7)).tau}
+    assert [len(tau) for tau in taus.values()] == [4, 5, 8, 8]
+    assert all(col.any() for col in taus["generic xi0"].columns)
+    return taus
+
+
+def test_einsum_moments_bitwise_equal_to_per_beta_reference(solutions, monkeypatch):
+    """The in-place weights, the one-einsum moments and the in-place
+    recursion give the bits of the per-beta kernel: one point (scalar and
+    length 1, the per-beta sums), two and three points, a broadcast, a
+    cross-section's 801 points, 4097 points (two blocks) and a 150 x 151 grid."""
+    rng = np.random.default_rng(53)
+    u = lambda *shape: rng.uniform(-9.0, 9.0, shape)
+    inputs = [("scalar", 0.3, -0.7, 1.1), ("length 1", u(1), u(1), u(1)),
+              ("2 points", u(2), u(2), u(2)), ("3 points", u(3), u(3), 0.4),
+              ("41 x 7", u(41, 1), u(7), -1.3), ("801", u(801), u(801), 10.0),
+              ("4097", u(4097), u(4097), u(4097)),
+              ("150 x 151", np.linspace(-30, 30, 150)[:, None], np.linspace(-30, 30, 151), 2.5)]
+    for name, tau in _kernel_taus(solutions).items():
+        for indices in (((0, 0, 0),), RESIDUAL_INDICES):
+            for label, x, y, t in inputs:
+                got = u_partials(tau, x, y, t, indices)
+                want = _per_beta(monkeypatch, lambda: u_partials(tau, x, y, t, indices))
+                for idx in indices:
+                    assert type(got[idx]) is type(want[idx]), (name, label, idx)
+                    assert np.shape(got[idx]) == np.shape(want[idx]), (name, label, idx)
+                    assert np.asarray(got[idx]).tobytes() == np.asarray(want[idx]).tobytes(), \
+                        (name, label, idx)
+
+
+def test_kernel_peak_memory_no_higher_than_per_beta_reference(solutions, monkeypatch):
+    """Traced peak bytes of the bundle and of u alone on 2e4 points are no
+    higher than the per-beta kernel's."""
+    import tracemalloc
+    x, y, t = np.random.default_rng(59).uniform(-20.0, 20.0, (3, 20_000))
+
+    def peak(tau, indices):
+        u_partials(tau, 0.0, 0.0, 0.0, indices)  # the plan, outside the trace
+        tracemalloc.start()
+        try:
+            u_partials(tau, x, y, t, indices)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for name, tau in _kernel_taus(solutions).items():
+        for indices in (((0, 0, 0),), RESIDUAL_INDICES):
+            got = peak(tau, indices)
+            want = _per_beta(monkeypatch, lambda: peak(tau, indices))
+            assert got <= want, (name, len(indices), got / x.size, want / x.size)
 
 
 def test_tau_columns_are_read_only_and_not_compared():
