@@ -34,6 +34,7 @@ from .geometry import (
     arm_catalog,
     arm_profile,
     cross_section,
+    even_axis,
     find_arm,
     normalize_line,
     stem_endpoints,
@@ -235,14 +236,6 @@ def _parse_grid(spec: str):
 _UNSIZABLE = (ValueError, IndexError, MemoryError)
 
 
-def _axis(lo: float, hi: float, n: int) -> np.ndarray:
-    """n evenly spaced points from lo to hi.  Where hi - lo overflows, the
-    axis is built at half scale and doubled, which is exact."""
-    if math.isfinite(hi - lo):
-        return np.linspace(lo, hi, n)
-    return 2.0 * np.linspace(0.5 * lo, 0.5 * hi, n)
-
-
 def cmd_sample(args) -> int:
     sc = load_scenario(args.scenario)
     sol = sc.build()
@@ -252,7 +245,7 @@ def cmd_sample(args) -> int:
     # print as nan or inf, without numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            xs, ys = _axis(xmin, xmax, nx), _axis(ymin, ymax, ny)
+            xs, ys = even_axis(xmin, xmax, nx), even_axis(ymin, ymax, ny)
         except _UNSIZABLE as exc:
             raise ScenarioError(f"grid of {nx} x {ny} points is too large") from exc
         # whole x-rows, four evaluation blocks per call and write (a block is
@@ -468,25 +461,28 @@ def cmd_section(args) -> int:
         # the stem trajectory turned 90 degrees about the midpoint
         A, B, _ = trajectory_line(stem_side(sol, t)[0], t)
         line = (-B, A, B * mx - A * my)
-    try:
-        pts = cross_section(sol, t, line, s_range=s_range, n_samples=args.n,
-                            anchor=(mx, my))
-    except _UNSIZABLE as exc:
-        raise ScenarioError(f"n = {args.n} samples is too large") from exc
-    with _open_output(args.out) as out:
-        out.write(f"# kpii-stem v{__version__} case={sc.case} t={t!r}\n")
-        if arm is not None:
-            out.write("s,u,u_arm\n")
-            A, B, C = normalize_line(line)
-            d = A * mx + B * my + C
-            foot = (mx - d * A, my - d * B)
-            for s, u in pts:
-                prof = float(arm_profile(arm, (foot[0] + s * (-B), foot[1] + s * A, t)))
-                out.write(f"{float(s)!r},{float(u)!r},{prof!r}\n")
-        else:
-            out.write("s,u\n")
-            for s, u in pts:
-                out.write(f"{float(s)!r},{float(u)!r}\n")
+    # as in sample, a span or samples that overflow print as nan or inf,
+    # without numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            pts = cross_section(sol, t, line, s_range=s_range, n_samples=args.n,
+                                anchor=(mx, my))
+        except _UNSIZABLE as exc:
+            raise ScenarioError(f"n = {args.n} samples is too large") from exc
+        with _open_output(args.out) as out:
+            out.write(f"# kpii-stem v{__version__} case={sc.case} t={t!r}\n")
+            if arm is not None:
+                out.write("s,u,u_arm\n")
+                A, B, C = normalize_line(line)
+                d = A * mx + B * my + C
+                foot = (mx - d * A, my - d * B)
+                for s, u in pts:
+                    prof = float(arm_profile(arm, (foot[0] + s * (-B), foot[1] + s * A, t)))
+                    out.write(f"{float(s)!r},{float(u)!r},{prof!r}\n")
+            else:
+                out.write("s,u\n")
+                for s, u in pts:
+                    out.write(f"{float(s)!r},{float(u)!r}\n")
     return EXIT_OK
 
 

@@ -17,9 +17,14 @@ cross-checked on every call.
 The generated module defines each distinct coefficient expression once as a
 function of (k1, k2, k3, p3); VERTEX[case][junction] is the tuple
 (xt, xL, yt, yL) of such functions and SEGMENT[case][(edge, ends)] the tuple
-(st, sL, g).  Only the stem queries read the tables, so they are imported on
-first use, and an entry's coefficients, which do not depend on t, are
-evaluated once per solution.
+(st, sL, g).  The tables hold only what the limit skeleton can name: at
+t -> +-inf each psi_m / |t| is linear in the term's exponent vector, so a
+catalog junction is three vectors on one facet of the template's Newton
+polytope, and a stem segment joins junctions on two different facets (48
+junctions and 72 segments over the eight cases).  A key the tables lack is
+an InternalConsistencyError.  Only the stem queries read the tables, so
+they are imported on first use, and an entry's coefficients, which do not
+depend on t, are evaluated once per solution.
 
 Everything else about a side's stem that does not depend on t is built once
 too, on the first stem query of that side: the stem plan holds, per end
@@ -493,7 +498,10 @@ def _closed_form(sol: ResonantSolution, table: str, key, args) -> tuple[float, .
         # imported here, on the first stem query, so that start-up without a
         # bytecode cache does not compile the tables
         from . import _closed_forms
-        entry = getattr(_closed_forms, table)[sol.spec.case.value][key]
+        entry = getattr(_closed_forms, table)[sol.spec.case.value].get(key)
+        if entry is None:
+            raise InternalConsistencyError(
+                f"no closed-form {table} entry for {key} in case {sol.spec.case.value}")
         coeffs = rec.closed_forms[(table, key)] = tuple(f(*args) for f in entry)
     return coeffs
 
@@ -666,6 +674,14 @@ def midpoint_amplitude(sol: ResonantSolution, t: float) -> float:
     return stem_endpoints(sol, t).midpoint_amplitude
 
 
+def even_axis(lo: float, hi: float, n: int) -> np.ndarray:
+    """n evenly spaced points from lo to hi.  Where hi - lo overflows, the
+    axis is built at half scale and doubled, which is exact."""
+    if math.isfinite(hi - lo):
+        return np.linspace(lo, hi, n)
+    return 2.0 * np.linspace(0.5 * lo, 0.5 * hi, n)
+
+
 def cross_section(sol: ResonantSolution, t: float, line, s_range=(-20.0, 20.0),
                   n_samples: int = 801, anchor=None):
     """Sample u along a line, parametrized by arclength from the anchor.
@@ -686,7 +702,7 @@ def cross_section(sol: ResonantSolution, t: float, line, s_range=(-20.0, 20.0),
     d = A * anchor[0] + B * anchor[1] + C
     foot = (anchor[0] - d * A, anchor[1] - d * B)
     direction = (-B, A)
-    s = np.linspace(s_range[0], s_range[1], n_samples)
+    s = even_axis(s_range[0], s_range[1], n_samples)
     xs = foot[0] + s * direction[0]
     ys = foot[1] + s * direction[1]
     u = u_on_grid(sol.tau, xs, ys, t)

@@ -424,6 +424,17 @@ def test_sample_overflow_is_silent(tmp_path, t, grid, fmt):
     assert out.read_bytes() == _sample_reference(scenario, t, grid, fmt)
 
 
+@pytest.mark.parametrize("line", ["3", "perp"])
+def test_section_overflow_is_silent(line):
+    # -1e308 - 1e308 overflows; the s axis is built as sample builds its grid
+    # axes, and the overflowing u values print without numpy warnings
+    res = run_cli("section", "--scenario", str(SCENARIOS / "c3_1.json"), "--t=10",
+                  "--line", line, "--range=-1e308,1e308", "--n", "5")
+    assert (res.returncode, res.stderr) == (0, b"")
+    rows = [ln.split(",") for ln in res.stdout.decode().splitlines()[2:]]
+    assert [float(row[0]) for row in rows] == [-1e308, -5e307, 0.0, 5e307, 1e308]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sample_overflowing_span_keeps_grid_coordinates(tmp_path, fmt):

@@ -1,5 +1,5 @@
-"""The generated closed-form tables: layout, loading on first use, and the
-dual-path endpoint check that reads them."""
+"""The generated closed-form tables: layout, the facet rule that picks their
+keys, loading on first use, and the dual-path endpoint check that reads them."""
 
 import ast
 import itertools
@@ -7,10 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from kpii_stem import _closed_forms, catalog, stem_endpoints, stem_length_formula, stem_side
-from kpii_stem.errors import InternalConsistencyError
+from kpii_stem import (_closed_forms, arm_catalog, catalog, cli, stem_endpoints,
+                       stem_length_formula, stem_side)
+from kpii_stem.errors import (DegenerateParameterError, InadmissibleParameterError,
+                              InternalConsistencyError)
 
 from conftest import SCENARIOS, build_scenario
 
@@ -22,7 +25,7 @@ def test_each_expression_is_defined_once():
     tree = ast.parse(TABLES.read_text(encoding="utf-8"))
     bodies = [ast.dump(node.body[0]) for node in tree.body
               if isinstance(node, ast.FunctionDef)]
-    assert len(bodies) == 282
+    assert len(bodies) == 188
     assert len(set(bodies)) == len(bodies)
 
 
@@ -34,22 +37,84 @@ def test_table_entries_are_tuples_of_functions():
                 assert all(callable(f) for f in entry)
 
 
-def test_table_keys_are_every_junction_and_segment_of_each_case():
-    # every triple of a template's terms meets in one point, and every pair
-    # boundary runs between the junctions of the two other terms
+def _orientation(a, b, c, d):
+    """Sign of det(b - a, c - a, d - a), in integers."""
+    u, v, w = ([q[i] - a[i] for i in range(3)] for q in (b, c, d))
+    det = (u[0] * (v[1] * w[2] - v[2] * w[1]) - u[1] * (v[0] * w[2] - v[2] * w[0])
+           + u[2] * (v[0] * w[1] - v[1] * w[0]))
+    return (det > 0) - (det < 0)
+
+
+def test_table_keys_are_the_facet_triples_and_their_segments():
+    # a limit junction is three exponent vectors on one facet of the
+    # template's hull: their plane has every other vector on one side and
+    # at least one strictly; a segment joins junctions on two facets
     n_vertex = n_segment = 0
     for case, template in catalog.TEMPLATES.items():
         eps = sorted(e for e, _ in template)
-        vertex = set(itertools.combinations(eps, 3))
+        vertex = {tri for tri in itertools.combinations(eps, 3)
+                  if len({_orientation(*tri, e) for e in eps if e not in tri} - {0}) == 1}
         segment = {(edge, ends) for edge in itertools.combinations(eps, 2)
-                   for ends in itertools.combinations([e for e in eps if e not in edge], 2)}
+                   for ends in itertools.combinations([e for e in eps if e not in edge], 2)
+                   if all(tuple(sorted(edge + (e,))) in vertex for e in ends)
+                   and _orientation(*edge, *ends) != 0}
         assert set(_closed_forms.VERTEX[case.value]) == vertex
         assert set(_closed_forms.SEGMENT[case.value]) == segment
+        # a 4-term template is a tetrahedron, a 5-term one a square pyramid
+        # without its two diagonal planes
+        assert (len(vertex), len(segment)) == {4: (4, 6), 5: (8, 12)}[len(eps)]
         n_vertex += len(vertex)
         n_segment += len(segment)
     assert set(_closed_forms.VERTEX) == set(_closed_forms.SEGMENT) == {
         c.value for c in catalog.TEMPLATES}
-    assert (n_vertex, n_segment) == (56, 144)
+    assert (n_vertex, n_segment) == (48, 72)
+
+
+def _sweep_draws(rng, n):
+    """n (k, p3) draws: one in three plain, one in three with k1 + k3 or
+    k1 + k2 + k3 within 1e-12 .. 1e-2 of zero, one in three with the k
+    magnitudes spread over four decades and p3 at the KPII scale k**2."""
+    for i in range(n):
+        k = rng.uniform(0.4, 2.5, 3) * rng.choice([-1.0, 1.0], 3)
+        p3 = rng.uniform(-2.0, 2.0)
+        if i % 3 == 1:
+            delta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12, -2)
+            k[2] = (-k[0] if rng.integers(2) else -k[0] - k[1]) + delta
+        elif i % 3 == 2:
+            scale = 10.0 ** rng.uniform(-2, 2, 3)
+            k = k * scale
+            p3 *= float(np.prod(scale)) ** (2 / 3)
+        yield k, p3
+
+
+def test_every_catalog_key_is_in_the_tables():
+    cases = list(catalog.TEMPLATES)
+    catalogs = 0
+    for case in cases:
+        for branch in catalog.Branch:
+            spec = catalog.CaseSpec(case, branch)
+            rng = np.random.default_rng([19, cases.index(case), list(catalog.Branch).index(branch)])
+            for k, p3 in _sweep_draws(rng, 150):
+                try:
+                    sol = catalog.build_solution(catalog.resolve_constraints(k, p3, spec), spec)
+                    cat = arm_catalog(sol)
+                except (InadmissibleParameterError, DegenerateParameterError,
+                        InternalConsistencyError):  # inadmissible, or no reconnection
+                    continue
+                catalogs += 1
+                for ja, jb in (cat.past_junctions, cat.future_junctions):
+                    assert {ja, jb} <= set(_closed_forms.VERTEX[case.value]), (case, k, p3)
+                    key = (tuple(sorted(set(ja) & set(jb))), tuple(sorted(set(ja) ^ set(jb))))
+                    assert key in _closed_forms.SEGMENT[case.value], (case, k, p3)
+    assert catalogs >= 1500
+
+
+def test_missing_table_key_is_an_error_not_a_traceback(monkeypatch, capsys):
+    junction = stem_side(build_scenario("c3_1"), 5.0)[1][0]
+    monkeypatch.delitem(_closed_forms.VERTEX["c3_1"], junction)
+    assert cli.main(["stem", "--scenario", str(SCENARIOS / "c3_1.json"), "--t=5"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: no closed-form VERTEX entry")
 
 
 _PROBE = """

@@ -3,9 +3,9 @@
 
 For every resonance case (first constraint branch, zero phase constants) this
 script solves, in exact rational arithmetic, the meeting point of each triple
-of tau-function terms and the separation of each junction pair sharing a
-two-term boundary.  Each term of a case template contributes the affine
-dominance function
+of tau-function terms that the limit skeleton can name, and the separation of
+each pair of such junctions sharing a two-term boundary.  Each term of a case
+template contributes the affine dominance function
 
     psi_m(x, y) = K_m x + P_m y + W_m t + lam_m * L,
 
@@ -16,8 +16,21 @@ in t and L with coefficients that are rational in (k1, k2, k3, p3).  A
 boundary segment between two junctions that share the pair {m, n} has length
 |s_t * t + s_L * L| * sqrt(g), all three factors rational in the parameters.
 
+Which keys are emitted follows from the Newton polytope of the template.  At
+t -> +-inf every psi_m / |t| = eps_m . (k x + p y +- omega) is linear in the
+exponent vector eps_m with no constant term, so the limit skeleton that the
+arm catalog reads is a planar slice of the normal fan of conv(template) (the
+tropical picture of Kodama, KP Solitons and the Grassmannians, 2017): its
+junctions lie where the slice meets facet normals.  A junction is therefore
+three vectors on one facet, and a triple is kept when its plane supports the
+hull (every other vector on one side of it, at least one strictly).  A
+segment runs between junctions on two different facets, so it is kept when
+both end triples are and its four vectors are not coplanar.  Both tests are
+exact integer orientations.  Each 5-term template is a square pyramid, which
+drops its two diagonal planes: 48 junctions and 72 segments in all.
+
 The generated module defines each distinct expression once, as a function
-_eN(k1, k2, k3, p3) returning it (of 656 table coefficients 282 differ).
+_eN(k1, k2, k3, p3) returning it (of 408 table coefficients 188 differ).
 VERTEX[case][key] is the tuple (xt, xL, yt, yL) of such functions and
 SEGMENT[case][key] the tuple (st, sL, g).  Keys spell each exponent vector
 (a, b, c) by the module-level name _abc, which compiles to less than a tuple
@@ -66,6 +79,21 @@ def term_data(constraints, eps, lam):
     P = sum(e * pv[j] for j, e in enumerate(eps))
     W = sum(e * wv[j] for j, e in enumerate(eps))
     return sp.together(K), sp.together(P), sp.together(W), lam
+
+
+def orientation(a, b, c, d):
+    """Sign of det(b - a, c - a, d - a): the side of plane abc that d is on."""
+    (u0, u1, u2), (v0, v1, v2), (w0, w1, w2) = (
+        [q[i] - a[i] for i in range(3)] for q in (b, c, d))
+    det = u0 * (v1 * w2 - v2 * w1) - u1 * (v0 * w2 - v2 * w0) + u2 * (v0 * w1 - v1 * w0)
+    return (det > 0) - (det < 0)
+
+
+def on_facet(eps_list, tri):
+    """Whether the plane of the vectors eps_list[i], i in tri, supports their hull."""
+    sides = {orientation(*(eps_list[i] for i in tri), e)
+             for j, e in enumerate(eps_list) if j not in tri}
+    return len(sides - {0}) == 1
 
 
 def junction_point(terms, tri):
@@ -145,6 +173,10 @@ def main():
         "the separation of the two junctions flanking `edge` has length",
         "|st*t + sL*log_a12| * sqrt(g).  Keys are sorted tuples of term",
         "exponent vectors over (xi1, xi2, xi3); _abc names the vector (a, b, c).",
+        "",
+        "Only the keys the t -> +-inf limit skeleton can name are present: a",
+        "junction is three vectors on one facet of the template's Newton polytope,",
+        "and a segment joins junctions on two different facets.",
         '"""',
         "",
     ]
@@ -161,6 +193,8 @@ def main():
         points = {}
         vertex_entries[case] = {}
         for tri in itertools.combinations(range(len(terms)), 3):
+            if not on_facet(eps_list, tri):
+                continue
             pt = junction_point(terms, tri)
             if pt is None:
                 continue
@@ -172,6 +206,9 @@ def main():
         for edge in itertools.combinations(range(len(terms)), 2):
             rest = [r for r in range(len(terms)) if r not in edge]
             for ra, rb in itertools.combinations(rest, 2):
+                # two ends on one facet are one limit junction
+                if not orientation(*(eps_list[i] for i in edge + (ra, rb))):
+                    continue
                 res = edge_length(terms, edge, ra, rb, points)
                 if res is None:
                     continue

@@ -10,7 +10,8 @@ For every scenarios/*.json file this runs each command below as
     <sha256 of the output>  exit=<code>  stderr=<bytes>  <command>  <scenario>
 
 where the output is stdout, or for ``sample``, which needs ``--out``, the file
-it wrote.
+it wrote.  ``section-arm`` cuts along the first arm that scenario's ``build``
+output lists, so its ``u_arm`` column is covered too.
 
 Two checkouts whose listings are equal wrote the same bytes for every
 command, so diffing the output of two runs (for example a commit and its
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -40,6 +42,7 @@ COMMANDS = [
     ("stem-json-one-t", ["stem", "--t=5", "--format", "json"]),
     ("stem-json-times", ["stem", STEM_TIMES, "--format", "json"]),
     ("section-perp", ["section", "--t=10", "--line", "perp"]),
+    ("section-arm", ["section", "--t=10", "--line={arm}"]),
     ("verify-all", ["verify", "--suite", "all"]),
     ("sample-csv", ["sample", "--t=0.7", SAMPLE_GRID, "--out", "{out}"]),
     ("sample-json", ["sample", "--t=0.7", SAMPLE_GRID, "--format", "json", "--out", "{out}"]),
@@ -58,14 +61,18 @@ def main() -> int:
         print(f"error: no kpii_stem package or scenarios under {root}", file=sys.stderr)
         return 2
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
+    builds = {}  # scenario -> stdout of its build command, which runs first
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         for label, argv in COMMANDS:
             for path in scenarios:
                 out.unlink(missing_ok=True)
+                arm = json.loads(builds[path])["arms"][0]["label"] if label == "section-arm" else ""
                 cmd = [sys.executable, "-m", "kpii_stem.cli", argv[0], "--scenario", str(path),
-                       *(str(out) if a == "{out}" else a for a in argv[1:])]
+                       *(str(out) if a == "{out}" else a.replace("{arm}", arm) for a in argv[1:])]
                 res = subprocess.run(cmd, capture_output=True, env=env, cwd=root, check=False)
+                if label == "build":
+                    builds[path] = res.stdout
                 data = out.read_bytes() if "{out}" in argv and out.exists() else res.stdout
                 print(f"{hashlib.sha256(data).hexdigest()}  exit={res.returncode}  "
                       f"stderr={len(res.stderr)}  {label}  {path.name}", flush=True)
