@@ -6,14 +6,11 @@ Each _eN(k1, k2, k3, p3) evaluates one distinct coefficient expression.
 VERTEX[case][key] = (xt, xL, yt, yL), four such functions: the meeting
 point of the three tau-function terms named by `key` sits at
 (xt*t + xL*log_a12, yt*t + yL*log_a12) for the first constraint branch
-with zero phase constants.  SEGMENT[case][(edge, ends)] = (st, sL, g):
-the separation of the two junctions flanking `edge` has length
-|st*t + sL*log_a12| * sqrt(g).  Keys are sorted tuples of term
-exponent vectors over (xi1, xi2, xi3); _abc names the vector (a, b, c).
+with zero phase constants.  Keys are sorted tuples of term exponent
+vectors over (xi1, xi2, xi3); _abc names the vector (a, b, c).
 
 Only the keys the t -> +-inf limit skeleton can name are present: a
-junction is three vectors on one facet of the template's Newton polytope,
-and a segment joins junctions on two different facets.
+junction is three vectors on one facet of the template's Newton polytope.
 """
 
 def _e0(k1, k2, k3, p3):
@@ -92,493 +89,160 @@ def _e24(k1, k2, k3, p3):
     return -1/(k1*(k1 + k3))
 
 def _e25(k1, k2, k3, p3):
-    return 4*k3*(k1 + k3)/(k1*(k1 + k2 + 2*k3))
-
-def _e26(k1, k2, k3, p3):
-    return 1/(k1*(k2 + k3)*(k1 + k2 + k3))
-
-def _e27(k1, k2, k3, p3):
-    return k1**2*(k1**2*k3**2 + 2*k1*k3**3 + 2*k1*k3*p3 + k3**4 + 2*k3**2*p3 + k3**2 + p3**2)/k3**2
-
-def _e28(k1, k2, k3, p3):
-    return -k3*(k1 + k3)/(k1*k2*(k2 + k3)*(k1 + k2 + k3)*(k1 + k2 + 2*k3))
-
-def _e29(k1, k2, k3, p3):
-    return -4*k3*(k2 + k3)/(k2*(k1 + k2 + 2*k3))
-
-def _e30(k1, k2, k3, p3):
-    return -1/(k2*(k1 + k3)*(k1 + k2 + k3))
-
-def _e31(k1, k2, k3, p3):
-    return k2**2*(k2**2*k3**2 + 2*k2*k3**3 - 2*k2*k3*p3 + k3**4 - 2*k3**2*p3 + k3**2 + p3**2)/k3**2
-
-def _e32(k1, k2, k3, p3):
-    return k3*(k2 + k3)/(k1*k2*(k1 + k3)*(k1 + k2 + k3)*(k1 + k2 + 2*k3))
-
-def _e33(k1, k2, k3, p3):
-    return -4*k3/(k1 + k2 + k3)
-
-def _e34(k1, k2, k3, p3):
-    return -(k1 + k2 + 2*k3)/((k1 + k3)*(k2 + k3)*(k1 + k2 + k3)**2)
-
-def _e35(k1, k2, k3, p3):
-    return (k1 + k2 + k3)**2*(k1**2*k3**2 - 2*k1*k2*k3**2 + 2*k1*k3*p3 + k2**2*k3**2 - 2*k2*k3*p3 + k3**2 + p3**2)/k3**2
-
-def _e36(k1, k2, k3, p3):
-    return -4*(k1 + k3)*(k1 + k2 + k3)/(k2*(k1 + k2 + 2*k3))
-
-def _e37(k1, k2, k3, p3):
-    return (k1 + k3)/(k2**2*(k2 + k3)*(k1 + k2 + 2*k3))
-
-def _e38(k1, k2, k3, p3):
-    return (k1**2 + k1*k3 + k2**2 + k2*k3)/(k1*k2**2*(k2 + k3)*(k1 + k2 + 2*k3))
-
-def _e39(k1, k2, k3, p3):
-    return -4*(k1 + k3)/(k2 + k3)
-
-def _e40(k1, k2, k3, p3):
-    return (k1 + k3)/(k2*(k2 + k3)**2*(k1 + k2 + k3))
-
-def _e41(k1, k2, k3, p3):
-    return (k2 + k3)**2*(k2**2*k3**2 - 2*k2*k3*p3 + k3**2 + p3**2)/k3**2
-
-def _e42(k1, k2, k3, p3):
-    return 4*(k2 + k3)*(k1 + k2 + k3)/(k1*(k1 + k2 + 2*k3))
-
-def _e43(k1, k2, k3, p3):
-    return -(k2 + k3)/(k1**2*(k1 + k3)*(k1 + k2 + 2*k3))
-
-def _e44(k1, k2, k3, p3):
-    return -(k1**2 + k1*k3 + k2**2 + k2*k3)/(k1**2*k2*(k1 + k3)*(k1 + k2 + 2*k3))
-
-def _e45(k1, k2, k3, p3):
-    return 4*(k2 + k3)/(k1 + k3)
-
-def _e46(k1, k2, k3, p3):
-    return -(k2 + k3)/(k1*(k1 + k3)**2*(k1 + k2 + k3))
-
-def _e47(k1, k2, k3, p3):
-    return (k1 + k3)**2*(k1**2*k3**2 + 2*k1*k3*p3 + k3**2 + p3**2)/k3**2
-
-def _e48(k1, k2, k3, p3):
-    return 4*(k1 + k2 + k3)/k3
-
-def _e49(k1, k2, k3, p3):
-    return -(k1**2 + k1*k3 + k2**2 + k2*k3)/(k1*k2*k3*(k1 + k3)*(k2 + k3))
-
-def _e50(k1, k2, k3, p3):
-    return k3**2 + p3**2
-
-def _e51(k1, k2, k3, p3):
     return (-k2*k3 + p3)/(k1*k3*(k1 + k2 + k3))
 
-def _e52(k1, k2, k3, p3):
+def _e26(k1, k2, k3, p3):
     return -1/(k1*(k1 + k2 + k3))
 
-def _e53(k1, k2, k3, p3):
-    return 4*k1/k2
-
-def _e54(k1, k2, k3, p3):
-    return 4*(k1 + k3)/(k2 + k3)
-
-def _e55(k1, k2, k3, p3):
-    return -1/(k1*(k2 + k3)*(k1 + k2 + k3))
-
-def _e56(k1, k2, k3, p3):
-    return 4*k3/(k1 + k2 + k3)
-
-def _e57(k1, k2, k3, p3):
-    return -k3/(k1*(k1 + k3)*(k1 + k2 + k3)**2)
-
-def _e58(k1, k2, k3, p3):
-    return -1/(k1*k3*(k1 + k3))
-
-def _e59(k1, k2, k3, p3):
-    return 4*k2/k1
-
-def _e60(k1, k2, k3, p3):
-    return -k2/(k1**2*(k1 + k3)*(k1 + k2 + k3))
-
-def _e61(k1, k2, k3, p3):
+def _e27(k1, k2, k3, p3):
     return -(k1*k3 + p3)/(k2*k3*(k1 + k2 + k3))
 
-def _e62(k1, k2, k3, p3):
+def _e28(k1, k2, k3, p3):
     return 1/(k2*(k1 + k2 + k3))
 
-def _e63(k1, k2, k3, p3):
-    return -4*k2/k1
-
-def _e64(k1, k2, k3, p3):
-    return -4*(k2 + k3)/(k1 + k3)
-
-def _e65(k1, k2, k3, p3):
-    return 1/(k2*(k1 + k3)*(k1 + k2 + k3))
-
-def _e66(k1, k2, k3, p3):
-    return k3/(k2*(k2 + k3)*(k1 + k2 + k3)**2)
-
-def _e67(k1, k2, k3, p3):
-    return -4*(k1 + k2 + k3)/k3
-
-def _e68(k1, k2, k3, p3):
-    return 1/(k2*k3*(k2 + k3))
-
-def _e69(k1, k2, k3, p3):
-    return -4*k1/k2
-
-def _e70(k1, k2, k3, p3):
-    return k1/(k2**2*(k2 + k3)*(k1 + k2 + k3))
-
-def _e71(k1, k2, k3, p3):
-    return -(k1 + k2)/(k1*k2*(k1 + k2 + k3)**2)
-
-def _e72(k1, k2, k3, p3):
-    return -4*(k2 + k3)*(k1 + k2 + k3)/(k1*(k1 + k2 + 2*k3))
-
-def _e73(k1, k2, k3, p3):
-    return 1/(k1*k2*(k1 + k2 + 2*k3))
-
-def _e74(k1, k2, k3, p3):
-    return 4*(k1 + k3)*(k1 + k2 + k3)/(k2*(k1 + k2 + 2*k3))
-
-def _e75(k1, k2, k3, p3):
-    return -1/(k1*k2*(k1 + k2 + 2*k3))
-
-def _e76(k1, k2, k3, p3):
-    return 4*k3*(k2 + k3)/(k2*(k1 + k2 + 2*k3))
-
-def _e77(k1, k2, k3, p3):
-    return -k3/(k2**2*(k1 + k2 + k3)*(k1 + k2 + 2*k3))
-
-def _e78(k1, k2, k3, p3):
-    return -(k1 + k2)*(k2 + k3)/(k1*k2**2*(k1 + k2 + k3)*(k1 + k2 + 2*k3))
-
-def _e79(k1, k2, k3, p3):
-    return -4*k3*(k1 + k3)/(k1*(k1 + k2 + 2*k3))
-
-def _e80(k1, k2, k3, p3):
-    return k3/(k1**2*(k1 + k2 + k3)*(k1 + k2 + 2*k3))
-
-def _e81(k1, k2, k3, p3):
-    return (k1 + k2)*(k1 + k3)/(k1**2*k2*(k1 + k2 + k3)*(k1 + k2 + 2*k3))
-
-def _e82(k1, k2, k3, p3):
+def _e29(k1, k2, k3, p3):
     return -(-4*k1**2*k2*k3**2 + 4*k1**2*k3**3 - 4*k1**2*k3*p3 - 4*k1*k2**2*k3**2 + 12*k1*k2*k3**3 - 9*k1*k3**4 + 6*k1*k3**2*p3 + 3*k1*p3**2 + 4*k2**2*k3**3 + 4*k2**2*k3*p3 - 9*k2*k3**4 - 6*k2*k3**2*p3 + 3*k2*p3**2 + 6*k3**5 - 6*k3*p3**2)/(k3**2*(k1 + k2 - 2*k3))
 
-def _e83(k1, k2, k3, p3):
+def _e30(k1, k2, k3, p3):
     return 2*(-2*k1**2*k3 + 3*k1*k3**2 + 3*k1*p3 + 2*k2**2*k3 - 3*k2*k3**2 + 3*k2*p3 - 6*k3*p3)/(k3*(k1 + k2 - 2*k3))
 
-def _e84(k1, k2, k3, p3):
+def _e31(k1, k2, k3, p3):
     return -(-4*k1*k3*p3 - k3**4 + 2*k3**2*p3 + 3*p3**2)/k3**2
 
-def _e85(k1, k2, k3, p3):
+def _e32(k1, k2, k3, p3):
     return 2*(-2*k1*k3 + k3**2 + 3*p3)/k3
 
-def _e86(k1, k2, k3, p3):
+def _e33(k1, k2, k3, p3):
     return (-k1*k3 + k3**2 + p3)/(k2*k3*(k1 + k2 - 2*k3))
 
-def _e87(k1, k2, k3, p3):
+def _e34(k1, k2, k3, p3):
     return -1/(k2*(k1 + k2 - 2*k3))
 
-def _e88(k1, k2, k3, p3):
+def _e35(k1, k2, k3, p3):
     return -(4*k2*k3*p3 - k3**4 - 2*k3**2*p3 + 3*p3**2)/k3**2
 
-def _e89(k1, k2, k3, p3):
+def _e36(k1, k2, k3, p3):
     return 2*(2*k2*k3 - k3**2 + 3*p3)/k3
 
-def _e90(k1, k2, k3, p3):
+def _e37(k1, k2, k3, p3):
     return -(k2*k3 - k3**2 + p3)/(k1*k3*(k1 + k2 - 2*k3))
 
-def _e91(k1, k2, k3, p3):
+def _e38(k1, k2, k3, p3):
     return 1/(k1*(k1 + k2 - 2*k3))
 
-def _e92(k1, k2, k3, p3):
+def _e39(k1, k2, k3, p3):
     return (-k1**2*k3 + k1*k3**2 + k1*p3 - k2**2*k3 + k2*k3**2 - k2*p3)/(k1*k2*k3*(k1 + k2 - 2*k3))
 
-def _e93(k1, k2, k3, p3):
+def _e40(k1, k2, k3, p3):
     return -(k1 - k2)/(k1*k2*(k1 + k2 - 2*k3))
 
-def _e94(k1, k2, k3, p3):
+def _e41(k1, k2, k3, p3):
     return -(-4*k1*k2*k3**2 + 4*k1*k3**3 - 4*k1*k3*p3 + 4*k2*k3*p3 - k3**4 - 2*k3**2*p3 + 3*p3**2)/k3**2
 
-def _e95(k1, k2, k3, p3):
+def _e42(k1, k2, k3, p3):
     return (-k1*k3 + p3)/(k2*k3*(k1 + k2 - k3))
 
-def _e96(k1, k2, k3, p3):
+def _e43(k1, k2, k3, p3):
     return 2*(-2*k1*k3 + 2*k2*k3 - k3**2 + 3*p3)/k3
 
-def _e97(k1, k2, k3, p3):
+def _e44(k1, k2, k3, p3):
     return -1/(k2*(k1 + k2 - k3))
 
-def _e98(k1, k2, k3, p3):
+def _e45(k1, k2, k3, p3):
     return -(-4*k1*k2*k3**2 - 4*k1*k3*p3 + 4*k2*k3**3 + 4*k2*k3*p3 - k3**4 + 2*k3**2*p3 + 3*p3**2)/k3**2
 
-def _e99(k1, k2, k3, p3):
+def _e46(k1, k2, k3, p3):
     return -(k2*k3 + p3)/(k1*k3*(k1 + k2 - k3))
 
-def _e100(k1, k2, k3, p3):
+def _e47(k1, k2, k3, p3):
     return 2*(-2*k1*k3 + 2*k2*k3 + k3**2 + 3*p3)/k3
 
-def _e101(k1, k2, k3, p3):
+def _e48(k1, k2, k3, p3):
     return 1/(k1*(k1 + k2 - k3))
 
-def _e102(k1, k2, k3, p3):
-    return -4*(k2 - k3)*(k1 + k2 - k3)/(k1*(k1 + k2 - 2*k3))
-
-def _e103(k1, k2, k3, p3):
-    return k1**2*(k1**2*k3**2 - 2*k1*k3**3 - 2*k1*k3*p3 + k3**4 + 2*k3**2*p3 + k3**2 + p3**2)/k3**2
-
-def _e104(k1, k2, k3, p3):
-    return 4*(k2 - k3)*(k1 + k2 - k3)/(k1*(k1 + k2 - 2*k3))
-
-def _e105(k1, k2, k3, p3):
-    return -1/(k1*k2*(k1 + k2 - 2*k3))
-
-def _e106(k1, k2, k3, p3):
-    return 4*(k1 - k3)*(k1 + k2 - k3)/(k2*(k1 + k2 - 2*k3))
-
-def _e107(k1, k2, k3, p3):
-    return k2**2*(k2**2*k3**2 - 2*k2*k3**3 + 2*k2*k3*p3 + k3**4 - 2*k3**2*p3 + k3**2 + p3**2)/k3**2
-
-def _e108(k1, k2, k3, p3):
-    return -4*(k1 - k3)*(k1 + k2 - k3)/(k2*(k1 + k2 - 2*k3))
-
-def _e109(k1, k2, k3, p3):
-    return 1/(k1*k2*(k1 + k2 - 2*k3))
-
-def _e110(k1, k2, k3, p3):
-    return 4*(k1 + k2 - k3)/k3
-
-def _e111(k1, k2, k3, p3):
-    return -4*(k2 - k3)/(k1 - k3)
-
-def _e112(k1, k2, k3, p3):
-    return 1/(k2*(k1 - k3)*(k1 + k2 - k3))
-
-def _e113(k1, k2, k3, p3):
-    return (k1 - k3)**2*(k1**2*k3**2 - 2*k1*k3*p3 + k3**2 + p3**2)/k3**2
-
-def _e114(k1, k2, k3, p3):
-    return -4*k3*(k2 - k3)/(k2*(k1 + k2 - 2*k3))
-
-def _e115(k1, k2, k3, p3):
-    return k3/(k2**2*(k1 + k2 - 2*k3)*(k1 + k2 - k3))
-
-def _e116(k1, k2, k3, p3):
-    return -(k1 + k2)*(k2 - k3)/(k1*k2**2*(k1 + k2 - 2*k3)*(k1 + k2 - k3))
-
-def _e117(k1, k2, k3, p3):
-    return 4*(k1 - k3)/(k2 - k3)
-
-def _e118(k1, k2, k3, p3):
-    return -1/(k1*(k2 - k3)*(k1 + k2 - k3))
-
-def _e119(k1, k2, k3, p3):
-    return (k2 - k3)**2*(k2**2*k3**2 + 2*k2*k3*p3 + k3**2 + p3**2)/k3**2
-
-def _e120(k1, k2, k3, p3):
-    return 4*k3*(k1 - k3)/(k1*(k1 + k2 - 2*k3))
-
-def _e121(k1, k2, k3, p3):
-    return -k3/(k1**2*(k1 + k2 - 2*k3)*(k1 + k2 - k3))
-
-def _e122(k1, k2, k3, p3):
-    return (k1 + k2)*(k1 - k3)/(k1**2*k2*(k1 + k2 - 2*k3)*(k1 + k2 - k3))
-
-def _e123(k1, k2, k3, p3):
-    return 4*k3/(k1 + k2 - k3)
-
-def _e124(k1, k2, k3, p3):
-    return (k1 + k2)/(k1*k2*(k1 + k2 - k3)**2)
-
-def _e125(k1, k2, k3, p3):
-    return (k1 + k2 - k3)**2*(k1**2*k3**2 - 2*k1*k2*k3**2 - 2*k1*k3*p3 + k2**2*k3**2 + 2*k2*k3*p3 + k3**2 + p3**2)/k3**2
-
-def _e126(k1, k2, k3, p3):
+def _e49(k1, k2, k3, p3):
     return -(4*k1**2*k2*k3**2 - 4*k1**2*k3**3 + 4*k1**2*k3*p3 - 4*k1*k2**2*k3**2 + 12*k1*k2*k3**3 - 9*k1*k3**4 + 6*k1*k3**2*p3 + 3*k1*p3**2 - 4*k2**2*k3**3 - 4*k2**2*k3*p3 + 9*k2*k3**4 + 6*k2*k3**2*p3 - 3*k2*p3**2 - 6*k3**5 + 6*k3*p3**2)/(k3**2*(k1 - k2 + 2*k3))
 
-def _e127(k1, k2, k3, p3):
+def _e50(k1, k2, k3, p3):
     return 2*(2*k1**2*k3 + 3*k1*k3**2 + 3*k1*p3 - 2*k2**2*k3 + 3*k2*k3**2 - 3*k2*p3 + 6*k3*p3)/(k3*(k1 - k2 + 2*k3))
 
-def _e128(k1, k2, k3, p3):
+def _e51(k1, k2, k3, p3):
     return -(k1*k3 + k3**2 + p3)/(k2*k3*(k1 - k2 + 2*k3))
 
-def _e129(k1, k2, k3, p3):
+def _e52(k1, k2, k3, p3):
     return 1/(k2*(k1 - k2 + 2*k3))
 
-def _e130(k1, k2, k3, p3):
+def _e53(k1, k2, k3, p3):
     return (k2*k3 - k3**2 + p3)/(k1*k3*(k1 - k2 + 2*k3))
 
-def _e131(k1, k2, k3, p3):
+def _e54(k1, k2, k3, p3):
     return -1/(k1*(k1 - k2 + 2*k3))
 
-def _e132(k1, k2, k3, p3):
+def _e55(k1, k2, k3, p3):
     return -(4*k1*k2*k3**2 - 4*k1*k3**3 + 4*k1*k3*p3 + 4*k2*k3*p3 - k3**4 - 2*k3**2*p3 + 3*p3**2)/k3**2
 
-def _e133(k1, k2, k3, p3):
+def _e56(k1, k2, k3, p3):
     return 2*(2*k1*k3 + 2*k2*k3 - k3**2 + 3*p3)/k3
 
-def _e134(k1, k2, k3, p3):
+def _e57(k1, k2, k3, p3):
     return -(k1**2*k3 + k1*k3**2 + k1*p3 - k2**2*k3 + k2*k3**2 - k2*p3)/(k1*k2*k3*(k1 - k2 + 2*k3))
 
-def _e135(k1, k2, k3, p3):
+def _e58(k1, k2, k3, p3):
     return (k1 - k2)/(k1*k2*(k1 - k2 + 2*k3))
 
-def _e136(k1, k2, k3, p3):
+def _e59(k1, k2, k3, p3):
     return p3/(k2*k3*(k2 - k3))
 
-def _e137(k1, k2, k3, p3):
+def _e60(k1, k2, k3, p3):
     return -1/(k2*(k2 - k3))
 
-def _e138(k1, k2, k3, p3):
+def _e61(k1, k2, k3, p3):
     return -(4*k1*k2*k3**2 + 4*k1*k3*p3 + 4*k2*k3**3 + 4*k2*k3*p3 - k3**4 + 2*k3**2*p3 + 3*p3**2)/k3**2
 
-def _e139(k1, k2, k3, p3):
+def _e62(k1, k2, k3, p3):
     return -(k1*k3 + k2*k3 + p3)/(k1*k3*(k2 - k3))
 
-def _e140(k1, k2, k3, p3):
+def _e63(k1, k2, k3, p3):
     return 2*(2*k1*k3 + 2*k2*k3 + k3**2 + 3*p3)/k3
 
-def _e141(k1, k2, k3, p3):
+def _e64(k1, k2, k3, p3):
     return 1/(k1*(k2 - k3))
 
-def _e142(k1, k2, k3, p3):
-    return -4*(k2 - k3)*(k1 - k2 + k3)/(k1*(k1 - k2 + 2*k3))
-
-def _e143(k1, k2, k3, p3):
-    return -1/(k1*k2*(k1 - k2 + 2*k3))
-
-def _e144(k1, k2, k3, p3):
-    return 4*k3*(k2 - k3)/(k2*(k1 - k2 + 2*k3))
-
-def _e145(k1, k2, k3, p3):
-    return 1/(k1*k2*(k1 - k2 + 2*k3))
-
-def _e146(k1, k2, k3, p3):
-    return 4*(k2 - k3)/(k1 + k3)
-
-def _e147(k1, k2, k3, p3):
-    return -4*(k1 + k3)*(k1 - k2 + k3)/(k2*(k1 - k2 + 2*k3))
-
-def _e148(k1, k2, k3, p3):
-    return -(k1 + k3)/(k2**2*(k2 - k3)*(k1 - k2 + 2*k3))
-
-def _e149(k1, k2, k3, p3):
-    return -(k1 + k2)*(k1 - k2 + k3)/(k1*k2**2*(k2 - k3)*(k1 - k2 + 2*k3))
-
-def _e150(k1, k2, k3, p3):
-    return -4*(k1 - k2 + k3)/k3
-
-def _e151(k1, k2, k3, p3):
-    return -1/(k2*k3*(k2 - k3))
-
-def _e152(k1, k2, k3, p3):
-    return 4*k3*(k1 + k3)/(k1*(k1 - k2 + 2*k3))
-
-def _e153(k1, k2, k3, p3):
-    return (k1 + k3)/(k1**2*(k2 - k3)*(k1 - k2 + 2*k3))
-
-def _e154(k1, k2, k3, p3):
-    return k3*(k1 + k2)/(k1**2*k2*(k2 - k3)*(k1 - k2 + 2*k3))
-
-def _e155(k1, k2, k3, p3):
-    return 4*k3/(k1 - k2 + k3)
-
-def _e156(k1, k2, k3, p3):
-    return 1/(k1*(k2 - k3)*(k1 - k2 + k3))
-
-def _e157(k1, k2, k3, p3):
-    return (k1 - k2 + k3)**2*(k1**2*k3**2 + 2*k1*k2*k3**2 + 2*k1*k3*p3 + k2**2*k3**2 + 2*k2*k3*p3 + k3**2 + p3**2)/k3**2
-
-def _e158(k1, k2, k3, p3):
-    return -4*(k1 + k3)/(k2 - k3)
-
-def _e159(k1, k2, k3, p3):
-    return -(k1 + k2)/(k1*k2*(k2 - k3)**2)
-
-def _e160(k1, k2, k3, p3):
+def _e65(k1, k2, k3, p3):
     return -(4*k1*k2*k3**2 - 4*k1*k3**3 - 4*k1*k3*p3 - 4*k2*k3**3 - 4*k2*k3*p3 + 3*k3**4 + 6*k3**2*p3 + 3*p3**2)/k3**2
 
-def _e161(k1, k2, k3, p3):
+def _e66(k1, k2, k3, p3):
     return 2*(-2*k1*k3 - 2*k2*k3 + 3*k3**2 + 3*p3)/k3
 
-def _e162(k1, k2, k3, p3):
+def _e67(k1, k2, k3, p3):
     return -(-4*k2*k3*p3 - k3**4 + 2*k3**2*p3 + 3*p3**2)/k3**2
 
-def _e163(k1, k2, k3, p3):
+def _e68(k1, k2, k3, p3):
     return 2*(-2*k2*k3 + k3**2 + 3*p3)/k3
 
-def _e164(k1, k2, k3, p3):
+def _e69(k1, k2, k3, p3):
     return -(4*k1*k2*k3**2 - 4*k1*k3*p3 - 4*k2*k3*p3 - k3**4 + 2*k3**2*p3 + 3*p3**2)/k3**2
 
-def _e165(k1, k2, k3, p3):
+def _e70(k1, k2, k3, p3):
     return 2*(-2*k1*k3 - 2*k2*k3 + k3**2 + 3*p3)/k3
 
-def _e166(k1, k2, k3, p3):
-    return 4*(k2 - k3)/k1
-
-def _e167(k1, k2, k3, p3):
-    return 4*(k1 - k3)/k2
-
-def _e168(k1, k2, k3, p3):
-    return k2**2*(k2**2*k3**2 - 2*k2*k3**3 - 2*k2*k3*p3 + k3**4 + 2*k3**2*p3 + k3**2 + p3**2)/k3**2
-
-def _e169(k1, k2, k3, p3):
-    return 4*(k1 - k2)/k3
-
-def _e170(k1, k2, k3, p3):
-    return 4*k3/(k1 - k2)
-
-def _e171(k1, k2, k3, p3):
-    return (k1 - k2)**2*(k1**2*k3**2 + 2*k1*k2*k3**2 - 2*k1*k3**3 - 2*k1*k3*p3 + k2**2*k3**2 - 2*k2*k3**3 - 2*k2*k3*p3 + k3**4 + 2*k3**2*p3 + k3**2 + p3**2)/k3**2
-
-def _e172(k1, k2, k3, p3):
-    return 4*k2/(k1 - k3)
-
-def _e173(k1, k2, k3, p3):
-    return 4*k1/(k2 - k3)
-
-def _e174(k1, k2, k3, p3):
-    return (k2 - k3)**2*(k2**2*k3**2 - 2*k2*k3*p3 + k3**2 + p3**2)/k3**2
-
-def _e175(k1, k2, k3, p3):
+def _e71(k1, k2, k3, p3):
     return -(-4*k1*k3*p3 - k3**4 - 2*k3**2*p3 + 3*p3**2)/k3**2
 
-def _e176(k1, k2, k3, p3):
+def _e72(k1, k2, k3, p3):
     return 2*(-2*k1*k3 - k3**2 + 3*p3)/k3
 
-def _e177(k1, k2, k3, p3):
+def _e73(k1, k2, k3, p3):
     return -(4*k1*k2*k3**2 - 4*k1*k3*p3 - 4*k2*k3*p3 - k3**4 - 2*k3**2*p3 + 3*p3**2)/k3**2
 
-def _e178(k1, k2, k3, p3):
+def _e74(k1, k2, k3, p3):
     return 2*(-2*k1*k3 - 2*k2*k3 - k3**2 + 3*p3)/k3
 
-def _e179(k1, k2, k3, p3):
+def _e75(k1, k2, k3, p3):
     return -(4*k1*k2*k3**2 + 4*k1*k3**3 - 4*k1*k3*p3 + 4*k2*k3**3 - 4*k2*k3*p3 + 3*k3**4 - 6*k3**2*p3 + 3*p3**2)/k3**2
 
-def _e180(k1, k2, k3, p3):
+def _e76(k1, k2, k3, p3):
     return 2*(-2*k1*k3 - 2*k2*k3 - 3*k3**2 + 3*p3)/k3
-
-def _e181(k1, k2, k3, p3):
-    return -4*k2/(k1 + k3)
-
-def _e182(k1, k2, k3, p3):
-    return (k1 + k3)**2*(k1**2*k3**2 - 2*k1*k3*p3 + k3**2 + p3**2)/k3**2
-
-def _e183(k1, k2, k3, p3):
-    return -4*k1/(k2 + k3)
-
-def _e184(k1, k2, k3, p3):
-    return -4*(k2 + k3)/k1
-
-def _e185(k1, k2, k3, p3):
-    return k1**2*(k1**2*k3**2 + 2*k1*k3**3 - 2*k1*k3*p3 + k3**4 - 2*k3**2*p3 + k3**2 + p3**2)/k3**2
-
-def _e186(k1, k2, k3, p3):
-    return -4*(k1 + k3)/k2
-
-def _e187(k1, k2, k3, p3):
-    return (k1 - k2)**2*(k1**2*k3**2 + 2*k1*k2*k3**2 + 2*k1*k3**3 - 2*k1*k3*p3 + k2**2*k3**2 + 2*k2*k3**3 - 2*k2*k3*p3 + k3**4 - 2*k3**2*p3 + k3**2 + p3**2)/k3**2
 
 _000 = (0, 0, 0)
 _001 = (0, 0, 1)
@@ -603,146 +267,55 @@ VERTEX = {
     'c2_2': {
         (_000, _010, _011): (_e17, _e1, _e19, _e1),
         (_000, _010, _111): (_e11, _e12, _e13, _e14),
-        (_000, _011, _111): (_e5, _e51, _e7, _e52),
+        (_000, _011, _111): (_e5, _e25, _e7, _e26),
         (_010, _011, _111): (_e21, _e22, _e23, _e24),
     },
     'c2_3': {
         (_000, _100, _101): (_e21, _e1, _e23, _e1),
         (_000, _100, _111): (_e5, _e6, _e7, _e8),
-        (_000, _101, _111): (_e11, _e61, _e13, _e62),
+        (_000, _101, _111): (_e11, _e27, _e13, _e28),
         (_100, _101, _111): (_e17, _e18, _e19, _e20),
     },
     'c2_4': {
         (_000, _001, _101): (_e21, _e1, _e23, _e1),
         (_000, _001, _011): (_e17, _e1, _e19, _e1),
-        (_000, _101, _111): (_e11, _e61, _e13, _e62),
-        (_000, _011, _111): (_e5, _e51, _e7, _e52),
+        (_000, _101, _111): (_e11, _e27, _e13, _e28),
+        (_000, _011, _111): (_e5, _e25, _e7, _e26),
         (_001, _011, _101): (_e0, _e1, _e2, _e1),
         (_001, _101, _111): (_e0, _e3, _e2, _e4),
         (_001, _011, _111): (_e0, _e9, _e2, _e10),
         (_011, _101, _111): (_e0, _e15, _e2, _e16),
     },
     'w2': {
-        (_000, _010, _100): (_e82, _e1, _e83, _e1),
-        (_000, _001, _100): (_e84, _e1, _e85, _e1),
-        (_000, _100, _110): (_e82, _e86, _e83, _e87),
-        (_000, _001, _010): (_e88, _e1, _e89, _e1),
-        (_000, _010, _110): (_e82, _e90, _e83, _e91),
-        (_010, _100, _110): (_e82, _e92, _e83, _e93),
-        (_001, _100, _110): (_e94, _e95, _e96, _e97),
-        (_001, _010, _110): (_e98, _e99, _e100, _e101),
+        (_000, _010, _100): (_e29, _e1, _e30, _e1),
+        (_000, _001, _100): (_e31, _e1, _e32, _e1),
+        (_000, _100, _110): (_e29, _e33, _e30, _e34),
+        (_000, _001, _010): (_e35, _e1, _e36, _e1),
+        (_000, _010, _110): (_e29, _e37, _e30, _e38),
+        (_010, _100, _110): (_e29, _e39, _e30, _e40),
+        (_001, _100, _110): (_e41, _e42, _e43, _e44),
+        (_001, _010, _110): (_e45, _e46, _e47, _e48),
     },
     'm2': {
-        (_000, _010, _100): (_e126, _e1, _e127, _e1),
-        (_000, _100, _110): (_e126, _e128, _e127, _e129),
+        (_000, _010, _100): (_e49, _e1, _e50, _e1),
+        (_000, _100, _110): (_e49, _e51, _e50, _e52),
         (_000, _100, _101): (_e21, _e1, _e23, _e1),
-        (_000, _010, _110): (_e126, _e130, _e127, _e131),
-        (_000, _010, _101): (_e132, _e1, _e133, _e1),
-        (_010, _100, _110): (_e126, _e134, _e127, _e135),
-        (_100, _101, _110): (_e88, _e136, _e89, _e137),
-        (_010, _101, _110): (_e138, _e139, _e140, _e141),
+        (_000, _010, _110): (_e49, _e53, _e50, _e54),
+        (_000, _010, _101): (_e55, _e1, _e56, _e1),
+        (_010, _100, _110): (_e49, _e57, _e50, _e58),
+        (_100, _101, _110): (_e35, _e59, _e36, _e60),
+        (_010, _101, _110): (_e61, _e62, _e63, _e64),
     },
     'c3_1': {
-        (_000, _010, _100): (_e160, _e1, _e161, _e1),
-        (_000, _001, _100): (_e84, _e1, _e85, _e1),
-        (_000, _001, _010): (_e162, _e1, _e163, _e1),
-        (_001, _010, _100): (_e164, _e1, _e165, _e1),
+        (_000, _010, _100): (_e65, _e1, _e66, _e1),
+        (_000, _001, _100): (_e31, _e1, _e32, _e1),
+        (_000, _001, _010): (_e67, _e1, _e68, _e1),
+        (_001, _010, _100): (_e69, _e1, _e70, _e1),
     },
     'c3_2': {
-        (_000, _001, _101): (_e175, _e1, _e176, _e1),
+        (_000, _001, _101): (_e71, _e1, _e72, _e1),
         (_000, _001, _011): (_e17, _e1, _e19, _e1),
-        (_000, _011, _101): (_e177, _e1, _e178, _e1),
-        (_001, _011, _101): (_e179, _e1, _e180, _e1),
-    },
-}
-
-SEGMENT = {
-    'c2_1': {
-        ((_000, _100), (_010, _111)): (_e25, _e26, _e27),
-        ((_000, _100), (_110, _111)): (_e25, _e28, _e27),
-        ((_000, _010), (_100, _111)): (_e29, _e30, _e31),
-        ((_000, _010), (_110, _111)): (_e29, _e32, _e31),
-        ((_000, _111), (_010, _100)): (_e33, _e34, _e35),
-        ((_100, _110), (_000, _111)): (_e36, _e37, _e31),
-        ((_100, _110), (_010, _111)): (_e36, _e38, _e31),
-        ((_100, _111), (_000, _110)): (_e39, _e40, _e41),
-        ((_010, _110), (_000, _111)): (_e42, _e43, _e27),
-        ((_010, _110), (_100, _111)): (_e42, _e44, _e27),
-        ((_010, _111), (_000, _110)): (_e45, _e46, _e47),
-        ((_110, _111), (_010, _100)): (_e48, _e49, _e50),
-    },
-    'c2_2': {
-        ((_000, _010), (_011, _111)): (_e53, _e30, _e31),
-        ((_000, _011), (_010, _111)): (_e54, _e55, _e41),
-        ((_000, _111), (_010, _011)): (_e56, _e57, _e35),
-        ((_010, _011), (_000, _111)): (_e48, _e58, _e50),
-        ((_010, _111), (_000, _011)): (_e45, _e46, _e47),
-        ((_011, _111), (_000, _010)): (_e59, _e60, _e27),
-    },
-    'c2_3': {
-        ((_000, _100), (_101, _111)): (_e63, _e26, _e27),
-        ((_000, _101), (_100, _111)): (_e64, _e65, _e47),
-        ((_000, _111), (_100, _101)): (_e33, _e66, _e35),
-        ((_100, _101), (_000, _111)): (_e67, _e68, _e50),
-        ((_100, _111), (_000, _101)): (_e39, _e40, _e41),
-        ((_101, _111), (_000, _100)): (_e69, _e70, _e31),
-    },
-    'c2_4': {
-        ((_000, _001), (_011, _101)): (_e67, _e1, _e50),
-        ((_000, _101), (_001, _111)): (_e64, _e65, _e47),
-        ((_000, _011), (_001, _111)): (_e54, _e55, _e41),
-        ((_000, _111), (_011, _101)): (_e56, _e71, _e35),
-        ((_001, _101), (_000, _011)): (_e72, _e1, _e27),
-        ((_001, _101), (_000, _111)): (_e72, _e73, _e27),
-        ((_001, _011), (_000, _101)): (_e74, _e1, _e31),
-        ((_001, _011), (_000, _111)): (_e74, _e75, _e31),
-        ((_101, _111), (_000, _001)): (_e76, _e77, _e31),
-        ((_101, _111), (_000, _011)): (_e76, _e78, _e31),
-        ((_011, _111), (_000, _001)): (_e79, _e80, _e27),
-        ((_011, _111), (_000, _101)): (_e79, _e81, _e27),
-    },
-    'w2': {
-        ((_000, _100), (_001, _010)): (_e102, _e1, _e103),
-        ((_000, _100), (_001, _110)): (_e104, _e105, _e103),
-        ((_000, _010), (_001, _100)): (_e106, _e1, _e107),
-        ((_000, _010), (_001, _110)): (_e108, _e109, _e107),
-        ((_000, _001), (_010, _100)): (_e110, _e1, _e50),
-        ((_001, _100), (_000, _110)): (_e111, _e112, _e113),
-        ((_100, _110), (_000, _001)): (_e114, _e115, _e107),
-        ((_100, _110), (_001, _010)): (_e114, _e116, _e107),
-        ((_001, _010), (_000, _110)): (_e117, _e118, _e119),
-        ((_010, _110), (_000, _001)): (_e120, _e121, _e103),
-        ((_010, _110), (_001, _100)): (_e120, _e122, _e103),
-        ((_001, _110), (_010, _100)): (_e123, _e124, _e125),
-    },
-    'm2': {
-        ((_000, _100), (_010, _101)): (_e142, _e1, _e27),
-        ((_000, _100), (_101, _110)): (_e142, _e143, _e27),
-        ((_000, _010), (_100, _101)): (_e144, _e1, _e107),
-        ((_000, _010), (_101, _110)): (_e144, _e145, _e107),
-        ((_000, _101), (_010, _100)): (_e146, _e1, _e47),
-        ((_100, _110), (_000, _101)): (_e147, _e148, _e107),
-        ((_100, _110), (_010, _101)): (_e147, _e149, _e107),
-        ((_100, _101), (_000, _110)): (_e150, _e151, _e50),
-        ((_010, _110), (_000, _101)): (_e152, _e153, _e27),
-        ((_010, _110), (_100, _101)): (_e152, _e154, _e27),
-        ((_010, _101), (_000, _110)): (_e155, _e156, _e157),
-        ((_101, _110), (_010, _100)): (_e158, _e159, _e119),
-    },
-    'c3_1': {
-        ((_000, _100), (_001, _010)): (_e166, _e1, _e103),
-        ((_000, _010), (_001, _100)): (_e167, _e1, _e168),
-        ((_000, _001), (_010, _100)): (_e169, _e1, _e50),
-        ((_010, _100), (_000, _001)): (_e170, _e1, _e171),
-        ((_001, _100), (_000, _010)): (_e172, _e1, _e113),
-        ((_001, _010), (_000, _100)): (_e173, _e1, _e174),
-    },
-    'c3_2': {
-        ((_000, _001), (_011, _101)): (_e169, _e1, _e50),
-        ((_000, _101), (_001, _011)): (_e181, _e1, _e182),
-        ((_000, _011), (_001, _101)): (_e183, _e1, _e41),
-        ((_001, _101), (_000, _011)): (_e184, _e1, _e185),
-        ((_001, _011), (_000, _101)): (_e186, _e1, _e31),
-        ((_011, _101), (_000, _001)): (_e170, _e1, _e187),
+        (_000, _011, _101): (_e73, _e1, _e74, _e1),
+        (_001, _011, _101): (_e75, _e1, _e76, _e1),
     },
 }

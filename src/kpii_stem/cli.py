@@ -476,9 +476,10 @@ def cmd_section(args) -> int:
                 A, B, C = normalize_line(line)
                 d = A * mx + B * my + C
                 foot = (mx - d * A, my - d * B)
-                for s, u in pts:
-                    prof = float(arm_profile(arm, (foot[0] + s * (-B), foot[1] + s * A, t)))
-                    out.write(f"{float(s)!r},{float(u)!r},{prof!r}\n")
+                arc = np.array([s for s, _ in pts])
+                prof = arm_profile(arm, (foot[0] + arc * (-B), foot[1] + arc * A, t))
+                for (s, u), p in zip(pts, prof.tolist()):
+                    out.write(f"{float(s)!r},{float(u)!r},{p!r}\n")
             else:
                 out.write("s,u\n")
                 for s, u in pts:

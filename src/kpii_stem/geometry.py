@@ -16,15 +16,15 @@ cross-checked on every call.
 
 The generated module defines each distinct coefficient expression once as a
 function of (k1, k2, k3, p3); VERTEX[case][junction] is the tuple
-(xt, xL, yt, yL) of such functions and SEGMENT[case][(edge, ends)] the tuple
-(st, sL, g).  The tables hold only what the limit skeleton can name: at
-t -> +-inf each psi_m / |t| is linear in the term's exponent vector, so a
-catalog junction is three vectors on one facet of the template's Newton
-polytope, and a stem segment joins junctions on two different facets (48
-junctions and 72 segments over the eight cases).  A key the tables lack is
-an InternalConsistencyError.  Only the stem queries read the tables, so
-they are imported on first use, and an entry's coefficients, which do not
-depend on t, are evaluated once per solution.
+(xt, xL, yt, yL) of such functions.  The table holds only what the limit
+skeleton can name: at t -> +-inf each psi_m / |t| is linear in the term's
+exponent vector, so a catalog junction is three vectors on one facet of the
+template's Newton polytope (48 junctions over the eight cases).  A key the
+table lacks is an InternalConsistencyError.  Only the stem queries read the
+table, so it is imported on first use, and an entry's coefficients, which do
+not depend on t, are evaluated once per solution.  The closed-form stem
+length is the distance between the closed-form endpoints of the stem's two
+end junctions.
 
 Everything else about a side's stem that does not depend on t is built once
 too, on the first stem query of that side: the stem plan holds, per end
@@ -175,10 +175,9 @@ class _Record:
     (index, K, P, W, xi0-part, ln c), the term index of each exponent vector,
     the pair arms as _arm_from_terms builds them, the arm catalog, the
     evaluated closed-form table entries, and per side (past, future) the stem
-    plan and the closed-form SEGMENT entry (st, sL ln a12, sqrt(g))."""
+    plan."""
 
-    __slots__ = ("planes", "index", "arms", "catalog", "closed_forms", "plans",
-                 "segments")
+    __slots__ = ("planes", "index", "arms", "catalog", "closed_forms", "plans")
 
     def __init__(self, sol: ResonantSolution):
         self.planes = tuple((idx, *sol.exponent_of(eps), math.log(coeff))
@@ -187,9 +186,8 @@ class _Record:
         self.index = {eps: i for i, (eps, _) in enumerate(sol.template)}
         self.arms: dict[tuple[int, int], ArmDescriptor] = {}
         self.catalog: AsymptoticCatalog | None = None
-        self.closed_forms: dict[tuple[str, object], tuple[float, ...]] = {}
+        self.closed_forms: dict[Junction, tuple[float, ...]] = {}
         self.plans: list[tuple | None] = [None, None]
-        self.segments: list[tuple[float, float, float] | None] = [None, None]
 
 
 # one record per solution, freed together with it (it holds no reference back)
@@ -489,20 +487,20 @@ def _closed_form_args(sol: ResonantSolution):
     return k1, k2, k3, -p3 if sol.spec.branch is Branch.SECOND else p3
 
 
-def _closed_form(sol: ResonantSolution, table: str, key, args) -> tuple[float, ...]:
-    """The coefficients of one VERTEX or SEGMENT entry at args, evaluated once
+def _closed_form(sol: ResonantSolution, junction: Junction, args) -> tuple[float, ...]:
+    """The coefficients of the junction's VERTEX entry at args, evaluated once
     per solution."""
     rec = _record(sol)
-    coeffs = rec.closed_forms.get((table, key))
+    coeffs = rec.closed_forms.get(junction)
     if coeffs is None:
         # imported here, on the first stem query, so that start-up without a
-        # bytecode cache does not compile the tables
+        # bytecode cache does not compile the table
         from . import _closed_forms
-        entry = getattr(_closed_forms, table)[sol.spec.case.value].get(key)
+        entry = _closed_forms.VERTEX[sol.spec.case.value].get(junction)
         if entry is None:
             raise InternalConsistencyError(
-                f"no closed-form {table} entry for {key} in case {sol.spec.case.value}")
-        coeffs = rec.closed_forms[(table, key)] = tuple(f(*args) for f in entry)
+                f"no closed-form VERTEX entry for {junction} in case {sol.spec.case.value}")
+        coeffs = rec.closed_forms[junction] = tuple(f(*args) for f in entry)
     return coeffs
 
 
@@ -539,7 +537,7 @@ def _plan_end(sol: ResonantSolution, rec: _Record, junction: Junction, args):
                  key=lambda p: abs(p[0][0] * p[1][1] - p[1][0] * p[0][1]))
     closed = None
     if args is not None:
-        xt, xL, yt, yL = _closed_form(sol, "VERTEX", junction, args)
+        xt, xL, yt, yL = _closed_form(sol, junction, args)
         closed = (xt, xL * sol.log_a12, yt, yL * sol.log_a12)
     return (junction, _determinant(l1[0], l1[1], l2[0], l2[1]), l1, l2,
             closed, sol.spec.branch is Branch.SECOND)
@@ -641,37 +639,18 @@ def stem_endpoints(sol: ResonantSolution, t: float, t_min: float = 3.0) -> StemR
 
 
 def stem_length_formula(sol: ResonantSolution, t: float) -> float:
-    """Closed-form stem length |s_t t + s_L ln a12| sqrt(g) for the side of t.
-
-    The SEGMENT entry is evaluated on the first length query of a side, so
-    an endpoint query never evaluates it.
-    """
+    """Closed-form stem length for the side of t: the distance between the
+    closed-form endpoints (xt t + xL ln a12, yt t + yL ln a12) of the stem's
+    two end junctions, read from the side's stem plan."""
     if sol.spec.case is Case.GENERIC:
         raise UnsupportedCaseError("stem length requires a resonant case")
-    rec = _record(sol)
-    future = _future(t)
-    segment = rec.segments[future]
-    if segment is None:
-        args = _closed_form_args(sol)
-        if args is None:
-            raise UnsupportedFormulaError("closed forms assume zero phase constants")
-        ja, jb = (set(j) for j in stem_side(sol, t)[1])
-        # the stem is the edge both junctions share, ended by the other two terms
-        key = (tuple(sorted(ja & jb)), tuple(sorted(ja ^ jb)))
-        st, sL, g = _closed_form(sol, "SEGMENT", key, args)
-        if g < 0:
-            # g >= 0 exactly but is expanded (one of c3_1's is (k1 - k3)**2 *
-            # ((k1 k3 - p3)**2 + k3**2) / k3**2), and at extreme parameters its
-            # cancellation rounds it below zero
-            raise UnsupportedFormulaError(f"closed-form stem length: g = {g!r} rounds below zero")
-        segment = rec.segments[future] = (st, sL * sol.log_a12, math.sqrt(g))
-    st, sL, root = segment
-    return abs(st * t + sL) * root
-
-
-def midpoint_amplitude(sol: ResonantSolution, t: float) -> float:
-    """u at the stem midpoint (approximates the stem amplitude for |t| >> 0)."""
-    return stem_endpoints(sol, t).midpoint_amplitude
+    _future(t)
+    if _closed_form_args(sol) is None:
+        raise UnsupportedFormulaError("closed forms assume zero phase constants")
+    # the second branch's mirror negates y at both ends: the distance keeps it
+    (xa, ya), (xb, yb) = ((xt * t + xL, yt * t + yL)
+                          for *_, (xt, xL, yt, yL), _ in _plan(sol, _record(sol), t))
+    return math.hypot(xa - xb, ya - yb)
 
 
 def even_axis(lo: float, hi: float, n: int) -> np.ndarray:

@@ -23,7 +23,6 @@ from kpii_stem import (
     junction_lines,
     kp_residual,
     limit_convergence,
-    midpoint_amplitude,
     ridge_trace,
     stem_endpoints,
     stem_length_formula,
@@ -68,8 +67,8 @@ def test_criterion_02_amplitude_limits(solutions):
                "m2": (0.125, 0.125), "c3_1": (0.5, 8.0 / 9.0)}
     worst = 0.0
     for name, (past, future) in targets.items():
-        worst = max(worst, abs(midpoint_amplitude(solutions[name], -20.0) - past))
-        worst = max(worst, abs(midpoint_amplitude(solutions[name], 20.0) - future))
+        worst = max(worst, abs(stem_endpoints(solutions[name], -20.0).midpoint_amplitude - past))
+        worst = max(worst, abs(stem_endpoints(solutions[name], 20.0).midpoint_amplitude - future))
     report(2, "amplitude limits", worst < 1e-3, f"max |dev| {worst:.2e}")
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, determinism, golden outputs."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -581,8 +582,9 @@ def test_stem_nonfinite_endpoints_with_phase_constants_exit_1(tmp_path, capsys):
     assert out.read_text() == "keep me\n"
 
 
-def test_stem_negative_segment_g_leaves_closed_form_empty(tmp_path, capsys):
-    # the future side's SEGMENT g rounds below zero at these extreme parameters
+def test_stem_extreme_draw_gets_a_closed_form_length(tmp_path, capsys):
+    # the distance between the closed-form endpoints stays finite where an
+    # expanded sqrt(g) form of the length rounds g below zero (the future side)
     path = tmp_path / "scenario.json"
     path.write_text('{"case": "c3_1", "k": [153261905.58773607, 507956682.225713, '
                     '-7410221.174899173], "p3": -1135704618253105.8}')
@@ -590,15 +592,15 @@ def test_stem_negative_segment_g_leaves_closed_form_empty(tmp_path, capsys):
     code, err = _run_in_process(capsys, "stem", "--scenario", str(path), "--t=-20,20",
                                 "--out", str(out))
     assert (code, err) == (0, "")
-    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-    closed = dict(zip(rows[0], zip(*rows[1:])))["length_closed_form"]
-    assert closed[0] != "" and closed[1] == ""
-    from kpii_stem.cli import load_scenario
-    from kpii_stem.errors import UnsupportedFormulaError
-    from kpii_stem.geometry import stem_length_formula
-    sol = load_scenario(str(path)).build()
-    with pytest.raises(UnsupportedFormulaError, match="rounds below zero"):
-        stem_length_formula(sol, 20.0)
+    lines = out.read_text().splitlines()
+    rows = [dict(zip(lines[1].split(","), map(float, line.split(",")[:-1])))
+            for line in lines[2:]]
+    assert [row["t"] for row in rows] == [-20.0, 20.0]
+    for row in rows:
+        closed, length = row["length_closed_form"], row["length"]
+        assert math.isfinite(closed) and math.isfinite(length)
+        scale = max(1.0, math.hypot(row["ax"], row["ay"]), math.hypot(row["bx"], row["by"]))
+        assert abs(closed - length) <= 2e-9 * scale, row
 
 
 # finite scenario numbers whose frequency omega = -(k^4 + 3 p^2) / k overflows

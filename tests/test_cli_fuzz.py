@@ -4,10 +4,16 @@ Each subcommand gets argv built from valid and invalid values alike; the run
 must return an exit code or leave through argparse's SystemExit, and raise
 nothing else.  Grid and sample counts stay small (at most 50) or are far past
 numpy's size limit, so no run allocates much.
+
+Fuzzed scenario contents go through build and stem: each run ends in a
+documented exit code, a failing one says why in exactly one error line, and
+no run writes warning text.
 """
 
 import contextlib
 import io
+import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -97,5 +103,44 @@ def test_fuzzed_argv_exits_with_documented_code(command, out_dir):
             except SystemExit as exc:
                 code = exc.code
         assert code in (0, 1, 2, 3, 4), (argv, code)
+
+    run()
+
+
+# each number in +-3 half the time, else +-10**U(-300, 300)
+magnitudes = st.one_of(st.floats(-3.0, 3.0),
+                       st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 300.0))
+                       .map(lambda se: se[0] * 10.0**se[1]))
+triples = st.lists(magnitudes, min_size=3, max_size=3)
+scenarios = st.fixed_dictionaries({
+    "case": st.sampled_from(["generic", "c2_1", "c2_2", "c2_3", "c2_4", "w2", "m2",
+                             "c3_1", "c3_2"]),
+    "branch": st.sampled_from(["first", "second"]),
+    "k": triples, "p3": magnitudes, "p": triples,
+    "xi0": st.one_of(st.just([0.0, 0.0, 0.0]), triples),
+})
+
+
+@pytest.mark.parametrize("command", [["build"], ["stem", "--t=-20,0.5,20"]], ids=["build", "stem"])
+def test_fuzzed_scenario_exits_with_one_error_line_and_no_warnings(command, out_dir):
+    path = out_dir / f"scenario-{command[0]}.json"
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(scenarios)
+    def run(scenario):
+        path.write_text(json.dumps(scenario))
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main([command[0], "--scenario", str(path), *command[1:]])
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2, 3, 4), (scenario, code)
+        assert not caught, (scenario, [str(w.message) for w in caught])
+        if code:
+            assert len(lines) == 1 and lines[0].startswith("error:"), (scenario, lines)
+        else:
+            assert not lines, (scenario, lines)
 
     run()

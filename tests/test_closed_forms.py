@@ -1,5 +1,5 @@
-"""The generated closed-form tables: layout, the facet rule that picks their
-keys, loading on first use, and the dual-path endpoint check that reads them."""
+"""The generated closed-form table: layout, the facet rule that picks its
+keys, loading on first use, and the dual-path endpoint check that reads it."""
 
 import ast
 import itertools
@@ -25,16 +25,16 @@ def test_each_expression_is_defined_once():
     tree = ast.parse(TABLES.read_text(encoding="utf-8"))
     bodies = [ast.dump(node.body[0]) for node in tree.body
               if isinstance(node, ast.FunctionDef)]
-    assert len(bodies) == 188
+    assert len(bodies) == 77
     assert len(set(bodies)) == len(bodies)
 
 
 def test_table_entries_are_tuples_of_functions():
-    for table, width in ((_closed_forms.VERTEX, 4), (_closed_forms.SEGMENT, 3)):
-        for entries in table.values():
-            for entry in entries.values():
-                assert isinstance(entry, tuple) and len(entry) == width
-                assert all(callable(f) for f in entry)
+    assert not hasattr(_closed_forms, "SEGMENT")
+    for entries in _closed_forms.VERTEX.values():
+        for entry in entries.values():
+            assert isinstance(entry, tuple) and len(entry) == 4
+            assert all(callable(f) for f in entry)
 
 
 def _orientation(a, b, c, d):
@@ -45,29 +45,22 @@ def _orientation(a, b, c, d):
     return (det > 0) - (det < 0)
 
 
-def test_table_keys_are_the_facet_triples_and_their_segments():
+def test_table_keys_are_the_facet_triples():
     # a limit junction is three exponent vectors on one facet of the
     # template's hull: their plane has every other vector on one side and
-    # at least one strictly; a segment joins junctions on two facets
-    n_vertex = n_segment = 0
+    # at least one strictly
+    n_vertex = 0
     for case, template in catalog.TEMPLATES.items():
         eps = sorted(e for e, _ in template)
         vertex = {tri for tri in itertools.combinations(eps, 3)
                   if len({_orientation(*tri, e) for e in eps if e not in tri} - {0}) == 1}
-        segment = {(edge, ends) for edge in itertools.combinations(eps, 2)
-                   for ends in itertools.combinations([e for e in eps if e not in edge], 2)
-                   if all(tuple(sorted(edge + (e,))) in vertex for e in ends)
-                   and _orientation(*edge, *ends) != 0}
         assert set(_closed_forms.VERTEX[case.value]) == vertex
-        assert set(_closed_forms.SEGMENT[case.value]) == segment
         # a 4-term template is a tetrahedron, a 5-term one a square pyramid
         # without its two diagonal planes
-        assert (len(vertex), len(segment)) == {4: (4, 6), 5: (8, 12)}[len(eps)]
+        assert len(vertex) == {4: 4, 5: 8}[len(eps)]
         n_vertex += len(vertex)
-        n_segment += len(segment)
-    assert set(_closed_forms.VERTEX) == set(_closed_forms.SEGMENT) == {
-        c.value for c in catalog.TEMPLATES}
-    assert (n_vertex, n_segment) == (48, 72)
+    assert set(_closed_forms.VERTEX) == {c.value for c in catalog.TEMPLATES}
+    assert n_vertex == 48
 
 
 def _sweep_draws(rng, n):
@@ -102,10 +95,8 @@ def test_every_catalog_key_is_in_the_tables():
                         InternalConsistencyError):  # inadmissible, or no reconnection
                     continue
                 catalogs += 1
-                for ja, jb in (cat.past_junctions, cat.future_junctions):
-                    assert {ja, jb} <= set(_closed_forms.VERTEX[case.value]), (case, k, p3)
-                    key = (tuple(sorted(set(ja) & set(jb))), tuple(sorted(set(ja) ^ set(jb))))
-                    assert key in _closed_forms.SEGMENT[case.value], (case, k, p3)
+                for junctions in (cat.past_junctions, cat.future_junctions):
+                    assert set(junctions) <= set(_closed_forms.VERTEX[case.value]), (case, k, p3)
     assert catalogs >= 1500
 
 
@@ -157,34 +148,22 @@ def test_dual_path_check_runs_on_every_call(monkeypatch):
 def test_table_entries_are_evaluated_once_per_solution(monkeypatch, name):
     calls = {}
 
-    def counted(table, key, entry):
+    def counted(key, entry):
         def wrap(i, f):
             def g(*args):
-                calls[(table, key, i)] = calls.get((table, key, i), 0) + 1
+                calls[(key, i)] = calls.get((key, i), 0) + 1
                 return f(*args)
             return g
         return tuple(wrap(i, f) for i, f in enumerate(entry))
 
-    for table in ("VERTEX", "SEGMENT"):
-        entries = getattr(_closed_forms, table)[name]
-        for key, entry in list(entries.items()):
-            monkeypatch.setitem(entries, key, counted(table, key, entry))
+    entries = _closed_forms.VERTEX[name]
+    for key, entry in list(entries.items()):
+        monkeypatch.setitem(entries, key, counted(key, entry))
     sol = build_scenario(name)
     for t in (-40.0, -20.0, -5.0, 5.0, 20.0, 40.0) * 2:
         stem_endpoints(sol, t)
         stem_length_formula(sol, t)
     junctions = {j for t in (-1.0, 1.0) for j in stem_side(sol, t)[1]}
-    assert {(table, key) for table, key, _ in calls} == (
-        {("VERTEX", j) for j in junctions}
-        | {("SEGMENT", key) for key in _segment_keys(sol)})
+    assert {key for key, _ in calls} == junctions
     assert set(calls.values()) == {1}
-    assert len(calls) == 4 * len(junctions) + 3 * 2
-
-
-def _segment_keys(sol):
-    keys = set()
-    for t in (-1.0, 1.0):
-        ja, jb = (set(j) for j in stem_side(sol, t)[1])
-        keys.add((tuple(sorted(ja & jb)), tuple(sorted(ja ^ jb))))
-    return keys
-
+    assert len(calls) == 4 * len(junctions)

@@ -17,7 +17,6 @@ from kpii_stem import (
     intersect_lines,
     junction_lines,
     make_generic,
-    midpoint_amplitude,
     parse_arm_label,
     skeleton,
     stem_endpoints,
@@ -494,9 +493,9 @@ def test_midpoint_amplitude_evolution(name, oracles, solutions):
     sol = solutions[name]
     past, future = oracles
     for t in (-8.0, -3.0, -1.5):
-        assert midpoint_amplitude(sol, t) == pytest.approx(past(t), abs=1e-8)
+        assert stem_endpoints(sol, t).midpoint_amplitude == pytest.approx(past(t), abs=1e-8)
     for t in (1.5, 3.0, 8.0, 10.0):
-        assert midpoint_amplitude(sol, t) == pytest.approx(future(t), abs=1e-8)
+        assert stem_endpoints(sol, t).midpoint_amplitude == pytest.approx(future(t), abs=1e-8)
 
 
 @pytest.mark.parametrize("name,limits", [
@@ -507,15 +506,15 @@ def test_midpoint_amplitude_evolution(name, oracles, solutions):
 ])
 def test_midpoint_amplitude_limits(name, limits, solutions):
     sol = solutions[name]
-    assert midpoint_amplitude(sol, -20.0) == pytest.approx(limits[0], abs=1e-3)
-    assert midpoint_amplitude(sol, 20.0) == pytest.approx(limits[1], abs=1e-3)
+    assert stem_endpoints(sol, -20.0).midpoint_amplitude == pytest.approx(limits[0], abs=1e-3)
+    assert stem_endpoints(sol, 20.0).midpoint_amplitude == pytest.approx(limits[1], abs=1e-3)
 
 
 def test_midpoint_limits_every_reference_set(solutions):
     for name, sol in solutions.items():
         cat = arm_catalog(sol)
-        assert abs(midpoint_amplitude(sol, -20.0) - cat.stem_past.amplitude) <= 1e-3
-        assert abs(midpoint_amplitude(sol, 20.0) - cat.stem_future.amplitude) <= 1e-3
+        assert abs(stem_endpoints(sol, -20.0).midpoint_amplitude - cat.stem_past.amplitude) <= 1e-3
+        assert abs(stem_endpoints(sol, 20.0).midpoint_amplitude - cat.stem_future.amplitude) <= 1e-3
 
 
 # --- cross sections ----------------------------------------------------------

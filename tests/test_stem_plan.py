@@ -46,10 +46,7 @@ def _stem_endpoints_reference(sol, t, t_min=3.0):
         if geo is geometry.PARALLEL:
             raise DegenerateLineError(f"junction lines are parallel: {junction}")
         if args is not None:
-            xt, xL, yt, yL = (f(*args) for f in
-                              _closed_forms.VERTEX[sol.spec.case.value][junction])
-            x, y = xt * t + xL * sol.log_a12, yt * t + yL * sol.log_a12
-            closed = (x, -y) if sol.spec.branch is Branch.SECOND else (x, y)
+            closed = _closed_endpoint_reference(sol, junction, t, args)
             err = math.hypot(geo[0] - closed[0], geo[1] - closed[1])
             scale = max(1.0, math.hypot(*geo), math.hypot(*closed))
             if not (all(map(math.isfinite, geo + closed)) and err <= 1e-9 * scale):
@@ -71,17 +68,23 @@ def _stem_endpoints_reference(sol, t, t_min=3.0):
                       endpoint_mismatch=mismatch)
 
 
+def _closed_endpoint_reference(sol, junction, t, args):
+    xt, xL, yt, yL = (f(*args) for f in _closed_forms.VERTEX[sol.spec.case.value][junction])
+    x, y = xt * t + xL * sol.log_a12, yt * t + yL * sol.log_a12
+    return (x, -y) if sol.spec.branch is Branch.SECOND else (x, y)
+
+
 def _stem_length_reference(sol, t):
+    """The distance between the closed-form endpoints, rebuilt on each call."""
     if sol.spec.case is Case.GENERIC:
         raise UnsupportedCaseError("stem length requires a resonant case")
     args = _closed_form_args_reference(sol)
     if args is None:
         raise UnsupportedFormulaError("closed forms assume zero phase constants")
     cat = arm_catalog(sol)
-    ja, jb = (set(j) for j in (cat.past_junctions if t <= 0 else cat.future_junctions))
-    key = (tuple(sorted(ja & jb)), tuple(sorted(ja ^ jb)))
-    st, sL, g = (f(*args) for f in _closed_forms.SEGMENT[sol.spec.case.value][key])
-    return abs(st * t + sL * sol.log_a12) * math.sqrt(g)
+    (xa, ya), (xb, yb) = (_closed_endpoint_reference(sol, junction, t, args) for junction in
+                          (cat.past_junctions if t <= 0 else cat.future_junctions))
+    return math.hypot(xa - xb, ya - yb)
 
 
 def _closed_form_args_reference(sol):

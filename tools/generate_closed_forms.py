@@ -3,8 +3,7 @@
 
 For every resonance case (first constraint branch, zero phase constants) this
 script solves, in exact rational arithmetic, the meeting point of each triple
-of tau-function terms that the limit skeleton can name, and the separation of
-each pair of such junctions sharing a two-term boundary.  Each term of a case
+of tau-function terms that the limit skeleton can name.  Each term of a case
 template contributes the affine dominance function
 
     psi_m(x, y) = K_m x + P_m y + W_m t + lam_m * L,
@@ -12,9 +11,9 @@ template contributes the affine dominance function
 with (K_m, P_m, W_m) the term's exponent vector, lam_m = 1 when the term
 carries the finite interaction coefficient (L = ln a12) and 0 otherwise.
 A junction {m, n, r} solves psi_m = psi_n = psi_r; its coordinates are linear
-in t and L with coefficients that are rational in (k1, k2, k3, p3).  A
-boundary segment between two junctions that share the pair {m, n} has length
-|s_t * t + s_L * L| * sqrt(g), all three factors rational in the parameters.
+in t and L with coefficients that are rational in (k1, k2, k3, p3).  A stem's
+length is the distance between its two end junctions, so it needs no table
+of its own.
 
 Which keys are emitted follows from the Newton polytope of the template.  At
 t -> +-inf every psi_m / |t| = eps_m . (k x + p y +- omega) is linear in the
@@ -23,19 +22,16 @@ arm catalog reads is a planar slice of the normal fan of conv(template) (the
 tropical picture of Kodama, KP Solitons and the Grassmannians, 2017): its
 junctions lie where the slice meets facet normals.  A junction is therefore
 three vectors on one facet, and a triple is kept when its plane supports the
-hull (every other vector on one side of it, at least one strictly).  A
-segment runs between junctions on two different facets, so it is kept when
-both end triples are and its four vectors are not coplanar.  Both tests are
-exact integer orientations.  Each 5-term template is a square pyramid, which
-drops its two diagonal planes: 48 junctions and 72 segments in all.
+hull (every other vector on one side of it, at least one strictly), an exact
+integer orientation test.  Each 5-term template is a square pyramid, which
+drops its two diagonal planes: 48 junctions in all.
 
 The generated module defines each distinct expression once, as a function
-_eN(k1, k2, k3, p3) returning it (of 408 table coefficients 188 differ).
-VERTEX[case][key] is the tuple (xt, xL, yt, yL) of such functions and
-SEGMENT[case][key] the tuple (st, sL, g).  Keys spell each exponent vector
-(a, b, c) by the module-level name _abc, which compiles to less than a tuple
-literal.  Only the stem queries read the tables, and kpii_stem.geometry
-imports the module on the first of them.
+_eN(k1, k2, k3, p3) returning it (of 192 table coefficients 77 differ).
+VERTEX[case][key] is the tuple (xt, xL, yt, yL) of such functions.  Keys
+spell each exponent vector (a, b, c) by the module-level name _abc, which
+compiles to less than a tuple literal.  Only the stem queries read the
+table, and kpii_stem.geometry imports the module on the first of them.
 
 The case tables (constraint pairs and tau templates) are read from
 kpii_stem.catalog, so the package under src/ must be importable.  The second
@@ -119,43 +115,13 @@ def junction_point(terms, tri):
     return tuple(out)
 
 
-def edge_length(terms, edge, ra, rb, points):
-    """Length of the segment of boundary `edge` between junctions edge+{ra} and edge+{rb}."""
-    key_a = frozenset(edge + (ra,))
-    key_b = frozenset(edge + (rb,))
-    if key_a not in points or key_b not in points:
-        return None
-    (xta, xLa), (yta, yLa) = points[key_a]
-    (xtb, xLb), (ytb, yLb) = points[key_b]
-    dxt, dxL = sp.cancel(xta - xtb), sp.cancel(xLa - xLb)
-    dyt, dyL = sp.cancel(yta - ytb), sp.cancel(yLa - yLb)
-    m, n = edge
-    Km = terms[m][0] - terms[n][0]
-    Pm = terms[m][1] - terms[n][1]
-    gsq = sp.factor(sp.cancel(Km**2 + Pm**2))
-    # separation is parallel to the boundary direction (-Pm, Km); extract scalars
-    def scalar(cx, cy):
-        sx = sp.cancel(-cx / Pm) if Pm != 0 else None
-        sy = sp.cancel(cy / Km) if Km != 0 else None
-        if sx is not None and sy is not None:
-            assert sp.simplify(sx - sy) == 0, (edge, ra, rb)
-        return sx if sx is not None else sy
-    st = scalar(dxt, dyt)
-    sL = scalar(dxL, dyL)
-    if st is None or sL is None:
-        return None
-    return sp.factor(st), sp.factor(sL), gsq
-
-
 def _vector_name(eps):
     return "_" + "".join(map(str, eps))
 
 
 def _key_source(key):
     """Source text of a table key, with its exponent vectors by name."""
-    if all(isinstance(v, int) for v in key):
-        return _vector_name(key)
-    return "(" + ", ".join(map(_key_source, key)) + ")"
+    return "(" + ", ".join(map(_vector_name, key)) + ")"
 
 
 def main():
@@ -169,14 +135,11 @@ def main():
         "VERTEX[case][key] = (xt, xL, yt, yL), four such functions: the meeting",
         "point of the three tau-function terms named by `key` sits at",
         "(xt*t + xL*log_a12, yt*t + yL*log_a12) for the first constraint branch",
-        "with zero phase constants.  SEGMENT[case][(edge, ends)] = (st, sL, g):",
-        "the separation of the two junctions flanking `edge` has length",
-        "|st*t + sL*log_a12| * sqrt(g).  Keys are sorted tuples of term",
-        "exponent vectors over (xi1, xi2, xi3); _abc names the vector (a, b, c).",
+        "with zero phase constants.  Keys are sorted tuples of term exponent",
+        "vectors over (xi1, xi2, xi3); _abc names the vector (a, b, c).",
         "",
         "Only the keys the t -> +-inf limit skeleton can name are present: a",
-        "junction is three vectors on one facet of the template's Newton polytope,",
-        "and a segment joins junctions on two different facets.",
+        "junction is three vectors on one facet of the template's Newton polytope.",
         '"""',
         "",
     ]
@@ -186,11 +149,9 @@ def main():
         return tuple(exprs.setdefault(sp.pycode(e), f"_e{len(exprs)}") for e in coeffs)
 
     vertex_entries = {}
-    segment_entries = {}
     for case, (cons, spec_terms) in CASES.items():
         terms = [term_data(cons, eps, lam) for eps, lam in spec_terms]
         eps_list = [eps for eps, _ in spec_terms]
-        points = {}
         vertex_entries[case] = {}
         for tri in itertools.combinations(range(len(terms)), 3):
             if not on_facet(eps_list, tri):
@@ -198,25 +159,10 @@ def main():
             pt = junction_point(terms, tri)
             if pt is None:
                 continue
-            points[frozenset(tri)] = pt
             (xt, xL), (yt, yL) = pt
             vkey = tuple(sorted(eps_list[i] for i in tri))
             vertex_entries[case][vkey] = names(xt, xL, yt, yL)
-        segment_entries[case] = {}
-        for edge in itertools.combinations(range(len(terms)), 2):
-            rest = [r for r in range(len(terms)) if r not in edge]
-            for ra, rb in itertools.combinations(rest, 2):
-                # two ends on one facet are one limit junction
-                if not orientation(*(eps_list[i] for i in edge + (ra, rb))):
-                    continue
-                res = edge_length(terms, edge, ra, rb, points)
-                if res is None:
-                    continue
-                ekey = tuple(sorted((eps_list[edge[0]], eps_list[edge[1]])))
-                endkey = tuple(sorted((eps_list[ra], eps_list[rb])))
-                segment_entries[case][(ekey, endkey)] = names(*res)
-        print(f"{case}: {len(vertex_entries[case])} vertices, "
-              f"{len(segment_entries[case])} segments", file=sys.stderr)
+        print(f"{case}: {len(vertex_entries[case])} vertices", file=sys.stderr)
 
     for code, fname in exprs.items():
         lines.extend((f"def {fname}(k1, k2, k3, p3):", f"    return {code}", ""))
@@ -224,15 +170,14 @@ def main():
     vectors = sorted({eps for _, terms in CASES.values() for eps, _ in terms})
     lines.extend(f"{_vector_name(eps)} = {eps!r}" for eps in vectors)
     lines.append("")
-    for table, entries_by_case in (("VERTEX", vertex_entries), ("SEGMENT", segment_entries)):
-        lines.append(f"{table} = {{")
-        for case, entries in entries_by_case.items():
-            lines.append(f"    {case!r}: {{")
-            for key, fnames in entries.items():
-                lines.append(f"        {_key_source(key)}: ({', '.join(fnames)}),")
-            lines.append("    },")
-        lines.append("}")
-        lines.append("")
+    lines.append("VERTEX = {")
+    for case, entries in vertex_entries.items():
+        lines.append(f"    {case!r}: {{")
+        for key, fnames in entries.items():
+            lines.append(f"        {_key_source(key)}: ({', '.join(fnames)}),")
+        lines.append("    },")
+    lines.append("}")
+    lines.append("")
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("\n".join(lines))
     print(f"wrote {out}", file=sys.stderr)
