@@ -1,4 +1,4 @@
-"""Derived closed-form stem geometry tables.
+"""Derived closed-form stem endpoint table.
 
 Generated by tools/generate_closed_forms.py; do not edit by hand.
 

@@ -10,7 +10,7 @@ along the boundary of terms m and n it is locally the sech^2 ridge
 so every arm, every junction and the bounded stem segment can be read off the
 skeleton exactly.  Arms are the unbounded edges, the stem is the bounded edge,
 and its endpoints are triple points of the skeleton.  The same endpoints are
-also evaluated through closed-form coefficient tables (derived offline in
+also evaluated through a closed-form coefficient table (derived offline in
 exact arithmetic, see tools/generate_closed_forms.py); the two paths are
 cross-checked on every call.
 
@@ -57,7 +57,7 @@ from .tau import u_on_grid
 
 Eps = tuple[int, int, int]
 # a triple point of three tau terms: their exponent vectors, sorted (the key
-# format of the closed-form VERTEX tables)
+# format of the closed-form VERTEX table)
 Junction = tuple[Eps, Eps, Eps]
 
 
@@ -478,7 +478,7 @@ def junction_lines(sol: ResonantSolution, junction: Junction, t: float):
 
 
 def _closed_form_args(sol: ResonantSolution):
-    """(k1, k2, k3, p3) for the generated tables, whose expressions are those
+    """(k1, k2, k3, p3) for the generated table, whose expressions are those
     of the first branch; None where they do not apply (phase constants)."""
     if any(abs(v) > 0 for v in sol.params.xi0):
         return None
@@ -625,10 +625,10 @@ def stem_endpoints(sol: ResonantSolution, t: float, t_min: float = 3.0) -> StemR
 
     The stem is the one stem_side names for t.  Each endpoint is the
     best-conditioned pairwise intersection of its junction_lines and is
-    checked against the closed-form VERTEX tables; a disagreement beyond 1e-9
+    checked against the closed-form VERTEX table; a disagreement beyond 1e-9
     relative is an internal error, and the largest relative disagreement is
     reported as endpoint_mismatch (None with nonzero phase constants, where
-    the tables do not apply and a non-finite endpoint raises DomainError).
+    the table does not apply and a non-finite endpoint raises DomainError).
     Inside |t| < t_min the report carries valid=False (the
     straight-trajectory description degrades near the reconnection), and so
     does a midpoint so far out that rounding of the tau exponents there can

@@ -127,7 +127,7 @@ def _key_source(key):
 def main():
     out = Path(__file__).resolve().parents[1] / "src" / "kpii_stem" / "_closed_forms.py"
     lines = [
-        '"""Derived closed-form stem geometry tables.',
+        '"""Derived closed-form stem endpoint table.',
         "",
         "Generated by tools/generate_closed_forms.py; do not edit by hand.",
         "",
