@@ -644,13 +644,12 @@ def stem_length_formula(sol: ResonantSolution, t: float) -> float:
     two end junctions, read from the side's stem plan."""
     if sol.spec.case is Case.GENERIC:
         raise UnsupportedCaseError("stem length requires a resonant case")
-    _future(t)
-    if _closed_form_args(sol) is None:
+    (*_, closed_a, _), (*_, closed_b, _) = _plan(sol, _record(sol), t)
+    if closed_a is None:
         raise UnsupportedFormulaError("closed forms assume zero phase constants")
+    (xta, xLa, yta, yLa), (xtb, xLb, ytb, yLb) = closed_a, closed_b
     # the second branch's mirror negates y at both ends: the distance keeps it
-    (xa, ya), (xb, yb) = ((xt * t + xL, yt * t + yL)
-                          for *_, (xt, xL, yt, yL), _ in _plan(sol, _record(sol), t))
-    return math.hypot(xa - xb, ya - yb)
+    return math.hypot((xta * t + xLa) - (xtb * t + xLb), (yta * t + yLa) - (ytb * t + yLb))
 
 
 def even_axis(lo: float, hi: float, n: int) -> np.ndarray:

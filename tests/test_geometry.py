@@ -244,6 +244,20 @@ def test_arm_profile_values(solutions):
         stem.amplitude / 4.0, rel=1e-12)
 
 
+def test_arm_profile_on_arrays_is_the_per_point_profile(solutions):
+    # the section command's u_arm column takes one call on the section's
+    # coordinate arrays; it must keep the bits of one call per sample
+    for name, sol in solutions.items():
+        for arm in arm_catalog(sol).species:
+            for t in (-10.0, -2.0, 2.0, 10.0):
+                A, B, C = normalize_line(arm.line_coeffs(t))
+                for lo, hi in ((-20.0, 20.0), (-1e3, 1e3)):
+                    s = np.linspace(lo, hi, 101)
+                    xs, ys = -C * A + s * (-B), -C * B + s * A
+                    want = [arm_profile(arm, (x, y, t)) for x, y in zip(xs.tolist(), ys.tolist())]
+                    assert arm_profile(arm, (xs, ys, t)).tolist() == want, (name, arm, t)
+
+
 def test_trajectory_line_basics(solutions):
     sol = solutions["c2_1"]
     arm1 = find_arm(sol, "1", hat=False)

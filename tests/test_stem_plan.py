@@ -78,10 +78,10 @@ def _stem_length_reference(sol, t):
     """The distance between the closed-form endpoints, rebuilt on each call."""
     if sol.spec.case is Case.GENERIC:
         raise UnsupportedCaseError("stem length requires a resonant case")
+    cat = arm_catalog(sol)
     args = _closed_form_args_reference(sol)
     if args is None:
         raise UnsupportedFormulaError("closed forms assume zero phase constants")
-    cat = arm_catalog(sol)
     (xa, ya), (xb, yb) = (_closed_endpoint_reference(sol, junction, t, args) for junction in
                           (cat.past_junctions if t <= 0 else cat.future_junctions))
     return math.hypot(xa - xb, ya - yb)
