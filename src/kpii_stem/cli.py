@@ -8,9 +8,13 @@ files (see scenarios/ in the repository root):
 
 The generic case takes "p": [p1, p2, p3] instead of "p3" and may carry
 "limit_target": "<case>" for the limits suite.  Exit codes: 0 success,
-1 verification failure, 2 parse/usage error, 3 inadmissible parameters,
-4 I/O error.  Output is deterministic: numbers are serialized with Python's
-shortest round-trip repr and no timestamps are embedded.
+1 verification failure, 2 parse/usage error (also a command the scenario's
+case does not support, such as stem or section on a generic scenario),
+3 inadmissible parameters, 4 I/O error.  Output is deterministic: numbers are
+serialized as Python's shortest round-trip repr writes them, and no
+timestamps are embedded.  sample forms that text for a block of values at a
+time with floattext, whose bytes tests/test_floattext.py checks against repr
+bit pattern by bit pattern.
 """
 
 from __future__ import annotations
@@ -25,11 +29,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import __version__
+from . import __version__, floattext
 from .catalog import Case, ResonantSolution, build_case, make_generic
 from .errors import (AnchorNotFoundError, DegenerateParameterError, InadmissibleFamilyError,
                      InadmissibleParameterError, IndeterminateResonanceError,
-                     InternalConsistencyError, KPStemError)
+                     InternalConsistencyError, KPStemError, UnsupportedCaseError)
 from .geometry import (
     arm_catalog,
     arm_profile,
@@ -236,6 +240,13 @@ def _parse_grid(spec: str):
 _UNSIZABLE = (ValueError, IndexError, MemoryError)
 
 
+def _axis_text(values, sep: bytes):
+    """The text of each value and sep, left-aligned in a NUL-padded uint8
+    matrix as wide as the longest."""
+    lines = floattext.text(floattext.columns(values, sep=sep + b"\n")).splitlines()
+    return np.array(lines, dtype="S").view(np.uint8).reshape(len(lines), -1)
+
+
 def cmd_sample(args) -> int:
     sc = load_scenario(args.scenario)
     sol = sc.build()
@@ -250,7 +261,8 @@ def cmd_sample(args) -> int:
             raise ScenarioError(f"grid of {nx} x {ny} points is too large") from exc
         # whole x-rows, four evaluation blocks per call and write (a block is
         # one row where a row is longer), so memory is bounded by four blocks
-        # whatever the grid size
+        # whatever the grid size; the text is made a block at a time, which
+        # stays in cache
         rows = 4 * max(1, BLOCK_POINTS // ny)
         blocks = ((xs[i:i + rows], u_on_grid(sol.tau, xs[i:i + rows, None], ys, t))
                   for i in range(0, nx, rows))
@@ -258,23 +270,38 @@ def cmd_sample(args) -> int:
             if args.format == "csv":
                 fh.write(f"# kpii-stem v{__version__} case={sc.case} t={t!r}\n")
                 fh.write("x,y,u\n")
-                mids = [f",{y!r}," for y in ys.tolist()]
+                # each line is the x text, the y text and the u text, each with
+                # its separator, laid side by side in one NUL-padded matrix
+                y_text = _axis_text(ys, b",")
+                wy = y_text.shape[1]
+                step = max(1, BLOCK_POINTS // ny)
                 for xb, ub in blocks:
-                    for x, urow in zip(xb.tolist(), ub.tolist()):
-                        xr = repr(x)
-                        fh.write("".join([f"{xr}{m}{u!r}\n" for m, u in zip(mids, urow)]))
+                    x_text = _axis_text(xb, b",")
+                    wx = x_text.shape[1]
+                    for i in range(0, len(xb), step):
+                        for j in range(0, ny, BLOCK_POINTS):
+                            u = ub[i:i + step, j:j + BLOCK_POINTS]
+                            u_text = floattext.columns(u, sep=b"\n")
+                            lines = np.empty(u.shape + (wx + wy + u_text.shape[1],), np.uint8)
+                            lines[..., :wx] = x_text[i:i + step, None]
+                            lines[..., wx:wx + wy] = y_text[j:j + BLOCK_POINTS]
+                            lines[..., wx + wy:] = u_text.reshape(*u.shape, -1)
+                            fh.write(floattext.text(lines))
             else:
                 # the header as json.dumps(indent=2) lays it out, with "values"
-                # last; each block's values go through the C encoder, one per line
+                # last, one value per line
                 head, tail = json.dumps(
                     {"version": __version__, "scenario": _scenario_echo(sc), "t": t,
                      "x_range": [xmin, xmax, nx], "y_range": [ymin, ymax, ny],
                      "values": []}, indent=2).rsplit("[]", 1)
-                sep = head + "[\n    "
+                sep, lead = ",\n    ", head + "[\n    "
                 for _, ub in blocks:
-                    fh.write(sep + json.dumps(ub.ravel().tolist())[1:-1]
-                             .replace(", ", ",\n    "))
-                    sep = ",\n    "
+                    flat = ub.reshape(-1)
+                    for i in range(0, len(flat), BLOCK_POINTS):
+                        text = floattext.text(floattext.columns(
+                            flat[i:i + BLOCK_POINTS], floattext.JSON_NONFINITE, sep.encode()))
+                        fh.write(lead + text[:-len(sep)])
+                        lead = sep
                 fh.write("\n  ]" + tail + "\n")
     return EXIT_OK
 
@@ -533,7 +560,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
+    except (ScenarioError, UnsupportedCaseError) as exc:
+        # a command the scenario's case does not support is a usage error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OutputError as exc:

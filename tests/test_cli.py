@@ -734,3 +734,22 @@ def test_closed_stdout_pipe_exits_4(command, unbuffered):
     assert "Traceback" not in err and "Exception ignored" not in err
     (line,) = err.splitlines()
     assert line.startswith("error: cannot write stdout")
+
+
+@pytest.mark.parametrize("command", [
+    ("stem", "--t=-20,20"),
+    ("section", "--t=1", "--line=3"),
+    ("section", "--t=1", "--line", "perp"),
+    ("section", "--t=1", "--line", "abc:1,0,0"),
+], ids=["stem", "section-arm", "section-perp", "section-abc"])
+def test_generic_scenario_without_stems_exits_2(tmp_path, capsys, command):
+    # stems and arms are defined for the resonant cases only: a usage error,
+    # not a failed verification
+    path = tmp_path / "generic.json"
+    path.write_text('{"case": "generic", "k": [1, 2, 3], "p": [0.1, 0.2, 0.35]}')
+    assert _run_in_process(capsys, "build", "--scenario", str(path)) == (0, "")
+    capsys.readouterr()
+    code, err = _run_in_process(capsys, command[0], "--scenario", str(path), *command[1:])
+    assert code == 2
+    (line,) = err.splitlines()
+    assert line.startswith("error:") and line.endswith("a resonant case"), line

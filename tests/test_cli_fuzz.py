@@ -5,9 +5,10 @@ must return an exit code or leave through argparse's SystemExit, and raise
 nothing else.  Grid and sample counts stay small (at most 50) or are far past
 numpy's size limit, so no run allocates much.
 
-Fuzzed scenario contents go through build and stem: each run ends in a
-documented exit code, a failing one says why in exactly one error line, and
-no run writes warning text.
+Fuzzed scenario contents go through build, stem and sample: each run ends
+in a documented exit code, a failing one says why in exactly one error line,
+no run writes warning text, and a sample file that is written holds the
+bytes of the point-by-point repr reference.
 """
 
 import contextlib
@@ -16,11 +17,13 @@ import json
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kpii_stem.cli import main
+from test_cli import _sample_reference
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -121,20 +124,37 @@ scenarios = st.fixed_dictionaries({
 })
 
 
-@pytest.mark.parametrize("command", [["build"], ["stem", "--t=-20,0.5,20"]], ids=["build", "stem"])
+SAMPLE_GRID = (-20.0, 20.0, 5, -15.0, 15.0, 4)
+SCENARIO_COMMANDS = {
+    "build": ["build"],
+    "stem": ["stem", "--t=-20,0.5,20"],
+    "sample-csv": ["sample", "--grid=" + ",".join(map(str, SAMPLE_GRID)), "--format=csv"],
+    "sample-json": ["sample", "--grid=" + ",".join(map(str, SAMPLE_GRID)), "--format=json"],
+}
+
+
+@pytest.mark.parametrize("command", list(SCENARIO_COMMANDS))
 def test_fuzzed_scenario_exits_with_one_error_line_and_no_warnings(command, out_dir):
-    path = out_dir / f"scenario-{command[0]}.json"
+    # sample's t is drawn from the same magnitudes, so extreme scenarios and
+    # times write nan, inf and subnormal values; a written file must hold the
+    # bytes of the point-by-point repr reference
+    path = out_dir / f"scenario-{command}.json"
+    out = out_dir / f"{command}.out"
+    argv = SCENARIO_COMMANDS[command]
+    sample = argv[0] == "sample"
 
     @settings(max_examples=150, derandomize=True, database=None, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(scenarios)
-    def run(scenario):
+    @given(scenarios, magnitudes if sample else st.none())
+    def run(scenario, t):
         path.write_text(json.dumps(scenario))
+        out.unlink(missing_ok=True)
+        extra = [f"--t={t!r}", "--out", str(out)] if sample else []
         err = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
-            code = main([command[0], "--scenario", str(path), *command[1:]])
+            code = main([argv[0], "--scenario", str(path), *argv[1:], *extra])
         lines = err.getvalue().splitlines()
         assert code in (0, 1, 2, 3, 4), (scenario, code)
         assert not caught, (scenario, [str(w.message) for w in caught])
@@ -142,5 +162,9 @@ def test_fuzzed_scenario_exits_with_one_error_line_and_no_warnings(command, out_
             assert len(lines) == 1 and lines[0].startswith("error:"), (scenario, lines)
         else:
             assert not lines, (scenario, lines)
+            if sample:
+                with np.errstate(all="ignore"):
+                    want = _sample_reference(str(path), t, SAMPLE_GRID, argv[-1][9:])
+                assert out.read_bytes() == want, (scenario, t)
 
     run()
