@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import __version__, floattext
+from . import __version__
 from .catalog import Case, ResonantSolution, build_case, make_generic
 from .errors import (AnchorNotFoundError, DegenerateParameterError, InadmissibleFamilyError,
                      InadmissibleParameterError, IndeterminateResonanceError,
@@ -240,14 +240,10 @@ def _parse_grid(spec: str):
 _UNSIZABLE = (ValueError, IndexError, MemoryError)
 
 
-def _axis_text(values, sep: bytes):
-    """The text of each value and sep, left-aligned in a NUL-padded uint8
-    matrix as wide as the longest."""
-    lines = floattext.text(floattext.columns(values, sep=sep + b"\n")).splitlines()
-    return np.array(lines, dtype="S").view(np.uint8).reshape(len(lines), -1)
-
-
 def cmd_sample(args) -> int:
+    # imported here: without a bytecode cache its compile would add to every
+    # command's start-up
+    from . import floattext
     sc = load_scenario(args.scenario)
     sol = sc.build()
     t = _parse_finite(args.t, "t")
@@ -272,11 +268,11 @@ def cmd_sample(args) -> int:
                 fh.write("x,y,u\n")
                 # each line is the x text, the y text and the u text, each with
                 # its separator, laid side by side in one NUL-padded matrix
-                y_text = _axis_text(ys, b",")
+                y_text = floattext.packed(ys, b",")
                 wy = y_text.shape[1]
                 step = max(1, BLOCK_POINTS // ny)
                 for xb, ub in blocks:
-                    x_text = _axis_text(xb, b",")
+                    x_text = floattext.packed(xb, b",")
                     wx = x_text.shape[1]
                     for i in range(0, len(xb), step):
                         for j in range(0, ny, BLOCK_POINTS):

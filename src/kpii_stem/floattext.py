@@ -254,6 +254,13 @@ def columns(values, nonfinite=REPR_NONFINITE, sep=b""):
     return out
 
 
+def packed(values, sep=b""):
+    """uint8 matrix whose row i is the text of values[i] and then sep from
+    byte 0, NUL-padded to the longest row."""
+    lines = text(columns(values, sep=sep + b"\n")).splitlines()
+    return np.array(lines, dtype="S").view(np.uint8).reshape(len(lines), -1)
+
+
 def text(matrix) -> str:
     """The characters of a uint8 text matrix in row order, NULs dropped."""
     return np.ascontiguousarray(matrix).tobytes().translate(None, b"\0").decode("ascii")
