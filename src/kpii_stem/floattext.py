@@ -13,7 +13,8 @@ little-endian words, each filled by integer arithmetic on whole arrays:
     the last digit moved, "0" after an integral value's point, the
     exponent "e+dd" or "e-ddd", the separator's first byte
 
-and the rest of the separator follows in whole words.
+and the rest of the separator follows in whole words.  ``packed(values,
+sep)`` gives the same text from byte 0 of each row, as wide as the longest.
 
 The text of a finite value is ``repr(value)``: the shortest decimal that
 reads back as the value, the closest such one to it, written by CPython's
@@ -28,7 +29,7 @@ doubles", 2020), as the JDK's ``DoubleToDecimal`` computes them, on arrays
 of uint64: every step is fixed-width integer arithmetic, so it runs on whole
 arrays (Ryu, U. Adams, PLDI 2018, finds the same digits).  For a value
 c 2^q the 126-bit g(k) ~ 10^-k 2^-r gives the scaled value and the two
-bounds of its rounding interval by one 190-bit product g (c << 2), formed
+bounds of its rounding interval by one 181-bit product g (c << 2), formed
 from 32-bit halves, and two adds of g or 2g; each is rounded to odd.  The
 table of g(k), k in [-324, 292], is built from exact integers on first use.
 
@@ -263,4 +264,4 @@ def packed(values, sep=b""):
 
 def text(matrix) -> str:
     """The characters of a uint8 text matrix in row order, NULs dropped."""
-    return np.ascontiguousarray(matrix).tobytes().translate(None, b"\0").decode("ascii")
+    return matrix.tobytes().translate(None, b"\0").decode("ascii")
