@@ -121,11 +121,12 @@ class ResonantSolution:
 
 
 def _exponent_sums(params: SolitonParams, eps) -> tuple[float, float, float, float]:
-    k, p, w, x0 = params.k, params.p, params.omegas, params.xi0
-    return (sum(e * k[j] for j, e in enumerate(eps)),
-            sum(e * p[j] for j, e in enumerate(eps)),
-            sum(e * w[j] for j, e in enumerate(eps)),
-            sum(e * x0[j] for j, e in enumerate(eps)))
+    # summed from 0 in soliton order
+    (k1, k2, k3), (p1, p2, p3) = params.k, params.p
+    (w1, w2, w3), (s1, s2, s3) = params.omegas, params.xi0
+    e1, e2, e3 = eps
+    return (0 + e1 * k1 + e2 * k2 + e3 * k3, 0 + e1 * p1 + e2 * p2 + e3 * p3,
+            0 + e1 * w1 + e2 * w2 + e3 * w3, 0 + e1 * s1 + e2 * s2 + e3 * s3)
 
 
 def omega(k: float, p: float) -> float:
@@ -266,7 +267,7 @@ def resolve_constraints(k, p3: float, spec: CaseSpec, xi0=(0.0, 0.0, 0.0)) -> So
     if spec.case is Case.GENERIC:
         raise DegenerateParameterError(
             "generic solutions take explicit p1, p2 via make_generic")
-    k = tuple(float(v) for v in k)
+    k = tuple(map(float, k))
     if len(k) != 3:
         raise DomainError("k must have three components")
     if k[2] == 0:
@@ -290,7 +291,7 @@ def resolve_constraints(k, p3: float, spec: CaseSpec, xi0=(0.0, 0.0, 0.0)) -> So
         if a12 <= 0:
             raise InadmissibleParameterError(
                 f"case {spec.case.value} requires 0 < a12 < inf, got a12 = {a12}")
-    return SolitonParams(k=k, p=(p1, p2, p3), xi0=tuple(float(v) for v in xi0))
+    return SolitonParams(k=k, p=(p1, p2, p3), xi0=tuple(map(float, xi0)))
 
 
 def _pair_coefficients(params: SolitonParams):

@@ -37,6 +37,7 @@ the midpoint; stem_reports does so for a vector of times with one u call.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -172,17 +173,19 @@ class Edge:
 
 class _Record:
     """The t-independent state of one solution, built once: per positive term
-    (index, K, P, W, xi0-part, ln c), the term index of each exponent vector,
-    the pair arms as _arm_from_terms builds them, the arm catalog, the
-    evaluated closed-form table entries, and per side (past, future) the stem
-    plan."""
+    (index, K, P, W, xi0-part, ln c) and (|K|, |P|, |W|, |xi0-part|), the
+    term index of each exponent vector, the pair arms as _arm_from_terms
+    builds them, the arm catalog, the evaluated closed-form table entries,
+    and per side (past, future) the stem plan."""
 
-    __slots__ = ("planes", "index", "arms", "catalog", "closed_forms", "plans")
+    __slots__ = ("planes", "sizes", "index", "arms", "catalog", "closed_forms", "plans")
 
     def __init__(self, sol: ResonantSolution):
-        self.planes = tuple((idx, *sol.exponent_of(eps), math.log(coeff))
-                            for idx, (eps, coeff) in enumerate(sol.template)
-                            if coeff > 0)
+        # tau's term idx is template[idx] with its (K, P, W, xi0-part)
+        self.planes = tuple((idx, *row[1:], math.log(row[0]))
+                            for idx, row in enumerate(zip(*sol.tau.values)) if row[0] > 0)
+        self.sizes = tuple((abs(K), abs(P), abs(W), abs(s0))
+                           for _, K, P, W, s0, _ in self.planes)
         self.index = {eps: i for i, (eps, _) in enumerate(sol.template)}
         self.arms: dict[tuple[int, int], ArmDescriptor] = {}
         self.catalog: AsymptoticCatalog | None = None
@@ -195,6 +198,7 @@ _RECORDS = weakref.WeakKeyDictionary()
 
 
 def _record(sol: ResonantSolution) -> _Record:
+    """The solution's record: looked up once per public call and passed on."""
     rec = _RECORDS.get(sol)
     if rec is None:
         rec = _RECORDS[sol] = _Record(sol)
@@ -210,12 +214,18 @@ def _arm(sol: ResonantSolution, rec: _Record, m: int, n: int) -> ArmDescriptor:
     return arm
 
 
+def _term_planes(rec: _Record, t: float) -> list[tuple[int, float, float, float]]:
+    if math.isinf(t):
+        sign = math.copysign(1.0, t)
+        return [(idx, K, P, sign * W) for idx, K, P, W, _, _ in rec.planes]
+    return [(idx, K, P, W * t + s0 + lnc) for idx, K, P, W, s0, lnc in rec.planes]
+
+
 def term_planes(sol: ResonantSolution, t: float) -> list[tuple[int, float, float, float]]:
     """(index, K, P, W t + s0 + ln c) of psi_m = K x + P y + W t + s0 + ln c
     for each term with positive coefficient.  At t = -inf or +inf the constant
     is W sign(t): the limit of psi_m / |t| in the coordinates x/|t|, y/|t|."""
-    return [(idx, K, P, math.copysign(1.0, t) * W if math.isinf(t) else W * t + s0 + lnc)
-            for idx, K, P, W, s0, lnc in _record(sol).planes]
+    return _term_planes(_record(sol), t)
 
 
 def skeleton(sol: ResonantSolution, t: float) -> list[Edge]:
@@ -225,64 +235,55 @@ def skeleton(sol: ResonantSolution, t: float) -> list[Edge]:
     xi0 drop out, and every edge that does not grow with |t| shrinks to a point.
     """
     rec = _record(sol)
-    planes = term_planes(sol, t)
+    planes = _term_planes(rec, t)
     edges = []
-    for a in range(len(planes)):
-        for b in range(a + 1, len(planes)):
-            ia, Ka, Pa, ca = planes[a]
-            ib, Kb, Pb, cb = planes[b]
-            dK, dP, dc = Ka - Kb, Pa - Pb, ca - cb
+    for a, (ia, Ka, Pa, ca) in enumerate(planes[:-1]):
+        # (K_a - K_c, P_a - P_c, c_a - c_c) and the tolerance of a cut parallel
+        # to an edge of term a, formed once per term c for every edge of a
+        cuts = [(ic, Ka - Kc, Pa - Pc, ca - cc, 1e-13 * (1 + abs(Ka - Kc) + abs(Pa - Pc)))
+                for ic, Kc, Pc, cc in planes]
+        for ib, dK, dP, dc, _ in cuts[a + 1:]:
             nrm = math.hypot(dK, dP)
             if nrm < 1e-13:
                 continue
-            base = (-dc * dK / nrm**2, -dc * dP / nrm**2)
-            direction = (-dP / nrm, dK / nrm)
+            b0, b1 = -dc * dK / nrm**2, -dc * dP / nrm**2
+            d0, d1 = -dP / nrm, dK / nrm
             lo, hi = -math.inf, math.inf
             lo_bind = hi_bind = None
-            empty = False
-            for c in range(len(planes)):
-                if c in (a, b):
+            for ic, dKc, dPc, dcc, tol in cuts:
+                if ic == ia or ic == ib:
                     continue
-                ic, Kc, Pc, cc = planes[c]
-                alpha = ((Ka - Kc) * base[0] + (Pa - Pc) * base[1] + (ca - cc))
-                beta = (Ka - Kc) * direction[0] + (Pa - Pc) * direction[1]
-                if abs(beta) < 1e-13 * (1 + abs(Ka - Kc) + abs(Pa - Pc)):
+                alpha = dKc * b0 + dPc * b1 + dcc
+                beta = dKc * d0 + dPc * d1
+                if abs(beta) < tol:
                     if alpha < 0:
-                        empty = True
-                        break
+                        break           # term c wins along the whole line
                     continue
                 bound = -alpha / beta
                 if beta > 0:
                     if bound > lo:
                         lo, lo_bind = bound, ic
-                else:
-                    if bound < hi:
-                        hi, hi_bind = bound, ic
-            if empty:
-                continue
-            if (math.isfinite(lo) and math.isfinite(hi)
-                    and lo >= hi - 1e-9 * (1 + abs(lo) + abs(hi))):
-                continue
-            edges.append(Edge(m=ia, n=ib, lo=lo, hi=hi, lo_bind=lo_bind,
-                              hi_bind=hi_bind, base=base, direction=direction,
-                              arm=_arm(sol, rec, ia, ib)))
+                elif bound < hi:
+                    hi, hi_bind = bound, ic
+            else:
+                if not (math.isfinite(lo) and math.isfinite(hi)
+                        and lo >= hi - 1e-9 * (1 + abs(lo) + abs(hi))):
+                    edges.append(Edge(ia, ib, lo, hi, lo_bind, hi_bind, (b0, b1), (d0, d1),
+                                      _arm(sol, rec, ia, ib)))
     return edges
 
 
 def _arm_from_terms(sol: ResonantSolution, m: int, n: int) -> ArmDescriptor:
-    eps_m, c_m = sol.template[m]
-    eps_n, c_n = sol.template[n]
-    diff = tuple(a - b for a, b in zip(eps_m, eps_n))
+    (e1, e2, e3), c_m = sol.template[m]
+    (f1, f2, f3), c_n = sol.template[n]
+    d1, d2, d3 = e1 - f1, e2 - f2, e3 - f3
     offset = math.log(c_m / c_n)
-    lead = next(d for d in diff if d != 0)
-    if lead < 0:
-        diff = tuple(-d for d in diff)
+    if (d1 or d2 or d3) < 0:       # the first nonzero entry leads
+        d1, d2, d3 = -d1, -d2, -d3
         offset = -offset
-    label = tuple(j * diff[j - 1] for j in (1, 2, 3) if diff[j - 1] != 0)
-    K, P, W, s0 = sol.exponent_of(diff)
-    return ArmDescriptor(label=label, hat=abs(offset) > 1e-14,
-                         amplitude=K * K / 2.0, profile_offset=offset,
-                         A=K, B=P, W=W, xi0=s0)
+    label = tuple([j * d for j, d in ((1, d1), (2, d2), (3, d3)) if d != 0])
+    K, P, W, s0 = sol.exponent_of((d1, d2, d3))
+    return ArmDescriptor(label, abs(offset) > 1e-14, K * K / 2.0, offset, K, P, W, s0)
 
 
 def _junctions(sol: ResonantSolution, stem: Edge) -> tuple[Junction, Junction]:
@@ -308,23 +309,24 @@ def _wings(edges, stem: Edge):
     """The arm edges at each stem junction, with outward directions."""
     out = []
     for bind, s_end in ((stem.lo_bind, stem.lo), (stem.hi_bind, stem.hi)):
-        junction = frozenset((stem.m, stem.n, bind))
+        junction = (stem.m, stem.n, bind)
         vertex = stem.point(s_end)
         side = []
         for e in edges:
-            pair = frozenset((e.m, e.n))
-            if pair < junction and pair != frozenset((stem.m, stem.n)):
+            if e.m in junction and e.n in junction and e is not stem:
                 # outward = away from the stem junction along the wing
-                def _dist(s):
-                    if not math.isfinite(s):
-                        return math.inf
-                    p = e.point(s)
-                    return math.hypot(p[0] - vertex[0], p[1] - vertex[1])
-                d = e.direction if _dist(e.lo) <= _dist(e.hi) else (
-                    -e.direction[0], -e.direction[1])
+                d = e.direction if _end_distance(e, e.lo, vertex) <= _end_distance(
+                    e, e.hi, vertex) else (-e.direction[0], -e.direction[1])
                 side.append((e, d))
         out.append(side)
     return out
+
+
+def _end_distance(edge: Edge, s: float, vertex) -> float:
+    if not math.isfinite(s):
+        return math.inf
+    x, y = edge.point(s)
+    return math.hypot(x - vertex[0], y - vertex[1])
 
 
 def _catalog_side(sol: ResonantSolution, t: float, regime: str | None = None):
@@ -352,7 +354,8 @@ def _catalog_side(sol: ResonantSolution, t: float, regime: str | None = None):
             else:
                 region = Region.X_POS if comp > 0 else Region.X_NEG
             listing.append((region, e.arm))
-    listing.sort(key=lambda ra: (ra[0].value, ra[1].label, ra[1].hat))
+    # a Region is its str value, so it sorts as one
+    listing.sort(key=lambda ra: (ra[0], ra[1].label, ra[1].hat))
     return stem, tuple(listing), regime
 
 
@@ -487,16 +490,21 @@ def _closed_form_args(sol: ResonantSolution):
     return k1, k2, k3, -p3 if sol.spec.branch is Branch.SECOND else p3
 
 
-def _closed_form(sol: ResonantSolution, junction: Junction, args) -> tuple[float, ...]:
+@functools.cache
+def _vertex_table():
+    # imported on the first stem query, so that start-up without a bytecode
+    # cache does not compile the table
+    from . import _closed_forms
+    return _closed_forms.VERTEX
+
+
+def _closed_form(sol: ResonantSolution, rec: _Record, junction: Junction,
+                 args) -> tuple[float, ...]:
     """The coefficients of the junction's VERTEX entry at args, evaluated once
     per solution."""
-    rec = _record(sol)
     coeffs = rec.closed_forms.get(junction)
     if coeffs is None:
-        # imported here, on the first stem query, so that start-up without a
-        # bytecode cache does not compile the table
-        from . import _closed_forms
-        entry = _closed_forms.VERTEX[sol.spec.case.value].get(junction)
+        entry = _vertex_table()[sol.spec.case.value].get(junction)
         if entry is None:
             raise InternalConsistencyError(
                 f"no closed-form VERTEX entry for {junction} in case {sol.spec.case.value}")
@@ -537,8 +545,9 @@ def _plan_end(sol: ResonantSolution, rec: _Record, junction: Junction, args):
                  key=lambda p: abs(p[0][0] * p[1][1] - p[1][0] * p[0][1]))
     closed = None
     if args is not None:
-        xt, xL, yt, yL = _closed_form(sol, junction, args)
-        closed = (xt, xL * sol.log_a12, yt, yL * sol.log_a12)
+        xt, xL, yt, yL = _closed_form(sol, rec, junction, args)
+        log_a12 = sol.log_a12
+        closed = (xt, xL * log_a12, yt, yL * log_a12)
     return (junction, _determinant(l1[0], l1[1], l2[0], l2[1]), l1, l2,
             closed, sol.spec.branch is Branch.SECOND)
 
@@ -563,17 +572,18 @@ def _endpoints(plan, t: float):
          (A2, B2, W2, xi2, offset2, sign2, norm2), closed, mirror) in plan:
         if det is None:
             raise DegenerateLineError(f"junction lines are parallel: {junction}")
-        geo = _meet(A1, B1, sign1 * (W1 * t + xi1 + offset1) / norm1,
-                    A2, B2, sign2 * (W2 * t + xi2 + offset2) / norm2, det)
+        geo = gx, gy = _meet(A1, B1, sign1 * (W1 * t + xi1 + offset1) / norm1,
+                             A2, B2, sign2 * (W2 * t + xi2 + offset2) / norm2, det)
         if closed is not None:
             xt, xL, yt, yL = closed
             x, y = xt * t + xL, yt * t + yL
-            closed = (x, -y) if mirror else (x, y)
-            err = math.hypot(geo[0] - closed[0], geo[1] - closed[1])
-            scale = max(1.0, math.hypot(*geo), math.hypot(*closed))
-            if not (all(map(math.isfinite, geo + closed)) and err <= 1e-9 * scale):
+            if mirror:
+                y = -y
+            err = math.hypot(gx - x, gy - y)
+            scale = max(1.0, math.hypot(gx, gy), math.hypot(x, y))
+            if not (all(map(math.isfinite, (gx, gy, x, y))) and err <= 1e-9 * scale):
                 raise InternalConsistencyError(
-                    f"closed-form and geometric endpoints disagree: {geo} vs {closed}")
+                    f"closed-form and geometric endpoints disagree: {geo} vs {(x, y)}")
             mismatch = max(mismatch or 0.0, err / scale)
         elif not all(map(math.isfinite, geo)):
             raise DomainError(f"stem endpoint {geo} is not finite at t = {t}")
@@ -581,12 +591,11 @@ def _endpoints(plan, t: float):
     return pts[0], pts[1], mismatch
 
 
-def _stem_rows(sol: ResonantSolution, ts):
+def _stem_rows(sol: ResonantSolution, rec: _Record, ts):
     """(t, endpoint_a, endpoint_b, midpoint, endpoint_mismatch) per time of ts,
     from the stem plan of its side."""
     if sol.spec.case is Case.GENERIC:
         raise UnsupportedCaseError("stem endpoints require a resonant case")
-    rec = _record(sol)
     rows = []
     for t in ts:
         (xa, ya), (xb, yb), mismatch = _endpoints(_plan(sol, rec, t), t)
@@ -600,24 +609,22 @@ def stem_reports(sol: ResonantSolution, ts, t_min: float = 3.0) -> list[StemRepo
     Each time's geometry comes from its side's stem plan; the midpoint
     amplitudes of all times take one u_on_grid call.
     """
-    rows = _stem_rows(sol, ts)
-    points = [(mid[0], mid[1], t) for t, _, _, mid, _ in rows]
-    # one array per coordinate; a single point goes in as scalars, which
-    # u_on_grid evaluates faster than length-1 arrays and to the same bits
-    amps = (u_on_grid(sol.tau, *points[0]) if len(points) == 1 else
-            u_on_grid(sol.tau, *np.array(points, dtype=float).reshape(-1, 3).T))
     rec = _record(sol)
-    reports = []
-    for (t, a, b, mid, mismatch), amp in zip(rows, amps.reshape(-1).tolist()):
-        size = max(abs(K * mid[0]) + abs(P * mid[1]) + abs(W * t) + abs(s0)
-                   for _, K, P, W, s0, _ in rec.planes)
-        reports.append(StemReport(
-            t=t, endpoint_a=a, endpoint_b=b,
-            length=math.hypot(a[0] - b[0], a[1] - b[1]), midpoint=mid,
-            midpoint_amplitude=amp,
-            valid=abs(t) >= t_min and 2.0**-53 * size <= _MIDPOINT_BUDGET,
-            endpoint_mismatch=mismatch))
-    return reports
+    rows = _stem_rows(sol, rec, ts)
+    amps = u_on_grid(sol.tau, *np.array([mid + (t,) for t, _, _, mid, _ in rows],
+                                        dtype=float).reshape(-1, 3).T)
+    return [StemReport(t, a, b, math.hypot(a[0] - b[0], a[1] - b[1]), mid, amp,
+                       abs(t) >= t_min and _within_budget(rec, mid, t), mismatch)
+            for (t, a, b, mid, mismatch), amp in zip(rows, amps.tolist())]
+
+
+def _within_budget(rec: _Record, mid, t: float) -> bool:
+    """Whether rounding of the tau exponents at (mid, t) stays within
+    _MIDPOINT_BUDGET."""
+    # |K x| is |K| |x| to the bit: rounding is symmetric in sign
+    mx, my, mt = abs(mid[0]), abs(mid[1]), abs(t)
+    size = max([K * mx + P * my + W * mt + s0 for K, P, W, s0 in rec.sizes])
+    return 2.0**-53 * size <= _MIDPOINT_BUDGET
 
 
 def stem_endpoints(sol: ResonantSolution, t: float, t_min: float = 3.0) -> StemReport:
@@ -675,7 +682,7 @@ def cross_section(sol: ResonantSolution, t: float, line, s_range=(-20.0, 20.0),
         line = line.line_coeffs(t)
     A, B, C = normalize_line(line)
     if anchor is None:
-        anchor = _stem_rows(sol, (t,))[0][3]
+        anchor = _stem_rows(sol, _record(sol), (t,))[0][3]
     # foot of the anchor on the line
     d = A * anchor[0] + B * anchor[1] + C
     foot = (anchor[0] - d * A, anchor[1] - d * B)
@@ -706,11 +713,9 @@ def velocity_table(sol: ResonantSolution) -> list[VelocityRow]:
     rows = {}
     for arm in arm_catalog(sol).species:
         key = (arm.label, arm.hat)
-        if key in rows:
-            continue
-        vx, vy = arm.velocity
-        rows[key] = VelocityRow(label=arm.label_str(hat_mark=False), hat=arm.hat,
-                                vx=vx, vy=vy, amplitude=arm.amplitude)
+        if key not in rows:
+            rows[key] = VelocityRow(arm.label_str(hat_mark=False), arm.hat, *arm.velocity,
+                                    arm.amplitude)
     return [rows[k] for k in sorted(rows, key=lambda kk: (len(kk[0]), kk[0], kk[1]))]
 
 

@@ -23,8 +23,8 @@ preallocated result, so the kernel's transient memory is that of one block (of
 at most BLOCK_POINTS + 1 points, or one row where a row is longer) whatever
 the point count.  The blocks give the bits of one-array evaluation: every
 per-point operation is elementwise, and the sums over terms run row by row for
-any block of two or more points.  A block of one point would sum like a scalar
-call (see u_on_grid), so a one-point remainder joins the block before it.
+any block of two or more points.  numpy reduces the terms of a single point
+pairwise, not row by row, so a one-point remainder joins the block before it.
 Within a block each moment and cumulant is dropped after its last read.
 
 How a block forms its moments: r is built in place in one array (with one
@@ -33,13 +33,24 @@ contraction np.einsum("bm,m...->b...", W, r) of the stacked weight rows W with
 r, divided by s0 in place.  The contraction adds the products one term row at
 a time, in term order, which is how r.sum(axis=0) and (w * r).sum(axis=0) add
 the rows of two or more points, so the moments keep the bits of one weighted
-sum per moment.  A single point's terms are summed pairwise by numpy, so a
-one-point call forms each moment as (w * r).sum(axis=0) / s0.  The cumulant
-recursion then runs in place on the moment arrays.
+sum per moment.  The cumulant recursion then runs in place on the moment
+arrays.
+
+One point (any input of size 1: Python or numpy scalars, 0-d or length-1
+arrays) is evaluated in Python floats (_point), with the operations numpy
+applies to one point, in numpy's order: E_m = ((kx x + py y) + wt t) + phase,
+r_m = c_m exp(E_m - M), each moment (w r summed over the terms) / s0, and
+the recursion as a plain expression.  A sum over the terms starts from +0.0
+and adds in term order below 8 terms and pairwise from 8 on, as numpy's
+reduction of one point does.  exp alone is numpy's (np.exp on the term
+vector): math.exp differs from it in the last bit for some arguments.  So a
+one-point call keeps the bits of numpy's evaluation of that point; with 8 or
+more terms these can differ in the last bits from the same point in a call
+of several points, whose terms are summed row by row.
 
 Nothing that is independent of the evaluation point is rebuilt per call.  An
 ExpSumTau holds its term columns (coeff, kx, py, wt, phase) as read-only
-arrays built at construction.  The moment lattice and the cumulant recursion's
+arrays and as tuples of Python floats, built at construction.  The moment lattice and the cumulant recursion's
 steps depend only on the tuple of requested multi-indices, a finite set, and
 are built once per tuple (_plan), which also checks the supported orders.
 """
@@ -77,7 +88,7 @@ class ExpTerm:
 
     def __post_init__(self):
         vals = (self.coeff, self.kx, self.py, self.wt, self.phase)
-        if not all(math.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise DomainError(f"non-finite term field: {vals}")
         if self.coeff < 0:
             raise DomainError(f"negative term coefficient: {self.coeff}")
@@ -94,6 +105,8 @@ class ExpSumTau:
     terms: tuple[ExpTerm, ...]
     # (coeff, kx, py, wt, phase) of the terms: read-only contiguous rows
     columns: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    # the same five columns as tuples of Python floats, for the one-point path
+    values: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not any(t.coeff > 0 for t in self.terms):
@@ -102,27 +115,22 @@ class ExpSumTau:
                          dtype=float).T.copy()
         table.flags.writeable = False
         object.__setattr__(self, "columns", tuple(table))
+        object.__setattr__(self, "values", tuple(map(tuple, table.tolist())))
 
     def __len__(self):
         return len(self.terms)
 
 
 def _scaled_weights(tau: ExpSumTau, x, y, t):
-    """Return (r, M, cols) at float arrays x, y, t: r_m = c_m exp(E_m - M),
-    M = max E_m, and tau's kx, py, wt columns indexed to broadcast against r.
+    """Return (r, M, cols) at float arrays x, y, t of two or more points:
+    r_m = c_m exp(E_m - M), M = max E_m, and tau's kx, py, wt columns indexed
+    to broadcast against r.
 
-    For two or more points r is built in one array of the broadcast shape with
-    one scratch array: E = ((kx x + py y) + wt t) + phase, then E - M, exp and
-    the multiply by c, each in place.  These are the operations, in order, of
-    the plain expression that one point takes: its arrays are too small for
-    the in-place set-up to pay."""
+    r is built in one array of the broadcast shape with one scratch array:
+    E = ((kx x + py y) + wt t) + phase, then E - M, exp and the multiply by c,
+    each in place."""
     nd = max(x.ndim, y.ndim, t.ndim)
-    coeff, kx, py, wt, phase = (tau.columns if nd == 0 else
-                                (col[(slice(None),) + (None,) * nd] for col in tau.columns))
-    if x.size * y.size * t.size == 1:
-        expo = kx * x + py * y + wt * t + phase
-        M = expo.max(axis=0)
-        return coeff * np.exp(expo - M), M, (kx, py, wt)
+    coeff, kx, py, wt, phase = (col[(slice(None),) + (None,) * nd] for col in tau.columns)
     r = np.empty((len(tau),) + np.broadcast(x, y, t).shape)
     part = np.empty_like(r)
     np.multiply(kx, x, out=r)
@@ -136,27 +144,25 @@ def _scaled_weights(tau: ExpSumTau, x, y, t):
     return r, M, (kx, py, wt)
 
 
-def _moments(tau: ExpSumTau, x, y, t, betas: Sequence[MultiIndex]):
-    """Normalized moments mu_beta = (d^beta f)/f for nonzero betas.
+def _weight(cols, beta):
+    """kx**bx * py**by * wt**bt over the term columns cols, without the
+    factors of exponent 0 (exactly 1.0); a power 1 is the column itself
+    (col**1 is a copy)."""
+    return functools.reduce(operator.mul, [col if b == 1 else col**b
+                                           for col, b in zip(cols, beta) if b])
 
-    The weight of beta is kx**bx * py**by * wt**bt over the terms, without its
-    factors of exponent 0 (exactly 1.0), and a power 1 is the column itself
-    (col**1 is a copy).  Two or more points contract all the weights with r
-    in one einsum and divide by s0 in place; one point (scalar or length 1)
-    forms each moment as (w * r).sum(axis=0) / s0, since numpy sums a single
-    point's terms pairwise (module docstring).
+
+def _moments(tau: ExpSumTau, x, y, t, betas: Sequence[MultiIndex]):
+    """Normalized moments mu_beta = (d^beta f)/f for nonzero betas, at two or
+    more points.
+
+    All the weights (_weight) are contracted with r in one einsum and divided
+    by s0 in place (module docstring).
     """
     r, _, cols = _scaled_weights(tau, x, y, t)
     s0 = r.sum(axis=0)
-    out = {}
-    for beta in betas:
-        out[beta] = functools.reduce(operator.mul, [col if b == 1 else col**b
-                                                    for col, b in zip(cols, beta) if b])
-    if r.size == len(r):
-        for beta, w in out.items():
-            out[beta] = (w * r).sum(axis=0) / s0
-        return out
-    S = np.einsum("bm,m...->b...", np.array(list(out.values())).reshape(len(out), len(r)), r)
+    weights = [_weight(cols, beta) for beta in betas]
+    S = np.einsum("bm,m...->b...", np.array(weights).reshape(len(betas), len(r)), r)
     S /= s0
     return dict(zip(betas, S))
 
@@ -228,18 +234,13 @@ def _cumulants(moments: dict[MultiIndex, np.ndarray], steps):
     (C mu_rest) c_gplus; the multiply by a unit C is skipped, which is exact
     and so keeps the bits.  On arrays the products go through one scratch array
     and acc is updated in place, in the moment's own storage once no later
-    step reads that moment; the numpy scalars of one point take the plain
-    expression.  Consumes moments; of the cumulants only those behind the
-    requested indices are returned."""
+    step reads that moment.  Consumes moments; of the cumulants only those
+    behind the requested indices are returned."""
     cum: dict[MultiIndex, np.ndarray] = {}
     part = None
     for alpha, terms, mu_done, cum_done in steps:
         acc = moments[alpha]
-        if not isinstance(acc, np.ndarray):
-            for comb, rest, gplus in terms:
-                mu = moments[rest] if comb == 1 else comb * moments[rest]
-                acc = acc - mu * cum[gplus]
-        elif terms:
+        if terms:
             if part is None:
                 part = np.empty_like(acc)
             out = acc if alpha in mu_done else None
@@ -256,6 +257,92 @@ def _cumulants(moments: dict[MultiIndex, np.ndarray], steps):
         for gamma in cum_done:
             del cum[gamma]
     return cum
+
+
+def _term_sum(values):
+    """The sum of one point's term values in the order numpy's reduction
+    forms it: +0.0 plus numpy's pairwise sum, which adds fewer than 8 values
+    in order, up to 128 in 8 running sums (the j-th takes every 8th value from
+    j on) joined as a tree, and more in two halves cut at a multiple of 8."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    return 0.0 + _pairwise(values)
+
+
+def _pairwise(values):
+    n = len(values)
+    if n < 8:
+        total = -0.0
+        for v in values:
+            total += v
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise(values[:half]) + _pairwise(values[half:])
+    run = values[:8]
+    stop = n - n % 8
+    for i in range(8, stop, 8):
+        run = [a + b for a, b in zip(run, values[i:i + 8])]
+    total = ((run[0] + run[1]) + (run[2] + run[3])) + ((run[4] + run[5]) + (run[6] + run[7]))
+    for v in values[stop:]:
+        total += v
+    return total
+
+
+def _point(tau: ExpSumTau, x: float, y: float, t: float, indices, plan):
+    """The partials at indices at one point (x, y, t), in Python floats.
+
+    Each operation is the one numpy applies to a single point's term axis, in
+    the same order (module docstring), so the bits are those of numpy's
+    one-point evaluation.  exp is numpy's, whose results differ from
+    math.exp's in the last bit for some arguments.  A square is v * v, which
+    is numpy's square; higher powers are numpy's, where Python's ** would
+    raise OverflowError.  Without a NaN exponent, max() is numpy's M (up to
+    the sign of a zero M, which no r sees).  s0 is 0 only where every r is,
+    and there numpy's quotient (NaN) is kept.
+
+    A NaN exponent (a NaN coordinate, or inf - inf) makes s0 NaN, and then
+    every partial is NaN.  Which NaN numpy gives depends on its choice
+    between two NaN operands, which Python's float + and * do not follow
+    (CPython's generic and specialised additions choose differently), so that
+    NaN is taken from numpy's one-point top moments: c_alpha keeps the NaN of
+    mu_alpha = S_alpha / s0, which keeps S_alpha's."""
+    betas, steps = plan
+    coeff, kx, py, wt, phase = tau.values
+    expo = [a * x + b * y + c * t + d for a, b, c, d in zip(kx, py, wt, phase)]
+    top = max(expo)
+    r = list(map(operator.mul, coeff, np.exp([e - top for e in expo]).tolist()))
+    s0 = _term_sum(r)
+    if s0 != s0:
+        coeff, kx, py, wt, phase = tau.columns
+        expo = kx * x + py * y + wt * t + phase
+        r = coeff * np.exp(expo - expo.max())
+        return {idx: 2.0 * float((_weight((kx, py, wt), (idx[0] + 2, idx[1], idx[2])) * r).sum()
+                                 / r.sum())
+                for idx in indices}
+    cols = (kx, py, wt)
+    mu = {}
+    for beta in betas:
+        w = None
+        for axis, b in enumerate(beta):
+            if b:
+                col = cols[axis]
+                f = (col if b == 1 else list(map(operator.mul, col, col)) if b == 2
+                     else (tau.columns[axis + 1] ** b).tolist())
+                w = f if w is None else list(map(operator.mul, w, f))
+        S = _term_sum(list(map(operator.mul, w, r)))
+        mu[beta] = S / s0 if s0 else float(np.float64(S) / s0)
+    cum = {}
+    for alpha, terms, _, _ in steps:
+        acc = mu[alpha]
+        for comb, rest, gplus in terms:
+            acc = acc - (mu[rest] if comb == 1 else comb * mu[rest]) * cum[gplus]
+        cum[alpha] = acc
+    return {idx: 2.0 * cum[(idx[0] + 2, idx[1], idx[2])] for idx in indices}
 
 
 def _block(tau: ExpSumTau, x, y, t, indices, plan):
@@ -289,12 +376,18 @@ def _blocked(tau: ExpSumTau, x, y, t, indices, plan):
 def u_partials(tau: ExpSumTau, x, y, t, indices: Sequence[MultiIndex]):
     """Array-valued partials of u; index (0,0,0) is u itself.
 
-    More than BLOCK_POINTS points run in blocks (module docstring): the
-    transient memory is bounded by one block, the bits are those of one
-    array."""
+    One point runs in Python floats with numpy's one-point bits, and more
+    than BLOCK_POINTS points run in blocks (module docstring): the transient
+    memory is bounded by one block, the bits are those of one array."""
     indices = tuple(indices)
     plan = _plan(indices)
     x, y, t = np.asarray(x, float), np.asarray(y, float), np.asarray(t, float)
+    if x.size * y.size * t.size == 1:
+        point = _point(tau, x.item(), y.item(), t.item(), indices, plan)
+        nd = max(x.ndim, y.ndim, t.ndim)
+        if nd == 0:
+            return {idx: np.float64(v) for idx, v in point.items()}
+        return {idx: np.array(v, ndmin=nd) for idx, v in point.items()}
     # the product of the sizes bounds the broadcast size, and the largest size
     # is it where the inputs of several points share one shape: most calls of
     # one block are told from the sizes, without a broadcast shape
@@ -313,11 +406,13 @@ def u_on_grid(tau: ExpSumTau, x, y, t) -> np.ndarray:
     the transient memory stays that of one block while the result's bits are
     those of one-array evaluation.
 
-    With 8 or more terms a point's u can differ in the last bits between a
-    one-point call (scalar or length 1) and a call with more points: numpy
-    sums the terms of a single point in unrolled blocks of 8, and those of
-    several points one term row at a time.  For the eight-term
-    make_generic((1, 2, 3), (0.1, 0.2, 0.35)) the two differ by up to 7.8e-14
-    over 3000 points in [-10, 10]^3.  Both are exact to rounding.
+    A one-point call (scalar, 0-d or length 1) is evaluated in Python floats
+    in numpy's one-point order, with np.exp (module docstring).  With 8 or
+    more terms its u can differ in the last bits from the same point in a
+    call with more points: the terms of a single point are summed pairwise
+    in unrolled blocks of 8, and those of several points one term row at a
+    time.  For the eight-term make_generic((1, 2, 3), (0.1, 0.2, 0.35)) the
+    two differ by up to 7.8e-14 over 3000 points in [-10, 10]^3.  Both are
+    exact to rounding.
     """
     return np.asarray(u_partials(tau, x, y, t, ((0, 0, 0),))[(0, 0, 0)])

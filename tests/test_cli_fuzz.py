@@ -5,10 +5,10 @@ must return an exit code or leave through argparse's SystemExit, and raise
 nothing else.  Grid and sample counts stay small (at most 50) or are far past
 numpy's size limit, so no run allocates much.
 
-Fuzzed scenario contents go through build, stem and sample: each run ends
-in a documented exit code, a failing one says why in exactly one error line,
-no run writes warning text, and a sample file that is written holds the
-bytes of the point-by-point repr reference.
+Fuzzed scenario contents go through build, stem, section and sample: each
+run ends in a documented exit code, a failing one says why in exactly one
+error line, no run writes warning text, and a sample file that is written
+holds the bytes of the point-by-point repr reference.
 """
 
 import contextlib
@@ -130,6 +130,11 @@ SCENARIO_COMMANDS = {
     "stem": ["stem", "--t=-20,0.5,20"],
     "sample-csv": ["sample", "--grid=" + ",".join(map(str, SAMPLE_GRID)), "--format=csv"],
     "sample-json": ["sample", "--grid=" + ",".join(map(str, SAMPLE_GRID)), "--format=json"],
+    # one stem time, whose midpoint amplitude is a one-point u, and sections
+    # anchored at the stem midpoint
+    "stem-one-t": ["stem", "--t=5"],
+    "section-perp": ["section", "--t=5", "--line=perp"],
+    "section-abc": ["section", "--t=-3", "--line=abc:1,0.5,0", "--n=9"],
 }
 
 

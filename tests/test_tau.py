@@ -488,13 +488,13 @@ def _kernel_taus(solutions):
 
 def test_einsum_moments_bitwise_equal_to_per_beta_reference(solutions, monkeypatch):
     """The in-place weights, the one-einsum moments and the in-place
-    recursion give the bits of the per-beta kernel: one point (scalar and
-    length 1, the per-beta sums), two and three points, a broadcast, a
-    cross-section's 801 points, 4097 points (two blocks) and a 150 x 151 grid."""
+    recursion give the bits of the per-beta kernel: two and three points, a
+    broadcast, a cross-section's 801 points, 4097 points (two blocks) and a
+    150 x 151 grid.  One point does not reach this kernel (see
+    test_one_point_bitwise_equal_to_numpy_one_point)."""
     rng = np.random.default_rng(53)
     u = lambda *shape: rng.uniform(-9.0, 9.0, shape)
-    inputs = [("scalar", 0.3, -0.7, 1.1), ("length 1", u(1), u(1), u(1)),
-              ("2 points", u(2), u(2), u(2)), ("3 points", u(3), u(3), 0.4),
+    inputs = [("2 points", u(2), u(2), u(2)), ("3 points", u(3), u(3), 0.4),
               ("41 x 7", u(41, 1), u(7), -1.3), ("801", u(801), u(801), 10.0),
               ("4097", u(4097), u(4097), u(4097)),
               ("150 x 151", np.linspace(-30, 30, 150)[:, None], np.linspace(-30, 30, 151), 2.5)]
@@ -565,3 +565,104 @@ def test_coefficient_scaling_invariance(lam):
     b = u_partials(scaled, *pt, indices)
     for idx in indices:
         assert b[idx] == pytest.approx(a[idx], abs=1e-12)
+
+
+# --- the one-point path ---------------------------------------------------------
+
+def _one_point_taus(solutions):
+    """The shipped taus, the eight-term generic one, seeded taus of 1 to 12
+    terms (some coefficients 0), and a tau whose columns reach 1e155 and
+    beyond, so that its squares (and the weights built from them) overflow."""
+    rng = np.random.default_rng(61)
+    taus = {name: sol.tau for name, sol in solutions.items()}
+    taus["generic"] = make_generic((1, 2, 3), (0.1, 0.2, 0.35)).tau
+    for n in range(1, 13):
+        coeff = rng.uniform(0.0, 3.0, n)
+        coeff[rng.random(n) < 0.2] = 0.0
+        coeff[0] = 1.0
+        cols = rng.normal(0.0, 2.0, (4, n))
+        taus[f"random {n}"] = ExpSumTau(tuple(ExpTerm(float(c), *map(float, row))
+                                              for c, row in zip(coeff, cols.T)))
+    taus["huge"] = ExpSumTau((ExpTerm(1.0, 0.0, 0.0, 0.0), ExpTerm(1.0, 1e155, 0.0, 0.5),
+                              ExpTerm(2.0, -3e160, 1e156, 1.0, 0.3)))
+    return taus
+
+
+def _one_points(rng):
+    """Seeded points, far-field points (u underflows there), every sign of
+    zero, and NaN and infinite coordinates."""
+    points = [tuple(p) for p in rng.uniform(-9.0, 9.0, (30, 3))]
+    points += [tuple(p) for p in rng.uniform(-1.0, 1.0, (12, 3)) * [[300.0, 300.0, 30.0]]]
+    points += list(itertools.product((0.0, -0.0, 0.7), repeat=3))
+    points += list(itertools.product((math.nan, math.inf, -math.inf, 0.3), repeat=3))
+    return points
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_one_point_bitwise_equal_to_numpy_one_point(solutions):
+    """A one-point call keeps every bit of numpy's evaluation of one point,
+    the signs of zeros and NaNs included: u and the six residual partials on
+    every tau and point of _one_point_taus and _one_points.  Below 8 terms
+    the two-point array evaluation gives the same bits, but where both are
+    NaN its NaN can differ: numpy picks among NaN operands differently for
+    one point and for several."""
+    rng = np.random.default_rng(67)
+    points = _one_points(rng)
+    far = 0
+    for name, tau in _one_point_taus(solutions).items():
+        for x, y, t in points:
+            for indices in (((0, 0, 0),), RESIDUAL_INDICES):
+                got = u_partials(tau, x, y, t, indices)
+                want = _reference_partials(tau, x, y, t, indices)
+                pair = (u_partials(tau, *np.repeat([[x, y, t]], 2, axis=0).T, indices)
+                        if len(tau) < 8 else None)
+                for idx in indices:
+                    assert np.asarray(got[idx]).tobytes() == want[idx].tobytes(), \
+                        (name, (x, y, t), idx, got[idx], want[idx])
+                    if pair is not None and not (np.isnan(got[idx]) and np.isnan(pair[idx][0])):
+                        assert np.asarray(got[idx]).tobytes() == pair[idx][:1].tobytes(), \
+                            (name, (x, y, t), idx)
+            far += name in solutions and 0.0 <= float(got[(0, 0, 0)]) < 2.2250738585072014e-308
+    assert far  # some far-field u are subnormal or 0
+
+
+def test_one_point_return_types_and_shapes():
+    """np.float64 for Python and numpy scalars and 0-d arrays, an array of
+    the broadcast shape for length-1 arrays; u_on_grid gives arrays."""
+    tau = make_generic((1, 2, 3), (0.1, 0.2, 0.35)).tau
+    want = u_partials(tau, 0.3, -0.7, 1.1, RESIDUAL_INDICES)
+    cases = [((0.3, -0.7, 1.1), ()), ((np.float64(0.3), -0.7, np.float64(1.1)), ()),
+             ((np.array(0.3), np.array(-0.7), np.array(1.1)), ()),
+             ((np.array([0.3]), -0.7, 1.1), (1,)),
+             ((np.array([0.3]), np.array([[-0.7]]), np.array(1.1)), (1, 1)),
+             ((np.array([[0.3]]), np.array([[-0.7]]), np.array([[1.1]])), (1, 1))]
+    for args, shape in cases:
+        got = u_partials(tau, *args, RESIDUAL_INDICES)
+        for idx in RESIDUAL_INDICES:
+            if shape:
+                assert type(got[idx]) is np.ndarray and got[idx].shape == shape
+                assert got[idx].dtype == np.float64
+            else:
+                assert type(got[idx]) is np.float64
+            assert np.asarray(got[idx]).reshape(-1)[0] == want[idx]
+        u = u_on_grid(tau, *args)
+        assert type(u) is np.ndarray and u.shape == shape
+
+
+def test_one_point_calls_take_the_float_path(monkeypatch):
+    """Every input of one point, whatever its shape, is evaluated in Python
+    floats: the array kernel is not reached."""
+    import kpii_stem.tau as tau_module
+
+    def refuse(*args):
+        raise AssertionError("array kernel taken")
+
+    monkeypatch.setattr(tau_module, "_block", refuse)
+    monkeypatch.setattr(tau_module, "_blocked", refuse)
+    tau = one_soliton(k=2.0, p=0.5)
+    for args in [(0.1, 0.2, 0.3), (np.array(0.1), 0.2, 0.3), ([0.1], [0.2], [0.3]),
+                 (np.array([[0.1]]), np.array([0.2]), 0.3)]:
+        u_partials(tau, *args, RESIDUAL_INDICES)
+        u_on_grid(tau, *args)
+    with pytest.raises(AssertionError):
+        u_on_grid(tau, [0.1, 0.2], 0.2, 0.3)
