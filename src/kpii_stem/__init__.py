@@ -36,7 +36,6 @@ from .geometry import (
     find_arm,
     intersect_lines,
     junction_lines,
-    parse_arm_label,
     skeleton,
     stem_endpoints,
     stem_length_formula,

@@ -475,8 +475,8 @@ def cmd_section(args) -> int:
     elif args.line != "perp":
         try:
             arm = find_arm(sol, args.line)
-        except (KeyError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        except KeyError as exc:
+            print(f"error: {exc.args[0]}", file=sys.stderr)
             return EXIT_PARSE
         line = arm.line_coeffs(t)
     mx, my = stem_endpoints(sol, t, t_min=sc.t_min).midpoint

@@ -719,35 +719,20 @@ def velocity_table(sol: ResonantSolution) -> list[VelocityRow]:
     return [rows[k] for k in sorted(rows, key=lambda kk: (len(kk[0]), kk[0], kk[1]))]
 
 
-def parse_arm_label(text: str) -> tuple[tuple[int, ...], bool]:
-    """Parse labels like "3", "1+3", "1+2-3", "1+2+3^" (trailing ^ = hat)."""
-    text = text.strip()
-    hat = text.endswith("^")
-    if hat:
-        text = text[:-1]
-    out = []
-    sign, num = 1, ""
-    for ch in text + "+":
-        if ch in "+-":
-            if num:
-                out.append(sign * int(num))
-            sign = -1 if ch == "-" else 1
-            num = ""
-        elif ch.isdigit():
-            num += ch
-        else:
-            raise ValueError(f"invalid arm label: {text!r}")
-    if not out:
-        raise ValueError(f"invalid arm label: {text!r}")
-    return tuple(out), hat
-
-
 def find_arm(sol: ResonantSolution, label, hat: bool | None = None) -> ArmDescriptor:
-    """Look up an arm/stem descriptor by label among the catalog species."""
-    if isinstance(label, str):
-        label, hat_parsed = parse_arm_label(label)
-        hat = hat_parsed if hat is None else hat
+    """Look up an arm/stem descriptor among the catalog species by its label
+    tuple, or by the text label_str prints for it ("3", "1+3", "1+2-3^"):
+    surrounding spaces are ignored, and a trailing ^ means hat=True unless
+    hat is given."""
+    text = isinstance(label, str)
+    if text:
+        label = label.strip()
+        hat = label.endswith("^") if hat is None else hat
+        label = label.removesuffix("^")
+    else:
+        label = tuple(label)
     for arm in arm_catalog(sol).species:
-        if arm.label == tuple(label) and (hat is None or arm.hat == hat):
+        if ((arm.label_str(hat_mark=False) if text else arm.label) == label
+                and (hat is None or arm.hat == hat)):
             return arm
     raise KeyError(f"no arm with label {label} (hat={hat}) in this catalog")

@@ -37,16 +37,14 @@ sum per moment.  The cumulant recursion then runs in place on the moment
 arrays.
 
 One point (any input of size 1: Python or numpy scalars, 0-d or length-1
-arrays) is evaluated in Python floats (_point), with the operations numpy
-applies to one point, in numpy's order: E_m = ((kx x + py y) + wt t) + phase,
-r_m = c_m exp(E_m - M), each moment (w r summed over the terms) / s0, and
-the recursion as a plain expression.  A sum over the terms starts from +0.0
-and adds in term order below 8 terms and pairwise from 8 on, as numpy's
-reduction of one point does.  exp alone is numpy's (np.exp on the term
-vector): math.exp differs from it in the last bit for some arguments.  So a
-one-point call keeps the bits of numpy's evaluation of that point; with 8 or
-more terms these can differ in the last bits from the same point in a call
-of several points, whose terms are summed row by row.
+arrays) is evaluated in Python floats (_point), with the operations the
+array path applies to each point, in its order: E_m = ((kx x + py y) + wt t)
++ phase, r_m = c_m exp(E_m - M), each moment (w r summed over the terms) /
+s0, and the recursion as a plain expression.  A sum over the terms starts
+from +0.0 and adds in term order, as the array path adds the term rows.  exp
+alone is numpy's (np.exp on the term vector): math.exp differs from it in the
+last bit for some arguments.  So a one-point call gives the bits of the same
+point inside a call of several points, for any number of terms.
 
 Nothing that is independent of the evaluation point is rebuilt per call.  An
 ExpSumTau holds its term columns (coeff, kx, py, wt, phase) as read-only
@@ -260,35 +258,11 @@ def _cumulants(moments: dict[MultiIndex, np.ndarray], steps):
 
 
 def _term_sum(values):
-    """The sum of one point's term values in the order numpy's reduction
-    forms it: +0.0 plus numpy's pairwise sum, which adds fewer than 8 values
-    in order, up to 128 in 8 running sums (the j-th takes every 8th value from
-    j on) joined as a tree, and more in two halves cut at a multiple of 8."""
-    n = len(values)
-    if n < 8:
-        total = 0.0
-        for v in values:
-            total += v
-        return total
-    return 0.0 + _pairwise(values)
-
-
-def _pairwise(values):
-    n = len(values)
-    if n < 8:
-        total = -0.0
-        for v in values:
-            total += v
-        return total
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise(values[:half]) + _pairwise(values[half:])
-    run = values[:8]
-    stop = n - n % 8
-    for i in range(8, stop, 8):
-        run = [a + b for a, b in zip(run, values[i:i + 8])]
-    total = ((run[0] + run[1]) + (run[2] + run[3])) + ((run[4] + run[5]) + (run[6] + run[7]))
-    for v in values[stop:]:
+    """The sum of one point's term values in term order from +0.0, as the
+    array path adds the term rows of every point.  (The builtin sum
+    compensates its rounding from Python 3.12 on, so it is not used.)"""
+    total = 0.0
+    for v in values:
         total += v
     return total
 
@@ -296,9 +270,9 @@ def _pairwise(values):
 def _point(tau: ExpSumTau, x: float, y: float, t: float, indices, plan):
     """The partials at indices at one point (x, y, t), in Python floats.
 
-    Each operation is the one numpy applies to a single point's term axis, in
-    the same order (module docstring), so the bits are those of numpy's
-    one-point evaluation.  exp is numpy's, whose results differ from
+    Each operation is the one the array path applies to a point's terms, in
+    the same order (module docstring), so the bits are those of the point
+    inside an array.  exp is numpy's, whose results differ from
     math.exp's in the last bit for some arguments.  A square is v * v, which
     is numpy's square; higher powers are numpy's, where Python's ** would
     raise OverflowError.  Without a NaN exponent, max() is numpy's M (up to
@@ -376,9 +350,10 @@ def _blocked(tau: ExpSumTau, x, y, t, indices, plan):
 def u_partials(tau: ExpSumTau, x, y, t, indices: Sequence[MultiIndex]):
     """Array-valued partials of u; index (0,0,0) is u itself.
 
-    One point runs in Python floats with numpy's one-point bits, and more
-    than BLOCK_POINTS points run in blocks (module docstring): the transient
-    memory is bounded by one block, the bits are those of one array."""
+    One point runs in Python floats with the bits it has inside an array, and
+    more than BLOCK_POINTS points run in blocks (module docstring): the
+    transient memory is bounded by one block, the bits are those of one
+    array."""
     indices = tuple(indices)
     plan = _plan(indices)
     x, y, t = np.asarray(x, float), np.asarray(y, float), np.asarray(t, float)
@@ -407,12 +382,7 @@ def u_on_grid(tau: ExpSumTau, x, y, t) -> np.ndarray:
     those of one-array evaluation.
 
     A one-point call (scalar, 0-d or length 1) is evaluated in Python floats
-    in numpy's one-point order, with np.exp (module docstring).  With 8 or
-    more terms its u can differ in the last bits from the same point in a
-    call with more points: the terms of a single point are summed pairwise
-    in unrolled blocks of 8, and those of several points one term row at a
-    time.  For the eight-term make_generic((1, 2, 3), (0.1, 0.2, 0.35)) the
-    two differ by up to 7.8e-14 over 3000 points in [-10, 10]^3.  Both are
-    exact to rounding.
+    in the array path's order, with np.exp (module docstring), and gives the
+    bits of the same point in a call with more points.
     """
     return np.asarray(u_partials(tau, x, y, t, ((0, 0, 0),))[(0, 0, 0)])

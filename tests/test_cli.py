@@ -299,6 +299,16 @@ def test_section_unknown_arm():
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("label", ["1+", "+1", "2-", "1++2", "1+-3", "13", "1+1", "0"])
+def test_section_malformed_arm_label_exits_2(capsys, label):
+    """An arm label is one that build prints; other text names no arm."""
+    code, err = _run_in_process(capsys, "section", "--scenario", str(SCENARIOS / "m2.json"),
+                                "--t=5", f"--line={label}")
+    assert code == 2
+    (line,) = err.splitlines()
+    assert line == f"error: no arm with label {label} (hat=False) in this catalog"
+
+
 def test_section_explicit_line_far_away():
     res = run_cli("section", "--scenario", str(SCENARIOS / "c2_1.json"),
                   "--t", "0", "--line", "abc:1,0,500", "--range=-5,5", "--n", "11")

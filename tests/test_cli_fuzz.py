@@ -5,10 +5,11 @@ must return an exit code or leave through argparse's SystemExit, and raise
 nothing else.  Grid and sample counts stay small (at most 50) or are far past
 numpy's size limit, so no run allocates much.
 
-Fuzzed scenario contents go through build, stem, section and sample: each
-run ends in a documented exit code, a failing one says why in exactly one
-error line, no run writes warning text, and a sample file that is written
-holds the bytes of the point-by-point repr reference.
+Fuzzed scenario contents go through build, stem, section (along the first
+arm that build lists, too) and sample: each run ends in a documented exit
+code, a failing one says why in exactly one error line, no run writes warning
+text, and a sample file that is written holds the bytes of the point-by-point
+repr reference.
 """
 
 import contextlib
@@ -135,7 +136,22 @@ SCENARIO_COMMANDS = {
     "stem-one-t": ["stem", "--t=5"],
     "section-perp": ["section", "--t=5", "--line=perp"],
     "section-abc": ["section", "--t=-3", "--line=abc:1,0.5,0", "--n=9"],
+    # along the label of the scenario's first catalog arm, as build prints it
+    "section-arm": ["section", "--t=5", "--line={arm}", "--n=9"],
 }
+
+
+def _first_arm(path):
+    """The label of the first arm build lists for path, or "1" where build
+    fails or lists no arms (a generic scenario)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(["build", "--scenario", str(path)])
+    if code:
+        return "1"
+    return json.loads(out.getvalue()).get("arms", [{"label": "1"}])[0]["label"]
 
 
 @pytest.mark.parametrize("command", list(SCENARIO_COMMANDS))
@@ -155,11 +171,12 @@ def test_fuzzed_scenario_exits_with_one_error_line_and_no_warnings(command, out_
         path.write_text(json.dumps(scenario))
         out.unlink(missing_ok=True)
         extra = [f"--t={t!r}", "--out", str(out)] if sample else []
+        args = [a.replace("{arm}", _first_arm(path)) if "{arm}" in a else a for a in argv[1:]]
         err = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
-            code = main([argv[0], "--scenario", str(path), *argv[1:], *extra])
+            code = main([argv[0], "--scenario", str(path), *args, *extra])
         lines = err.getvalue().splitlines()
         assert code in (0, 1, 2, 3, 4), (scenario, code)
         assert not caught, (scenario, [str(w.message) for w in caught])

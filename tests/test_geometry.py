@@ -17,7 +17,6 @@ from kpii_stem import (
     intersect_lines,
     junction_lines,
     make_generic,
-    parse_arm_label,
     skeleton,
     stem_endpoints,
     stem_length_formula,
@@ -732,21 +731,27 @@ def test_second_branch_endpoints(solutions):
 
 # --- labels ------------------------------------------------------------------
 
-def test_parse_arm_label():
-    assert parse_arm_label("3") == ((3,), False)
-    assert parse_arm_label("1+3") == ((1, 3), False)
-    assert parse_arm_label("1+2-3") == ((1, 2, -3), False)
-    assert parse_arm_label("1+2+3^") == ((1, 2, 3), True)
-    with pytest.raises(ValueError):
-        parse_arm_label("abc")
-
-
 def test_find_arm(solutions):
-    sol = solutions["w2"]
-    arm = find_arm(sol, "1+2-3^")
-    assert arm.label == (1, 2, -3) and arm.hat
+    """A text label is matched against the text label_str prints: spaces
+    around it are ignored, a trailing ^ means hat=True, and an explicit hat
+    wins.  Any other text names no arm."""
+    c2_4, w2 = solutions["c2_4"], solutions["w2"]
+    for sol, label, hat, want in [(c2_4, "3", None, ((3,), False)),
+                                  (c2_4, " 1+3 ", None, ((1, 3), False)),
+                                  (c2_4, "1+2+3^", None, ((1, 2, 3), True)),
+                                  (c2_4, "1^", None, ((1,), True)),
+                                  (c2_4, "1^", False, ((1,), False)),
+                                  (w2, "1+2-3^", None, ((1, 2, -3), True)),
+                                  (w2, "1+2-3", True, ((1, 2, -3), True)),
+                                  (w2, (1, 2, -3), None, ((1, 2, -3), True))]:
+        arm = find_arm(sol, label, hat=hat)
+        assert (arm.label, arm.hat) == want, label
     with pytest.raises(KeyError):
-        find_arm(sol, "1+2+3^")
+        find_arm(w2, "1+2+3^")
+    for label in ["abc", "", "^", "1^^", "1 + 3", "+1", "1+", "2-", "1++2", "1+-3",
+                  "13", "1+1", "0", "01"]:
+        with pytest.raises(KeyError):
+            find_arm(c2_4, label)
 
 
 def test_degenerate_line_rejected(solutions):
