@@ -731,27 +731,35 @@ def test_second_branch_endpoints(solutions):
 
 # --- labels ------------------------------------------------------------------
 
-def test_find_arm(solutions):
-    """A text label is matched against the text label_str prints: spaces
-    around it are ignored, a trailing ^ means hat=True, and an explicit hat
-    wins.  Any other text names no arm."""
+def test_parse_arm_label(solutions):
+    """A text label is read as the text label_str prints: spaces around it
+    are ignored and a trailing ^ means hat=True.  Any other text names no
+    arm."""
     c2_4, w2 = solutions["c2_4"], solutions["w2"]
-    for sol, label, hat, want in [(c2_4, "3", None, ((3,), False)),
-                                  (c2_4, " 1+3 ", None, ((1, 3), False)),
-                                  (c2_4, "1+2+3^", None, ((1, 2, 3), True)),
-                                  (c2_4, "1^", None, ((1,), True)),
-                                  (c2_4, "1^", False, ((1,), False)),
-                                  (w2, "1+2-3^", None, ((1, 2, -3), True)),
+    for sol, label, want in [(c2_4, "3", ((3,), False)),
+                             (c2_4, " 1+3 ", ((1, 3), False)),
+                             (c2_4, "1+2+3^", ((1, 2, 3), True)),
+                             (c2_4, "1^", ((1,), True)),
+                             (w2, "1+2-3^", ((1, 2, -3), True))]:
+        arm = find_arm(sol, label)
+        assert (arm.label, arm.hat) == want, label
+    for label in ["abc", "", "^", "1^^", "1 + 3", "+1", "1+", "2-", "1++2", "1+-3",
+                  "13", "1+1", "0", "01"]:
+        with pytest.raises(KeyError):
+            find_arm(c2_4, label)
+
+
+def test_find_arm(solutions):
+    """An explicit hat wins over the text's ^, a label tuple is looked up
+    as it is, and a label the catalog lacks raises KeyError."""
+    c2_4, w2 = solutions["c2_4"], solutions["w2"]
+    for sol, label, hat, want in [(c2_4, "1^", False, ((1,), False)),
                                   (w2, "1+2-3", True, ((1, 2, -3), True)),
                                   (w2, (1, 2, -3), None, ((1, 2, -3), True))]:
         arm = find_arm(sol, label, hat=hat)
         assert (arm.label, arm.hat) == want, label
     with pytest.raises(KeyError):
         find_arm(w2, "1+2+3^")
-    for label in ["abc", "", "^", "1^^", "1 + 3", "+1", "1+", "2-", "1++2", "1+-3",
-                  "13", "1+1", "0", "01"]:
-        with pytest.raises(KeyError):
-            find_arm(c2_4, label)
 
 
 def test_degenerate_line_rejected(solutions):
