@@ -24,6 +24,7 @@ import numpy as np
 from .catalog import Case, ResonanceKind, ResonantSolution, aij_factors, aij_value, make_generic
 from .errors import (
     AnchorNotFoundError,
+    DomainError,
     InadmissibleFamilyError,
     InadmissibleParameterError,
     RidgeNotFoundError,
@@ -31,7 +32,7 @@ from .errors import (
 )
 from .geometry import ArmDescriptor, arm_profile, normalize_line, skeleton, term_planes
 # perfbench/spans.py wraps the kernel at this binding, by this name
-from .tau import u_on_grid, u_partials as _u_partials
+from .tau import BLOCK_POINTS, u_on_grid, u_partials as _u_partials
 
 
 @dataclass(frozen=True)
@@ -47,24 +48,50 @@ class RidgeTrace:
     fitted_line: tuple      # normalized (A, B, C)
 
 
+# the partials the residual reads: u, u_x, u_xx, u_xxxx, u_yy, u_xt
+_RESIDUAL_INDICES = ((0, 0, 0), (1, 0, 0), (2, 0, 0), (4, 0, 0), (0, 2, 0), (1, 0, 1))
+
+
+def _points(points) -> np.ndarray:
+    """points as an (n, 3) float array: one (x, y, t) point of shape (3,), or
+    an (n, 3) array with n >= 1.  Any other input raises DomainError."""
+    try:
+        pts = np.asarray(points, float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"points are not an array of numbers: {exc}") from exc
+    if pts.shape == (3,):
+        return pts[None, :]
+    if pts.ndim != 2 or pts.shape[1] != 3 or not len(pts):
+        raise DomainError("points must be one (x, y, t) point or an (n, 3) array "
+                          f"with n >= 1, got shape {pts.shape}")
+    return pts
+
+
 def kp_residual(sol, points, tol: float = 1e-8) -> ResidualReport:
-    """Field-equation residual u_tx + 6 u_x^2 + 6 u u_xx + u_xxxx + 3 u_yy."""
+    """Field-equation residual u_tx + 6 u_x^2 + 6 u u_xx + u_xxxx + 3 u_yy.
+
+    The points are evaluated and reduced a slice of at most BLOCK_POINTS at a
+    time, so no array of the point count is formed beside the points.  Every
+    per-point value has the bits of one call over all the points (the
+    kernel's blocks give those bits, and a one-point slice those of its point
+    inside an array).  A NaN residual (overflowed exponents) counts as
+    exceeding tol and makes the maximum NaN."""
     tau = sol.tau if isinstance(sol, ResonantSolution) else sol
-    pts = np.asarray(points, float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    x, y, t = pts[:, 0], pts[:, 1], pts[:, 2]
-    d = _u_partials(tau, x, y, t,
-                    [(0, 0, 0), (1, 0, 0), (2, 0, 0), (4, 0, 0), (0, 2, 0), (1, 0, 1)])
-    u = d[(0, 0, 0)]
-    res = (d[(1, 0, 1)] + 6.0 * d[(1, 0, 0)] ** 2 + 6.0 * u * d[(2, 0, 0)]
-           + d[(4, 0, 0)] + 3.0 * d[(0, 2, 0)])
-    absres = np.abs(res)
-    # a NaN residual (overflowed exponents) counts as exceeding tol
-    bad = [(float(x[i]), float(y[i]), float(t[i]), float(res[i]))
-           for i in np.nonzero(~(absres <= tol))[0]]
-    return ResidualReport(max_abs_residual=float(absres.max()),
-                          n_points=len(x), points_exceeding_tol=tuple(bad))
+    pts = _points(points)
+    peaks, bad = [], []
+    for lo in range(0, len(pts), BLOCK_POINTS):
+        x, y, t = pts[lo:lo + BLOCK_POINTS].T
+        d = _u_partials(tau, x, y, t, _RESIDUAL_INDICES)
+        u = d[(0, 0, 0)]
+        res = (d[(1, 0, 1)] + 6.0 * d[(1, 0, 0)] ** 2 + 6.0 * u * d[(2, 0, 0)]
+               + d[(4, 0, 0)] + 3.0 * d[(0, 2, 0)])
+        absres = np.abs(res)
+        peaks.append(absres.max())
+        i = np.flatnonzero(~(absres <= tol))
+        bad += zip(x[i].tolist(), y[i].tolist(), t[i].tolist(), res[i].tolist())
+    # np.max, unlike max(), returns a NaN wherever it stands
+    return ResidualReport(max_abs_residual=float(np.max(peaks)),
+                          n_points=len(pts), points_exceeding_tol=tuple(bad))
 
 
 def _limit_shift(template, strong):
@@ -160,8 +187,9 @@ def limit_family(sol: ResonantSolution, magnitudes) -> list[ResonantSolution]:
 
 
 def limit_convergence(sol: ResonantSolution, magnitudes, points) -> list[float]:
-    """Sup |u_generic - u_template| over points, one value per ladder rung."""
-    pts = np.asarray(points, float)
+    """Sup |u_generic - u_template| over points, one value per ladder rung.
+    points are one (x, y, t) point or an (n, 3) array, as for kp_residual."""
+    pts = _points(points)
     x, y, t = pts[:, 0], pts[:, 1], pts[:, 2]
     u_ref = u_on_grid(sol.tau, x, y, t)
     devs = []

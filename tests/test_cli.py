@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -263,6 +264,24 @@ def test_verify_tolerance_override_can_fail():
     doc = json.loads(res.stdout)
     assert doc["passed"] is False
     assert doc["checks"][0]["tolerance"] == 1e-16
+
+
+def test_verify_residual_overflow_writes_null_and_no_warnings(tmp_path, capsys):
+    # k of 1e54 and p3 of 1e108 keep omega finite, but the residual's k^6
+    # terms overflow: the check fails with null and a note, not a NaN token
+    path = tmp_path / "c2_1.json"
+    path.write_text(json.dumps({
+        "case": "c2_1", "k": [-1e54, -2e54, -1.3333333333333333e54], "p3": 1e108}))
+    from kpii_stem.cli import main
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", "--scenario", str(path), "--suite", "residual"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    doc = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in {out}"))
+    assert doc["checks"] == [{"check": "field_equation_residual", "measured": None,
+                              "tolerance": 1e-8, "pass": False,
+                              "note": "the largest |residual| is nan"}]
 
 
 def test_verify_corrupted_generic_scenario(tmp_path):

@@ -6,10 +6,11 @@ nothing else.  Grid and sample counts stay small (at most 50) or are far past
 numpy's size limit, so no run allocates much.
 
 Fuzzed scenario contents go through build, stem, section (along the first
-arm that build lists, too) and sample: each run ends in a documented exit
-code, a failing one says why in exactly one error line, no run writes warning
-text, and a sample file that is written holds the bytes of the point-by-point
-repr reference.
+arm that build lists, too), sample and the residual suite of verify: each run
+ends in a documented exit code, a failing one says why in exactly one error
+line, no run writes warning text, a sample file that is written holds the
+bytes of the point-by-point repr reference, and verify's exit 0 or 1 prints
+one strict JSON document.
 """
 
 import contextlib
@@ -138,7 +139,13 @@ SCENARIO_COMMANDS = {
     "section-abc": ["section", "--t=-3", "--line=abc:1,0.5,0", "--n=9"],
     # along the label of the scenario's first catalog arm, as build prints it
     "section-arm": ["section", "--t=5", "--line={arm}", "--n=9"],
+    # a failed check (exit 1) is reported in the document, not on stderr
+    "verify-residual": ["verify", "--suite=residual"],
 }
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def _first_arm(path):
@@ -158,11 +165,13 @@ def _first_arm(path):
 def test_fuzzed_scenario_exits_with_one_error_line_and_no_warnings(command, out_dir):
     # sample's t is drawn from the same magnitudes, so extreme scenarios and
     # times can drive u to subnormal, nan or inf values; a written file must
-    # hold the bytes of the point-by-point repr reference
+    # hold the bytes of the point-by-point repr reference.  verify exits 0 or 1
+    # with one strict JSON document on stdout (no NaN or Infinity token) and
+    # nothing on stderr
     path = out_dir / f"scenario-{command}.json"
     out = out_dir / f"{command}.out"
     argv = SCENARIO_COMMANDS[command]
-    sample = argv[0] == "sample"
+    sample, verify = argv[0] == "sample", argv[0] == "verify"
 
     @settings(max_examples=150, derandomize=True, database=None, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -172,15 +181,19 @@ def test_fuzzed_scenario_exits_with_one_error_line_and_no_warnings(command, out_
         out.unlink(missing_ok=True)
         extra = [f"--t={t!r}", "--out", str(out)] if sample else []
         args = [a.replace("{arm}", _first_arm(path)) if "{arm}" in a else a for a in argv[1:]]
-        err = io.StringIO()
+        stdout, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
             code = main([argv[0], "--scenario", str(path), *args, *extra])
         lines = err.getvalue().splitlines()
         assert code in (0, 1, 2, 3, 4), (scenario, code)
         assert not caught, (scenario, [str(w.message) for w in caught])
-        if code:
+        if verify and code in (0, 1):
+            assert not lines, (scenario, lines)
+            doc = json.loads(stdout.getvalue(), parse_constant=_reject_constant)
+            assert doc["passed"] is (code == 0), (scenario, doc)
+        elif code:
             assert len(lines) == 1 and lines[0].startswith("error:"), (scenario, lines)
         else:
             assert not lines, (scenario, lines)

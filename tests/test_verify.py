@@ -10,6 +10,7 @@ from kpii_stem import (
     CaseSpec,
     ExpSumTau,
     ExpTerm,
+    ResidualReport,
     ResonanceKind,
     arm_catalog,
     asymptotic_match,
@@ -26,10 +27,13 @@ from kpii_stem import (
     stem_side,
     trajectory_line,
     u_on_grid,
+    u_partials,
 )
 from kpii_stem import verify
-from kpii_stem.errors import AnchorNotFoundError, RidgeNotFoundError, UnsupportedCaseError
+from kpii_stem.errors import (AnchorNotFoundError, DomainError, RidgeNotFoundError,
+                              UnsupportedCaseError)
 from kpii_stem.geometry import normalize_line
+from kpii_stem.tau import BLOCK_POINTS
 from kpii_stem.verify import _limit_shift, section_anchor
 from test_catalog import RESONANT_CASES, draw_params
 
@@ -92,6 +96,94 @@ def test_residual_counts_nan_as_exceeding(solutions):
     assert math.isnan(rep.max_abs_residual)
     ((x, y, t, res),) = rep.points_exceeding_tol
     assert (x, y, t) == (-1e308, 0.0, 0.0) and math.isnan(res)
+
+
+RESIDUAL_INDICES = ((0, 0, 0), (1, 0, 0), (2, 0, 0), (4, 0, 0), (0, 2, 0), (1, 0, 1))
+
+
+def _one_array_residual(sol, points, tol):
+    """kp_residual's report from one u_partials call over all the points, the
+    residual formed on the whole arrays."""
+    pts = np.asarray(points, float)
+    x, y, t = pts[:, 0], pts[:, 1], pts[:, 2]
+    d = u_partials(sol.tau, x, y, t, RESIDUAL_INDICES)
+    u = d[(0, 0, 0)]
+    res = (d[(1, 0, 1)] + 6.0 * d[(1, 0, 0)] ** 2 + 6.0 * u * d[(2, 0, 0)]
+           + d[(4, 0, 0)] + 3.0 * d[(0, 2, 0)])
+    absres = np.abs(res)
+    bad = [(float(x[i]), float(y[i]), float(t[i]), float(res[i]))
+           for i in np.nonzero(~(absres <= tol))[0]]
+    return ResidualReport(max_abs_residual=float(absres.max()),
+                          n_points=len(x), points_exceeding_tol=tuple(bad))
+
+
+def _residual_box(rng, n):
+    return np.column_stack([rng.uniform(-50, 50, n), rng.uniform(-50, 50, n),
+                            rng.uniform(-10, 10, n)])
+
+
+@pytest.mark.parametrize("n", [1, 2, BLOCK_POINTS - 1, BLOCK_POINTS, BLOCK_POINTS + 1,
+                               2 * BLOCK_POINTS + 1, 20_000])
+def test_residual_report_bitwise_equal_to_one_array(n, solutions):
+    # kp_residual reduces a slice of points at a time; a one-point last slice
+    # (4097, 8193 points) is evaluated alone.  One NaN point, and a tol below
+    # the rounding of the residual, so that offenders are listed
+    rng = np.random.default_rng(n)
+    for name, sol in solutions.items():
+        pts = _residual_box(rng, n)
+        pts[n // 2, 1] = math.nan
+        with np.errstate(invalid="ignore"):
+            got = kp_residual(sol, pts, tol=1e-15)
+            want = _one_array_residual(sol, pts, 1e-15)
+        # one flag: pytest's diff of two long unequal reprs takes minutes
+        same = repr(got) == repr(want)
+        assert same, (name, n)
+        assert math.isnan(got.max_abs_residual) and got.points_exceeding_tol, (name, n)
+
+
+def test_residual_traced_peak_flat_in_point_count(solutions):
+    import tracemalloc
+    sol = solutions["m2"]
+    rng = np.random.default_rng(61)
+    kp_residual(sol, _residual_box(rng, 2))  # the plan, outside the trace
+    peaks = []
+    for n in (20_000, 200_000):
+        pts = _residual_box(rng, n)
+        tracemalloc.start()
+        try:
+            kp_residual(sol, pts)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def test_residual_one_point_as_triple(solutions):
+    sol = solutions["c3_1"]
+    assert kp_residual(sol, (1.0, 2.0, 0.5)) == kp_residual(sol, [(1.0, 2.0, 0.5)])
+
+
+MALFORMED_POINTS = {
+    "empty list": [],
+    "no rows": np.empty((0, 3)),
+    "two columns": np.zeros((4, 2)),
+    "four columns": np.zeros((4, 4)),
+    "pair": (1.0, 2.0),
+    "scalar": 1.0,
+    "three axes": np.zeros((2, 3, 1)),
+    "ragged": [(1.0, 2.0, 3.0), (1.0, 2.0)],
+    "text": "abc",
+}
+
+
+@pytest.mark.parametrize("points", MALFORMED_POINTS.values(), ids=MALFORMED_POINTS)
+def test_residual_and_limits_reject_malformed_points(points, solutions):
+    sol = solutions["c2_1"]
+    with pytest.raises(DomainError, match="points"):
+        kp_residual(sol, points)
+    with pytest.raises(DomainError, match="points"):
+        limit_convergence(sol, [1e3], points)
+
 
 def _ladder_points(rng):
     return np.column_stack([rng.uniform(-1.25, 1.25, 200),

@@ -13,7 +13,9 @@ where the output is stdout, or for ``sample``, which needs ``--out``, the file
 it wrote.  ``section-arm`` cuts along the first arm that scenario's ``build``
 output lists, so its ``u_arm`` column is covered too; ``section-badlabel``
 cuts along the malformed label ``1+``, which names no arm, so its line records
-the exit code and the stderr bytes of the refusal.
+the exit code and the stderr bytes of the refusal.  ``verify-residual`` runs
+the residual suite alone, so its bytes are compared apart from the other
+suites'.
 
 Two checkouts whose listings are equal wrote the same bytes for every
 command, so diffing the output of two runs (for example a commit and its
@@ -47,6 +49,7 @@ COMMANDS = [
     ("section-arm", ["section", "--t=10", "--line={arm}"]),
     ("section-badlabel", ["section", "--t=10", "--line=1+"]),
     ("verify-all", ["verify", "--suite", "all"]),
+    ("verify-residual", ["verify", "--suite", "residual"]),
     ("sample-csv", ["sample", "--t=0.7", SAMPLE_GRID, "--out", "{out}"]),
     ("sample-json", ["sample", "--t=0.7", SAMPLE_GRID, "--format", "json", "--out", "{out}"]),
 ]
