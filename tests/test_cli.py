@@ -355,6 +355,14 @@ def test_golden_outputs(name):
     assert res.stdout == golden.read_bytes()
 
 
+def test_verify_golden_output(capsys):
+    # the default suite all on m2, every check's measured value to the bit
+    from kpii_stem.cli import main
+    code = main(["verify", "--scenario", str(SCENARIOS / "m2.json")])
+    assert code == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / "verify_m2.json").read_bytes()
+
+
 SAMPLE_GOLDEN_ARGS = ("sample", "--scenario", str(SCENARIOS / "m2.json"),
                       "--t=0.7", "--grid=-30,30,9,-30,30,7")
 
