@@ -31,9 +31,8 @@ import numpy as np
 
 from . import __version__
 from .catalog import Case, ResonantSolution, build_case, make_generic
-from .errors import (AnchorNotFoundError, DegenerateParameterError, InadmissibleFamilyError,
-                     InadmissibleParameterError, IndeterminateResonanceError,
-                     InternalConsistencyError, KPStemError, UnsupportedCaseError)
+from .errors import (DegenerateParameterError, InadmissibleParameterError,
+                     IndeterminateResonanceError, KPStemError, UnsupportedCaseError)
 from .geometry import (
     arm_catalog,
     arm_profile,
@@ -49,8 +48,7 @@ from .geometry import (
     velocity_table,
 )
 from .tau import BLOCK_POINTS, u_on_grid
-from .verify import (asymptotic_match, kp_residual, limit_convergence,
-                     ridge_trace, section_anchor)
+from .verify import SUITES, run_suite
 
 EXIT_OK, EXIT_VERIFY, EXIT_PARSE, EXIT_INADMISSIBLE, EXIT_IO = 0, 1, 2, 3, 4
 
@@ -345,115 +343,21 @@ def cmd_stem(args) -> int:
     return EXIT_OK
 
 
-def _verify_residual(sol, tol):
-    rng = np.random.default_rng(20240811)
-    pts = np.column_stack([rng.uniform(-50, 50, 1000),
-                           rng.uniform(-50, 50, 1000),
-                           rng.uniform(-10, 10, 1000)])
-    # as in sample, exponents that overflow give a NaN residual, without
-    # numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        measured = kp_residual(sol, pts, tol=tol).max_abs_residual
-    check = {"check": "field_equation_residual", "measured": measured,
-             "tolerance": tol, "pass": measured < tol}
-    if not math.isfinite(measured):
-        # JSON has no NaN: the check fails with null and a note, as a check
-        # without a measurement does
-        check.update(measured=None, note=f"the largest |residual| is {measured!r}")
-    return [check]
-
-
-def _verify_limits(sc, sol, tol):
-    rng = np.random.default_rng(7)
-    pts = np.column_stack([rng.uniform(-1.25, 1.25, 200),
-                           rng.uniform(-1.25, 1.25, 200),
-                           rng.uniform(-0.05, 0.05, 200)])
-    if sol.spec.case is Case.GENERIC:
-        if not sc.limit_target:
-            return [{"check": "limit_convergence", "measured": None,
-                     "tolerance": tol, "pass": False,
-                     "note": "generic scenario without limit_target"}]
-        target = build_case(sc.limit_target, sc.k, sc.p[2], branch=sc.branch)
-        dev = float(np.abs(
-            u_on_grid(sol.tau, pts[:, 0], pts[:, 1], pts[:, 2])
-            - u_on_grid(target.tau, pts[:, 0], pts[:, 1], pts[:, 2])).max())
-        return [{"check": f"deviation_from_{sc.limit_target}_template",
-                 "measured": dev, "tolerance": tol, "pass": dev < tol}]
-    try:
-        devs = limit_convergence(sol, [1e3, 1e4, 1e5, 1e6], pts)
-    except InadmissibleFamilyError as exc:
-        # no ladder to measure: the check fails with a note, and the other
-        # suites are still reported
-        return [{"check": "limit_ladder_end", "measured": None,
-                 "tolerance": tol, "pass": False, "note": str(exc)}]
-    mono = all(devs[i + 1] <= devs[i] for i in range(len(devs) - 1))
-    return [{"check": "limit_ladder_end", "measured": devs[-1],
-             "tolerance": tol, "pass": devs[-1] < tol},
-            {"check": "limit_ladder_monotone", "measured": devs,
-             "tolerance": None, "pass": mono}]
-
-
-def _ridge_deviation(sol, arm, t):
-    line = trajectory_line(arm, t)
-    trace = ridge_trace(sol, t, line, scan_window=(-5.0, 5.0), n_scans=7,
-                        anchor=section_anchor(sol, arm, t))
-    (fa, fb, fc), (la, lb, lc) = trace.fitted_line, line
-    return float(max(abs(fa - la), abs(fb - lb), abs(fc - lc) / max(1.0, abs(lc))))
-
-
-def _verify_arms(sol, tol, suite, T=20.0):
-    # asymptotics: the profile of every catalog arm; ridge: the fitted ridge
-    # line of the first catalog arm of each side (the stem's ridge line is
-    # curved, so it is not fitted).  An arm without a clean section fails its
-    # check with a note, and so does the suite without an arm catalog; the
-    # other checks are still reported.
-    name, measure = (("asymptotic", asymptotic_match) if suite == "asymptotics"
-                     else ("ridge", _ridge_deviation))
-    try:
-        cat = arm_catalog(sol)
-    except InternalConsistencyError as exc:
-        return [{"check": suite, "measured": None, "tolerance": tol, "pass": False,
-                 "note": str(exc)}]
-    checks = []
-    for side, tsign in (("before", -1.0), ("after", 1.0)):
-        arms = [arm for _, arm in getattr(cat, side)]
-        for arm in arms if suite == "asymptotics" else arms[:1]:
-            check = {"check": f"{name}_{side}_{arm.label_str()}", "measured": None,
-                     "tolerance": tol, "pass": False}
-            try:
-                check["measured"] = measure(sol, arm, tsign * T)
-                check["pass"] = check["measured"] < tol
-            except AnchorNotFoundError as exc:
-                check["note"] = str(exc)
-            checks.append(check)
-    return checks
-
-
 def cmd_verify(args) -> int:
     sc = load_scenario(args.scenario)
     sol = sc.build()
-    tol_override = None if args.tol is None else _parse_finite(args.tol, "tol")
-    suites = ("residual", "limits", "asymptotics", "ridge") \
-        if args.suite == "all" else (args.suite,)
-    defaults = {"residual": 1e-8, "limits": 1e-4,
-                "asymptotics": 1e-3, "ridge": 1e-4}
-    checks = []
-    for suite in suites:
-        tol = tol_override if tol_override is not None else defaults[suite]
-        if suite == "residual":
-            checks += _verify_residual(sol, tol)
-        elif suite == "limits":
-            checks += _verify_limits(sc, sol, tol)
-        elif sol.spec.case is Case.GENERIC:
-            checks.append({"check": suite, "measured": None,
-                           "tolerance": tol, "pass": False,
-                           "note": "not defined for generic scenarios"})
-        else:
-            checks += _verify_arms(sol, tol, suite)
-    ok = all(c["pass"] for c in checks)
+    tol = None if args.tol is None else _parse_finite(args.tol, "tol")
+    suites = list(SUITES) if args.suite == "all" else [args.suite]
+    # the resonant template that a generic scenario's limits suite compares with
+    target = (build_case(sc.limit_target, sc.k, sc.p[2], branch=sc.branch, xi0=sc.xi0)
+              if sc.case == "generic" and sc.limit_target and "limits" in suites else None)
+    checks = [c for suite in suites for c in run_suite(sol, suite, tol, target)]
+    ok = all(c.passed for c in checks)
     with _open_output(None) as out:
-        _dump_json({"version": __version__, "scenario": _scenario_echo(sc),
-                    "passed": ok, "checks": checks}, out)
+        _dump_json({"version": __version__, "scenario": _scenario_echo(sc), "passed": ok,
+                    "checks": [{"check": c.name, "measured": c.measured, "tolerance": c.tolerance,
+                                "pass": c.passed, **({} if c.note is None else {"note": c.note})}
+                               for c in checks]}, out)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -545,8 +449,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--suite", choices=("residual", "limits", "asymptotics",
-                                       "ridge", "all"), default="all")
+    p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p.add_argument("--tol", default=None)
     p.set_defaults(func=cmd_verify)
 

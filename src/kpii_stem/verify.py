@@ -12,6 +12,8 @@ Four families of checks, all independent of the closed-form geometry path:
                       sections,
 * ridge_trace      -- brute-force ridge extraction recovers the analytic
                       trajectory lines.
+
+run_suite runs one of SUITES, the suites of `kpii-stem verify`, as Check records.
 """
 
 from __future__ import annotations
@@ -22,15 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Case, ResonanceKind, ResonantSolution, aij_factors, aij_value, make_generic
-from .errors import (
-    AnchorNotFoundError,
-    DomainError,
-    InadmissibleFamilyError,
-    InadmissibleParameterError,
-    RidgeNotFoundError,
-    UnsupportedCaseError,
-)
-from .geometry import ArmDescriptor, arm_profile, normalize_line, skeleton, term_planes
+from .errors import (AnchorNotFoundError, DomainError, InadmissibleFamilyError,
+                     InadmissibleParameterError, InternalConsistencyError,
+                     RidgeNotFoundError, UnsupportedCaseError)
+from .geometry import (ArmDescriptor, arm_catalog, arm_profile, normalize_line, skeleton,
+                       term_planes, trajectory_line)
 # perfbench/spans.py wraps the kernel at this binding, by this name
 from .tau import BLOCK_POINTS, u_on_grid, u_partials as _u_partials
 
@@ -192,10 +190,8 @@ def limit_convergence(sol: ResonantSolution, magnitudes, points) -> list[float]:
     pts = _points(points)
     x, y, t = pts[:, 0], pts[:, 1], pts[:, 2]
     u_ref = u_on_grid(sol.tau, x, y, t)
-    devs = []
-    for gen in limit_family(sol, magnitudes):
-        devs.append(float(np.abs(u_on_grid(gen.tau, x, y, t) - u_ref).max()))
-    return devs
+    return [float(np.abs(u_on_grid(gen.tau, x, y, t) - u_ref).max())
+            for gen in limit_family(sol, magnitudes)]
 
 
 # asymptotic sections: half width, and the bound on the other terms' leakage
@@ -340,7 +336,107 @@ def ridge_trace(sol: ResonantSolution, t: float, approx_line,
     pts = np.column_stack([px, py])
     mean = pts.mean(axis=0)
     _, _, vt = np.linalg.svd(pts - mean)
-    tang = vt[0]
-    normal = (-tang[1], tang[0])
-    line = (normal[0], normal[1], -(normal[0] * mean[0] + normal[1] * mean[1]))
+    nx, ny = -vt[0][1], vt[0][0]    # the normal of the fitted direction
+    line = (nx, ny, -(nx * mean[0] + ny * mean[1]))
     return RidgeTrace(samples=samples, fitted_line=normalize_line(line))
+
+
+# ---------------------------------------------------------------- suites
+
+# The suites of `kpii-stem verify` with their default tolerances.  residual and
+# limits draw points from a box: (seed, count, half side in x and y, half span
+# in t); limits runs LADDER's magnitudes.  asymptotics and ridge measure arms at
+# t = -ARM_T and +ARM_T, ridge on RIDGE_SCANS scans over RIDGE_WINDOW.
+SUITES = {"residual": 1e-8, "limits": 1e-4, "asymptotics": 1e-3, "ridge": 1e-4}
+RESIDUAL_BOX, LIMIT_BOX = (20240811, 1000, 50.0, 10.0), (7, 200, 1.25, 0.05)
+LADDER, ARM_T = (1e3, 1e4, 1e5, 1e6), 20.0
+RIDGE_WINDOW, RIDGE_SCANS = (-5.0, 5.0), 7
+_REFUSALS = (AnchorNotFoundError, RidgeNotFoundError, InadmissibleFamilyError,
+             InternalConsistencyError)
+
+
+@dataclass(frozen=True)
+class Check:
+    """One verify check; where measured is None, the note says why."""
+    name: str
+    measured: float | list | None
+    tolerance: float | None
+    passed: bool
+    note: str | None = None
+
+
+def _unmeasured(name, tol, note) -> Check:
+    return Check(name, None, tol, False, note)
+
+
+def _checks(name, tol, measure, what="the measured value") -> list[Check]:
+    """[measure() < tol], or measure()'s own checks where it returns a list.  A
+    refusal to measure, or a value that is not finite (JSON has no NaN), fails
+    check `name` with measured None and a note, without numpy warnings."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = measure()
+    except _REFUSALS as exc:
+        return [_unmeasured(name, tol, str(exc))]
+    if isinstance(value, list):
+        return value
+    if not math.isfinite(value):
+        return [_unmeasured(name, tol, f"{what} is {value!r}")]
+    return [Check(name, value, tol, value < tol)]
+
+
+def _box(seed, n, xy, t) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.column_stack([rng.uniform(-xy, xy, n), rng.uniform(-xy, xy, n),
+                            rng.uniform(-t, t, n)])
+
+
+def _ridge_deviation(sol, arm, t) -> float:
+    """The gap between the arm's fitted ridge line and its trajectory line."""
+    line = trajectory_line(arm, t)
+    trace = ridge_trace(sol, t, line, scan_window=RIDGE_WINDOW, n_scans=RIDGE_SCANS,
+                        anchor=section_anchor(sol, arm, t))
+    (fa, fb, fc), (la, lb, lc) = trace.fitted_line, line
+    return float(max(abs(fa - la), abs(fb - lb), abs(fc - lc) / max(1.0, abs(lc))))
+
+
+def run_suite(sol: ResonantSolution, suite: str, tol: float | None = None,
+              target: ResonantSolution | None = None) -> list[Check]:
+    """The checks of SUITES[suite] on sol against tol (default: the suite's).
+    A generic sol's limits suite compares it with target, its resonant
+    template; ridge fits each side's first catalog arm (the stem is curved)."""
+    tol = SUITES[suite] if tol is None else tol
+    if suite == "residual":
+        pts = _box(*RESIDUAL_BOX)
+        return _checks("field_equation_residual", tol,
+                       lambda: kp_residual(sol, pts, tol=tol).max_abs_residual,
+                       "the largest |residual|")
+    if sol.spec.case is Case.GENERIC:
+        if suite != "limits":
+            return [_unmeasured(suite, tol, "not defined for generic scenarios")]
+        if target is None:
+            return [_unmeasured("limit_convergence", tol,
+                                "generic scenario without limit_target")]
+        x, y, t = _box(*LIMIT_BOX).T
+        return _checks(f"deviation_from_{target.spec.case.value}_template", tol,
+                       lambda: float(np.abs(u_on_grid(sol.tau, x, y, t)
+                                            - u_on_grid(target.tau, x, y, t)).max()))
+    if suite == "limits":
+        def ladder():
+            devs = limit_convergence(sol, LADDER, _box(*LIMIT_BOX))
+            bad = [d for d in devs if not math.isfinite(d)]
+            return bad[0] if bad else [
+                Check("limit_ladder_end", devs[-1], tol, devs[-1] < tol),
+                Check("limit_ladder_monotone", devs, None,
+                      all(b <= a for a, b in zip(devs, devs[1:])))]
+        return _checks("limit_ladder_end", tol, ladder, "a rung's deviation")
+    name, measure = (("asymptotic", asymptotic_match) if suite == "asymptotics"
+                     else ("ridge", _ridge_deviation))
+
+    def each_arm():
+        cat = arm_catalog(sol)
+        return [c for side, t in (("before", -ARM_T), ("after", ARM_T))
+                for _, arm in getattr(cat, side)[:None if suite == "asymptotics" else 1]
+                for c in _checks(f"{name}_{side}_{arm.label_str()}", tol,
+                                 lambda: measure(sol, arm, t))]
+    return _checks(suite, tol, each_arm)

@@ -202,6 +202,30 @@ def test_verify_refused_anchor_keeps_report(tmp_path, suite, n_checks):
     assert all(isinstance(c["measured"], float) for c in doc["checks"] if c not in refused)
 
 
+@pytest.mark.parametrize("scenario, suite, refused", [
+    # m2 scaled by 0.01: no scan of either side's first arm has an interior maximum
+    ({"case": "m2", "k": [0.02, -0.01, -0.015], "p3": 1e-4}, "ridge",
+     ["ridge_before_3", "ridge_after_3"]),
+    # a phase constant of -1e17 leaves the 1^ arm's ridge off every scan at t = -20
+    ({"case": "c2_1", "k": [1.0, 1.0, 1.0], "p3": 0.0, "xi0": [0.0, 0.0, -1e17]}, "all",
+     ["ridge_before_1^"]),
+], ids=["m2-scaled", "c2_1-far-phase"])
+def test_verify_refused_ridge_keeps_report(tmp_path, capsys, scenario, suite, refused):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    from kpii_stem.cli import main
+    code = main(["verify", "--scenario", str(path), f"--suite={suite}"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    assert doc["passed"] is False
+    nulls = [c for c in doc["checks"] if c["measured"] is None]
+    assert [c["check"] for c in nulls] == refused
+    for c in nulls:
+        assert c["pass"] is False
+        assert c["note"] == "ridge found on only 0 of 7 scans"
+
+
 def test_verify_inadmissible_limit_family_keeps_report(tmp_path):
     # no perturbation of this draw keeps a_ij admissible at magnitude 1e3
     path = tmp_path / "c2_1.json"
@@ -300,6 +324,23 @@ def test_verify_corrupted_generic_scenario(tmp_path):
     assert res.returncode == 1
     out = json.loads(res.stdout)
     assert out["passed"] is False
+
+
+def test_verify_generic_scenario_with_phase_constants(tmp_path, capsys):
+    # an exact on-manifold eight-term scenario matches the resonant template
+    # built with the same phase constants (a deviation of 0.825 without them)
+    from kpii_stem import Case, CaseSpec, resolve_constraints
+    from kpii_stem.cli import main
+    params = resolve_constraints((1.0, -1.0, -2.0), -0.5, CaseSpec(Case.W2))
+    path = tmp_path / "generic.json"
+    path.write_text(json.dumps({"case": "generic", "k": [1.0, -1.0, -2.0], "p": list(params.p),
+                                "xi0": [0.3, -0.7, 0.45], "limit_target": "w2"}))
+    code = main(["verify", "--scenario", str(path), "--suite=limits"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    (check,) = json.loads(out)["checks"]
+    assert check["check"] == "deviation_from_w2_template"
+    assert check["measured"] < 1e-12
 
 
 def test_section_along_stem():

@@ -6,11 +6,11 @@ nothing else.  Grid and sample counts stay small (at most 50) or are far past
 numpy's size limit, so no run allocates much.
 
 Fuzzed scenario contents go through build, stem, section (along the first
-arm that build lists, too), sample and the residual suite of verify: each run
-ends in a documented exit code, a failing one says why in exactly one error
-line, no run writes warning text, a sample file that is written holds the
-bytes of the point-by-point repr reference, and verify's exit 0 or 1 prints
-one strict JSON document.
+arm that build lists, too), sample, and verify's residual suite and all its
+suites: each run ends in a documented exit code, a failing one says why in
+exactly one error line, no run writes warning text, a sample file that is
+written holds the bytes of the point-by-point repr reference, and verify's
+exit 0 or 1 prints one strict JSON document.
 """
 
 import contextlib
@@ -141,6 +141,8 @@ SCENARIO_COMMANDS = {
     "section-arm": ["section", "--t=5", "--line={arm}", "--n=9"],
     # a failed check (exit 1) is reported in the document, not on stderr
     "verify-residual": ["verify", "--suite=residual"],
+    # limits, asymptotics and ridge too: a refused measurement is a null check
+    "verify-all": ["verify", "--suite=all"],
 }
 
 

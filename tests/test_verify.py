@@ -577,3 +577,18 @@ def test_ridge_trace_stops_below_float_spacing(solutions):
     for tol in (-1e-6, math.nan):
         with pytest.raises(ValueError):
             ridge_trace(sol, -20.0, line, tol=tol, **kw)
+
+
+def test_run_suite_checks_carry_tolerance_and_notes():
+    from kpii_stem.catalog import build_case
+    from kpii_stem.verify import SUITES, Check, run_suite
+    sol = build_case("m2", (2.0, -1.0, -1.5), 1.0)
+    (residual,) = run_suite(sol, "residual")
+    assert residual.tolerance == SUITES["residual"] and residual.passed
+    (strict,) = run_suite(sol, "residual", tol=1e-30)
+    assert (strict.measured, strict.tolerance, strict.passed) == (residual.measured, 1e-30, False)
+    gen = make_generic((1.0, -1.0, -2.0), (-2.75, -1.25, -0.5))
+    assert run_suite(gen, "ridge") == [
+        Check("ridge", None, 1e-4, False, "not defined for generic scenarios")]
+    assert run_suite(gen, "limits") == [
+        Check("limit_convergence", None, 1e-4, False, "generic scenario without limit_target")]
