@@ -23,7 +23,6 @@ from .catalog import (
     resolve_constraints,
 )
 from .geometry import (
-    PARALLEL,
     ArmDescriptor,
     AsymptoticCatalog,
     Edge,
@@ -34,8 +33,6 @@ from .geometry import (
     arm_profile,
     cross_section,
     find_arm,
-    intersect_lines,
-    junction_lines,
     skeleton,
     stem_endpoints,
     stem_length_formula,

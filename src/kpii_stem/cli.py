@@ -312,16 +312,11 @@ def cmd_stem(args) -> int:
     sol = sc.build()
     rows, mismatches = [], []
     for rep in stem_reports(sol, _parse_tlist(args.t), t_min=sc.t_min):
-        t = rep.t
-        try:
-            closed = stem_length_formula(sol, t)
-        except KPStemError:
-            closed = None
         rows.append({
-            "t": t,
+            "t": rep.t,
             "ax": rep.endpoint_a[0], "ay": rep.endpoint_a[1],
             "bx": rep.endpoint_b[0], "by": rep.endpoint_b[1],
-            "length": rep.length, "length_closed_form": closed,
+            "length": rep.length, "length_closed_form": stem_length_formula(sol, rep.t),
             "midpoint_x": rep.midpoint[0], "midpoint_y": rep.midpoint[1],
             "midpoint_amplitude": rep.midpoint_amplitude,
             "valid": rep.valid,
@@ -332,8 +327,7 @@ def cmd_stem(args) -> int:
             out.write(f"# kpii-stem v{__version__} case={sc.case}\n")
             out.write(",".join(rows[0]) + "\n")
             for row in rows:
-                out.write(",".join("" if v is None else repr(v)
-                                   for v in row.values()) + "\n")
+                out.write(",".join(map(repr, row.values())) + "\n")
         else:
             # the closed form vs intersection margin (err/scale, gate 1e-9)
             # is JSON-only: a CSV column would change the CSV bytes

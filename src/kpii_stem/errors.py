@@ -29,10 +29,6 @@ class UnsupportedCaseError(KPStemError):
     """Operation is not defined for this resonance case (e.g. generic)."""
 
 
-class UnsupportedFormulaError(KPStemError):
-    """No closed-form expression is available for this configuration."""
-
-
 class DegenerateLineError(KPStemError):
     """Line has a vanishing normal vector."""
 

@@ -29,10 +29,12 @@ end junctions.
 Everything else about a side's stem that does not depend on t is built once
 too, on the first stem query of that side: the stem plan holds, per end
 junction, the best-conditioned pair of trajectory lines with their
-normalized normals, signs, norms and determinant, and the VERTEX
-coefficients with ln a12 multiplied in.  A query at t forms the two line
-offsets C(t), intersects, compares with the closed form and evaluates u at
-the midpoint; stem_reports does so for a vector of times with one u call.
+normalized normals, signs, norms and determinant, and the closed-form
+endpoint: the VERTEX coefficients with ln a12 multiplied in, plus the shift
+that the phase constants xi0 give (the meeting point is linear in the line
+offsets).  A query at t forms the two line offsets C(t), intersects,
+compares with the closed form and evaluates u at the midpoint; stem_reports
+does so for a vector of times with one u call.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .errors import (
     DomainError,
     InternalConsistencyError,
     UnsupportedCaseError,
-    UnsupportedFormulaError,
 )
 from .tau import u_on_grid
 
@@ -67,14 +68,6 @@ class Region(str, Enum):
     Y_POS = "y+"
     X_NEG = "x-"
     X_POS = "x+"
-
-
-class _Parallel:
-    def __repr__(self):
-        return "PARALLEL"
-
-
-PARALLEL = _Parallel()
 
 
 @dataclass(frozen=True)
@@ -144,7 +137,7 @@ class StemReport:
     midpoint: tuple[float, float]
     midpoint_amplitude: float
     valid: bool
-    endpoint_mismatch: float | None     # closed form vs intersection, err/scale
+    endpoint_mismatch: float            # closed form vs intersection, err/scale
 
 
 @dataclass(frozen=True)
@@ -425,23 +418,8 @@ def normalize_line(line):
     return (sign * A / nrm, sign * B / nrm, sign * C / nrm)
 
 
-def _determinant(A1: float, B1: float, A2: float, B2: float) -> float | None:
-    """A1 B2 - A2 B1 of two line normals, or None where they are parallel."""
-    det = A1 * B2 - A2 * B1
-    scale = math.hypot(A1, B1) * math.hypot(A2, B2)
-    return None if abs(det) <= 1e-12 * max(scale, 1e-300) else det
-
-
 def _meet(A1, B1, C1, A2, B2, C2, det) -> tuple[float, float]:
     return ((-C1 * B2 + C2 * B1) / det, (-A1 * C2 + A2 * C1) / det)
-
-
-def intersect_lines(l1, l2):
-    """Intersection point of two lines, or PARALLEL."""
-    A1, B1, C1 = l1
-    A2, B2, C2 = l2
-    det = _determinant(A1, B1, A2, B2)
-    return PARALLEL if det is None else _meet(A1, B1, C1, A2, B2, C2, det)
 
 
 def _future(t: float) -> bool:
@@ -474,22 +452,6 @@ def _junction_arms(sol: ResonantSolution, rec: _Record, junction: Junction):
     return [_arm(sol, rec, a, b) for a, b in combinations(idxs, 2)]
 
 
-def junction_lines(sol: ResonantSolution, junction: Junction, t: float):
-    """Normalized trajectory lines of the three term pairs of a junction at
-    time t; the three lines meet in the junction point."""
-    return [trajectory_line(arm, t) for arm in _junction_arms(sol, _record(sol), junction)]
-
-
-def _closed_form_args(sol: ResonantSolution):
-    """(k1, k2, k3, p3) for the generated table, whose expressions are those
-    of the first branch; None where they do not apply (phase constants)."""
-    if any(abs(v) > 0 for v in sol.params.xi0):
-        return None
-    k1, k2, k3 = sol.params.k
-    p3 = sol.params.p[2]
-    return k1, k2, k3, -p3 if sol.spec.branch is Branch.SECOND else p3
-
-
 @functools.cache
 def _vertex_table():
     # imported on the first stem query, so that start-up without a bytecode
@@ -498,16 +460,20 @@ def _vertex_table():
     return _closed_forms.VERTEX
 
 
-def _closed_form(sol: ResonantSolution, rec: _Record, junction: Junction,
-                 args) -> tuple[float, ...]:
-    """The coefficients of the junction's VERTEX entry at args, evaluated once
-    per solution."""
+def _closed_form(sol: ResonantSolution, rec: _Record,
+                 junction: Junction) -> tuple[float, ...]:
+    """The coefficients of the junction's VERTEX entry, evaluated once per
+    solution at (k1, k2, k3, p3); the table's expressions are those of the
+    first branch."""
     coeffs = rec.closed_forms.get(junction)
     if coeffs is None:
         entry = _vertex_table()[sol.spec.case.value].get(junction)
         if entry is None:
             raise InternalConsistencyError(
                 f"no closed-form VERTEX entry for {junction} in case {sol.spec.case.value}")
+        k1, k2, k3 = sol.params.k
+        p3 = sol.params.p[2]
+        args = k1, k2, k3, -p3 if sol.spec.branch is Branch.SECOND else p3
         coeffs = rec.closed_forms[junction] = tuple(f(*args) for f in entry)
     return coeffs
 
@@ -523,17 +489,19 @@ def _closed_form(sol: ResonantSolution, rec: _Record, junction: Junction,
 _MIDPOINT_BUDGET = 1e-9 / 8
 
 
-def _plan_end(sol: ResonantSolution, rec: _Record, junction: Junction, args):
+def _plan_end(sol: ResonantSolution, rec: _Record, junction: Junction):
     """One end junction of a side's stem, as far as it does not depend on t:
-    (junction, det, line1, line2, closed, mirror).
+    (det, line1, line2, closed).
 
     The endpoint is the meeting point of the junction's best-conditioned two
     trajectory lines A x + B y + C(t) = 0, each given as (A, B, W, xi0,
     offset, sign, norm): (A, B) is the normalized normal and C(t) =
-    sign (W t + xi0 + offset) / norm, the offset that normalize_line forms.
-    det is None where the two lines are parallel.  closed is (xt, xL ln a12,
-    yt, yL ln a12) of the junction's VERTEX entry, or None with nonzero phase
-    constants; mirror marks the second branch, whose closed-form y is negated.
+    sign (W t + xi0 + offset) / norm, the offset that normalize_line forms;
+    parallel lines raise DegenerateLineError.  closed is (xt, x0, yt, y0),
+    the closed-form endpoint (xt t + x0, yt t + y0): the junction's VERTEX
+    entry with ln a12 multiplied in and y negated on the second branch, plus
+    the phase constants' part.  The meeting point is linear in the offsets,
+    so that part is where the two lines meet with their xi0 terms alone.
     """
     lines = []
     for arm in _junction_arms(sol, rec, junction):
@@ -543,13 +511,15 @@ def _plan_end(sol: ResonantSolution, rec: _Record, junction: Junction, args):
     # the normals do not depend on t, so neither does the best pair
     l1, l2 = max(combinations(lines, 2),
                  key=lambda p: abs(p[0][0] * p[1][1] - p[1][0] * p[0][1]))
-    closed = None
-    if args is not None:
-        xt, xL, yt, yL = _closed_form(sol, rec, junction, args)
-        log_a12 = sol.log_a12
-        closed = (xt, xL * log_a12, yt, yL * log_a12)
-    return (junction, _determinant(l1[0], l1[1], l2[0], l2[1]), l1, l2,
-            closed, sol.spec.branch is Branch.SECOND)
+    (A1, B1, _, xi1, _, sign1, norm1), (A2, B2, _, xi2, _, sign2, norm2) = l1, l2
+    det = A1 * B2 - A2 * B1
+    if abs(det) <= 1e-12 * max(math.hypot(A1, B1) * math.hypot(A2, B2), 1e-300):
+        raise DegenerateLineError(f"junction lines are parallel: {junction}")
+    sx, sy = _meet(A1, B1, sign1 * xi1 / norm1, A2, B2, sign2 * xi2 / norm2, det)
+    xt, xL, yt, yL = _closed_form(sol, rec, junction)
+    log_a12 = sol.log_a12
+    mirror = -1.0 if sol.spec.branch is Branch.SECOND else 1.0
+    return det, l1, l2, (xt, xL * log_a12 + sx, mirror * yt, mirror * (yL * log_a12) + sy)
 
 
 def _plan(sol: ResonantSolution, rec: _Record, t: float):
@@ -558,35 +528,26 @@ def _plan(sol: ResonantSolution, rec: _Record, t: float):
     future = _future(t)
     plan = rec.plans[future]
     if plan is None:
-        args = _closed_form_args(sol)
-        plan = rec.plans[future] = tuple(_plan_end(sol, rec, junction, args)
+        plan = rec.plans[future] = tuple(_plan_end(sol, rec, junction)
                                          for junction in stem_side(sol, t)[1])
     return plan
 
 
 def _endpoints(plan, t: float):
     """The two stem endpoints at t and their largest relative disagreement
-    with the closed form (None where the closed forms are off)."""
-    pts, mismatch = [], None
-    for (junction, det, (A1, B1, W1, xi1, offset1, sign1, norm1),
-         (A2, B2, W2, xi2, offset2, sign2, norm2), closed, mirror) in plan:
-        if det is None:
-            raise DegenerateLineError(f"junction lines are parallel: {junction}")
+    with the closed form."""
+    pts, mismatch = [], 0.0
+    for (det, (A1, B1, W1, xi1, offset1, sign1, norm1),
+         (A2, B2, W2, xi2, offset2, sign2, norm2), (xt, x0, yt, y0)) in plan:
         geo = gx, gy = _meet(A1, B1, sign1 * (W1 * t + xi1 + offset1) / norm1,
                              A2, B2, sign2 * (W2 * t + xi2 + offset2) / norm2, det)
-        if closed is not None:
-            xt, xL, yt, yL = closed
-            x, y = xt * t + xL, yt * t + yL
-            if mirror:
-                y = -y
-            err = math.hypot(gx - x, gy - y)
-            scale = max(1.0, math.hypot(gx, gy), math.hypot(x, y))
-            if not (all(map(math.isfinite, (gx, gy, x, y))) and err <= 1e-9 * scale):
-                raise InternalConsistencyError(
-                    f"closed-form and geometric endpoints disagree: {geo} vs {(x, y)}")
-            mismatch = max(mismatch or 0.0, err / scale)
-        elif not all(map(math.isfinite, geo)):
-            raise DomainError(f"stem endpoint {geo} is not finite at t = {t}")
+        x, y = xt * t + x0, yt * t + y0
+        err = math.hypot(gx - x, gy - y)
+        scale = max(1.0, math.hypot(gx, gy), math.hypot(x, y))
+        if not (all(map(math.isfinite, (gx, gy, x, y))) and err <= 1e-9 * scale):
+            raise InternalConsistencyError(
+                f"closed-form and geometric endpoints disagree: {geo} vs {(x, y)}")
+        mismatch = max(mismatch, err / scale)
         pts.append(geo)
     return pts[0], pts[1], mismatch
 
@@ -631,32 +592,27 @@ def stem_endpoints(sol: ResonantSolution, t: float, t_min: float = 3.0) -> StemR
     """Endpoints, length and midpoint amplitude of the stem at time t.
 
     The stem is the one stem_side names for t.  Each endpoint is the
-    best-conditioned pairwise intersection of its junction_lines and is
-    checked against the closed-form VERTEX table; a disagreement beyond 1e-9
-    relative is an internal error, and the largest relative disagreement is
-    reported as endpoint_mismatch (None with nonzero phase constants, where
-    the table does not apply and a non-finite endpoint raises DomainError).
-    Inside |t| < t_min the report carries valid=False (the
-    straight-trajectory description degrades near the reconnection), and so
-    does a midpoint so far out that rounding of the tau exponents there can
-    move the amplitude by more than 1e-9 relative.  The one-time case of
-    stem_reports.
+    best-conditioned pairwise intersection of the trajectory lines of its
+    junction's three term pairs and is checked against the closed-form
+    endpoint (see _plan_end); a non-finite endpoint or a disagreement beyond
+    1e-9 relative is an internal error, and the largest relative
+    disagreement is reported as endpoint_mismatch.  Inside |t| < t_min the
+    report carries valid=False (the straight-trajectory description degrades
+    near the reconnection), and so does a midpoint so far out that rounding
+    of the tau exponents there can move the amplitude by more than 1e-9
+    relative.  The one-time case of stem_reports.
     """
     return stem_reports(sol, (t,), t_min)[0]
 
 
 def stem_length_formula(sol: ResonantSolution, t: float) -> float:
     """Closed-form stem length for the side of t: the distance between the
-    closed-form endpoints (xt t + xL ln a12, yt t + yL ln a12) of the stem's
-    two end junctions, read from the side's stem plan."""
+    closed-form endpoints (xt t + x0, yt t + y0) of the stem's two end
+    junctions, read from the side's stem plan."""
     if sol.spec.case is Case.GENERIC:
         raise UnsupportedCaseError("stem length requires a resonant case")
-    (*_, closed_a, _), (*_, closed_b, _) = _plan(sol, _record(sol), t)
-    if closed_a is None:
-        raise UnsupportedFormulaError("closed forms assume zero phase constants")
-    (xta, xLa, yta, yLa), (xtb, xLb, ytb, yLb) = closed_a, closed_b
-    # the second branch's mirror negates y at both ends: the distance keeps it
-    return math.hypot((xta * t + xLa) - (xtb * t + xLb), (yta * t + yLa) - (ytb * t + yLb))
+    (*_, (xta, xa0, yta, ya0)), (*_, (xtb, xb0, ytb, yb0)) = _plan(sol, _record(sol), t)
+    return math.hypot((xta * t + xa0) - (xtb * t + xb0), (yta * t + ya0) - (ytb * t + yb0))
 
 
 def even_axis(lo: float, hi: float, n: int) -> np.ndarray:

@@ -218,7 +218,11 @@ def section_anchor(sol: ResonantSolution, arm: ArmDescriptor,
     lies in it.  The gap is affine along the edge and convex across it with
     its kink on the edge, so each term bounds the edge parameter from one
     side.  A ray takes the clean point nearest its junction, a bounded edge
-    the middle of its clean interval.
+    the middle of its clean interval.  The section's points are good to
+    2**-53 of their size, which moves the arm's phase v = A x + B y + C by
+    up to (|A| + |B|) times that, and its profile a sech^2(v/2) by at most
+    2 a / (3 sqrt 3) per unit of v (the tau exponents round alike); an
+    anchor where that exceeds _LEAKAGE is refused too.
     """
     edges = skeleton(sol, t)
     edge = _find_edge(edges, arm)
@@ -260,7 +264,13 @@ def section_anchor(sol: ResonantSolution, arm: ArmDescriptor,
         s = hi
     else:                           # a line without junctions
         s = min(max(0.0, lo), hi)
-    return edge.point(s)
+    x, y = edge.point(s)
+    rounding = (2.0 * arm.amplitude / (3.0 * math.sqrt(3.0)) * (abs(arm.A) + abs(arm.B))
+                * 2.0**-53 * (max(abs(x), abs(y)) + h))
+    if not rounding <= _LEAKAGE:
+        raise AnchorNotFoundError(f"no clean section anchor on arm {arm.label_str()} at "
+                                  f"t = {t}: rounding at {(x, y)} moves u by {rounding:.2g}")
+    return x, y
 
 
 def asymptotic_match(sol: ResonantSolution, arm: ArmDescriptor, t: float,

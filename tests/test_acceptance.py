@@ -20,7 +20,6 @@ from kpii_stem import (
     build_solution,
     cross_section,
     find_arm,
-    junction_lines,
     kp_residual,
     limit_convergence,
     ridge_trace,
@@ -31,6 +30,7 @@ from kpii_stem import (
 )
 
 from test_catalog import RESONANT_CASES, draw_params
+from test_length_oracle import junction_distance
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -85,11 +85,9 @@ def test_criterion_03_endpoint_identities(solutions):
     times = (-20.0, -5.0, -1.0, 1.0, 5.0, 20.0)
     sols = [solutions[name] for name in CASE_NAMES]
     sols += [sol for case in RESONANT_CASES for sol in _draw_solutions(case, 50)]
-    mismatch = [stem_endpoints(sol, t).endpoint_mismatch for sol in sols for t in times]
-    ok = None not in mismatch and max(mismatch) < 1e-9
-    report(3, "endpoint identities", ok,
-           f"max rel disagreement {max(m or 0.0 for m in mismatch):.2e} "
-           f"over reference + 50 draws/case")
+    mismatch = max(stem_endpoints(sol, t).endpoint_mismatch for sol in sols for t in times)
+    report(3, "endpoint identities", mismatch < 1e-9,
+           f"max rel disagreement {mismatch:.2e} over reference + 50 draws/case")
 
 
 def test_criterion_04_length_formulas(solutions):
@@ -122,15 +120,10 @@ def test_criterion_04_length_formulas(solutions):
 
 
 def test_criterion_05_triple_concurrency(solutions):
-    worst = 0.0
-    for name in CASE_NAMES:
-        sol = solutions[name]
-        for t in (-40.0, -20.0, -5.0, -3.0, 3.0, 5.0, 20.0, 40.0):
-            for junction in stem_side(sol, t)[1]:
-                M = np.array([np.array(l) / np.linalg.norm(l)
-                              for l in junction_lines(sol, junction, t)])
-                worst = max(worst, abs(np.linalg.det(M)))
-    report(5, "triple concurrency", worst < 1e-9, f"max |det| {worst:.2e}")
+    # each endpoint is where its junction's three terms tie (50 digits)
+    worst = max(junction_distance(solutions[name], t) for name in CASE_NAMES
+                for t in (-40.0, -20.0, -5.0, -3.0, 3.0, 5.0, 20.0, 40.0))
+    report(5, "triple concurrency", worst < 1e-9, f"max rel distance {worst:.2e}")
 
 
 def test_criterion_06_section_extrema(solutions):

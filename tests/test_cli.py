@@ -202,13 +202,23 @@ def test_verify_refused_anchor_keeps_report(tmp_path, suite, n_checks):
     assert all(isinstance(c["measured"], float) for c in doc["checks"] if c not in refused)
 
 
+_NO_RIDGE = "ridge found on only 0 of 7 scans"
+_ROUNDING = "no clean section anchor on arm {}: rounding at"
+
+
 @pytest.mark.parametrize("scenario, suite, refused", [
     # m2 scaled by 0.01: no scan of either side's first arm has an interior maximum
     ({"case": "m2", "k": [0.02, -0.01, -0.015], "p3": 1e-4}, "ridge",
-     ["ridge_before_3", "ridge_after_3"]),
-    # a phase constant of -1e17 leaves the 1^ arm's ridge off every scan at t = -20
+     {"ridge_before_3": _NO_RIDGE, "ridge_after_3": _NO_RIDGE}),
+    # a phase constant of -1e17 puts all but the 1 and 2 arms after t = 0 at
+    # |x| of 5e16 to 1e17, where the floats are 8 to 16 apart: rounding, not
+    # the arm, would set their sections
     ({"case": "c2_1", "k": [1.0, 1.0, 1.0], "p3": 0.0, "xi0": [0.0, 0.0, -1e17]}, "all",
-     ["ridge_before_1^"]),
+     {f"{suite}_{side}_{arm}": _ROUNDING.format(f"{arm} at t = {t}")
+      for suite, side, t, arms in (("asymptotic", "before", -20.0, ("1^", "2+3^", "1+3^", "2^")),
+                                   ("asymptotic", "after", 20.0, ("2+3^", "1+3^")),
+                                   ("ridge", "before", -20.0, ("1^",)))
+      for arm in arms}),
 ], ids=["m2-scaled", "c2_1-far-phase"])
 def test_verify_refused_ridge_keeps_report(tmp_path, capsys, scenario, suite, refused):
     path = tmp_path / "scenario.json"
@@ -220,10 +230,13 @@ def test_verify_refused_ridge_keeps_report(tmp_path, capsys, scenario, suite, re
     doc = json.loads(out)
     assert doc["passed"] is False
     nulls = [c for c in doc["checks"] if c["measured"] is None]
-    assert [c["check"] for c in nulls] == refused
+    assert [c["check"] for c in nulls] == list(refused)
     for c in nulls:
         assert c["pass"] is False
-        assert c["note"] == "ridge found on only 0 of 7 scans"
+        assert c["note"].startswith(refused[c["check"]]), c
+    # the arms the rounding leaves alone measure to rounding
+    assert all(c["measured"] < 1e-12 for c in doc["checks"]
+               if c["check"].startswith(("asymptotic", "ridge")) and c not in nulls)
 
 
 def test_verify_inadmissible_limit_family_keeps_report(tmp_path):
@@ -634,30 +647,19 @@ def test_unsizable_or_empty_inputs_exit_2(tmp_path, capsys, command):
 
 
 def test_stem_nonfinite_endpoints_exit_1(tmp_path, capsys):
-    # at t = 1e308 the endpoints overflow; the dual-path check must not pass
+    # at t = 1e308 the endpoints overflow; the dual-path check must not pass,
+    # with phase constants or without
+    shifted = tmp_path / "scenario.json"
+    shifted.write_text(f'{{{_C2_1}, "p3": 1.0, "xi0": [0.5, 0, 0]}}')
     out = tmp_path / "existing.csv"
     out.write_text("keep me\n")
-    code, err = _run_in_process(capsys, "stem", "--scenario",
-                                str(SCENARIOS / "c2_1.json"), "--t=1e308",
-                                "--out", str(out))
-    assert code == 1
-    (line,) = err.splitlines()
-    assert line.startswith("error: closed-form and geometric endpoints disagree")
-    assert out.read_text() == "keep me\n"
-
-
-def test_stem_nonfinite_endpoints_with_phase_constants_exit_1(tmp_path, capsys):
-    # nonzero phase constants skip the closed-form check, not the finiteness one
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(f'{{{_C2_1}, "p3": 1.0, "xi0": [0.5, 0, 0]}}')
-    out = tmp_path / "existing.csv"
-    out.write_text("keep me\n")
-    code, err = _run_in_process(capsys, "stem", "--scenario", str(scenario),
-                                "--t=1e308", "--out", str(out))
-    assert code == 1
-    (line,) = err.splitlines()
-    assert line.startswith("error: stem endpoint") and "not finite" in line
-    assert out.read_text() == "keep me\n"
+    for scenario in (SCENARIOS / "c2_1.json", shifted):
+        code, err = _run_in_process(capsys, "stem", "--scenario", str(scenario),
+                                    "--t=1e308", "--out", str(out))
+        assert code == 1
+        (line,) = err.splitlines()
+        assert line.startswith("error: closed-form and geometric endpoints disagree")
+        assert out.read_text() == "keep me\n"
 
 
 def test_stem_extreme_draw_gets_a_closed_form_length(tmp_path, capsys):
@@ -756,6 +758,12 @@ def test_large_phase_constants_build_a_catalog(tmp_path, capsys, name, xi0):
         code, err = _run_in_process(capsys, command[0], "--scenario", str(path),
                                     *command[1:])
         assert code == 0, (command, err)
+    # the closed-form endpoints carry the shift, so the check and length run
+    from kpii_stem.cli import main
+    assert main(["stem", "--scenario", str(path), "--t=-20,20", "--format", "json"]) == 0
+    for row in json.loads(capsys.readouterr().out)["rows"]:
+        assert 0.0 <= row["endpoint_mismatch"] < 1e-9
+        assert math.isfinite(row["length_closed_form"])
 
 
 def test_stem_json_reports_endpoint_mismatch(tmp_path):
@@ -765,14 +773,18 @@ def test_stem_json_reports_endpoint_mismatch(tmp_path):
     for row in json.loads(res.stdout)["rows"]:
         assert list(row)[-1] == "endpoint_mismatch"
         assert 0.0 <= row["endpoint_mismatch"] < 1e-9
-    # with phase constants the closed forms do not apply: null
+    # with phase constants the closed-form endpoints shift, and the check runs
     doc = json.loads((SCENARIOS / "c3_1.json").read_text())
     doc["xi0"] = [0.3, 0.0, 0.0]
     path = tmp_path / "shifted.json"
     path.write_text(json.dumps(doc))
     res = run_cli("stem", "--scenario", str(path), "--t=-20,20", "--format", "json")
     assert res.returncode == 0
-    assert [row["endpoint_mismatch"] for row in json.loads(res.stdout)["rows"]] == [None, None]
+    rows = json.loads(res.stdout)["rows"]
+    assert len(rows) == 2
+    for row in rows:
+        assert 0.0 <= row["endpoint_mismatch"] < 1e-9
+        assert row["length_closed_form"] == pytest.approx(row["length"], rel=1e-9)
     # the CSV has no such column
     res = run_cli("stem", "--scenario", str(path), "--t=-20,20")
     assert b"endpoint_mismatch" not in res.stdout

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from kpii_stem import (
-    PARALLEL,
     Case,
     Region,
     arm_catalog,
@@ -14,8 +13,6 @@ from kpii_stem import (
     build_case,
     cross_section,
     find_arm,
-    intersect_lines,
-    junction_lines,
     make_generic,
     skeleton,
     stem_endpoints,
@@ -24,11 +21,12 @@ from kpii_stem import (
     trajectory_line,
     velocity_table,
 )
-from kpii_stem.errors import UnsupportedCaseError, UnsupportedFormulaError
+from kpii_stem.errors import UnsupportedCaseError
 from kpii_stem.geometry import normalize_line
 
 from conftest import build_scenario
 from test_catalog import RESONANT_CASES, draw_params
+from test_length_oracle import TOL, junction_distance, mp
 from kpii_stem import Branch, CaseSpec, build_solution
 
 EXPECTED_STEMS = {
@@ -270,24 +268,17 @@ def test_trajectory_line_basics(solutions):
     assert An > 0 or (An == 0 and Bn > 0)
 
 
-def test_intersect_lines_basics():
-    assert intersect_lines((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)) == (0.0, -0.0) \
-        or intersect_lines((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)) == (-0.0, 0.0) \
-        or intersect_lines((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)) == (0.0, 0.0)
-    assert intersect_lines((1.0, 2.0, 0.0), (2.0, 4.0, 1.0)) is PARALLEL
-
-
 def test_junction_matches_closed_form_coordinates(solutions):
-    # one written-out endpoint: meeting point of the first arm and the
-    # hatted 2+3 arm of the strong reference set at t = -2
+    # one written-out endpoint: the past stem 1+2+3^ of the strong reference
+    # set ends where the first arm meets the hatted 2+3 arm; at t = -2
     sol = solutions["c2_1"]
     k1, k2, k3 = sol.params.k
     p3 = sol.params.p[2]
     L = math.log(sol.a12)
     t = -2.0
-    arm1 = find_arm(sol, "1", hat=False)
-    arm23 = find_arm(sol, "2+3", hat=True)
-    pt = intersect_lines(trajectory_line(arm1, t), trajectory_line(arm23, t))
+    A, B, C = trajectory_line(find_arm(sol, "1", hat=False), t)
+    rep = stem_endpoints(sol, t)
+    pt = min((rep.endpoint_a, rep.endpoint_b), key=lambda p: abs(A * p[0] + B * p[1] + C))
     want_x = ((k3**2 + 4 * k1 * k2 + 4 * k2 * k3 - 2 * p3
                + (4 * k2 * p3 - 4 * p3 * k1) / k3 - 3 * p3**2 / k3**2) * t
               - (k1 * k3 + k3**2 + p3) * L
@@ -335,11 +326,8 @@ def test_stem_side_names_stem_and_junctions(solutions):
         diff = [a - b for a, b in zip(*shared)]
         label = tuple(j * d for j, d in zip((1, 2, 3), diff) if d != 0)
         assert label in (stem.label, tuple(-v for v in stem.label))
-        # each junction's three pair lines meet in the reported endpoint
-        rep = stem_endpoints(sol, t)
-        for j, (x, y) in zip(junctions, (rep.endpoint_a, rep.endpoint_b)):
-            for A, B, C in junction_lines(sol, j, t):
-                assert abs(A * x + B * y + C) < 1e-9 * max(1.0, math.hypot(x, y))
+        # each junction's three terms tie at the reported endpoint
+        assert junction_distance(sol, t) <= TOL
 
 
 def test_midpoint_validity_tracks_exponent_rounding(solutions):
@@ -354,9 +342,38 @@ def test_midpoint_validity_tracks_exponent_rounding(solutions):
 
 def test_endpoint_mismatch_is_reported(solutions):
     rep = stem_endpoints(solutions["c2_1"], -5.0)
-    assert rep.endpoint_mismatch is not None and 0.0 <= rep.endpoint_mismatch < 1e-9
+    assert 0.0 <= rep.endpoint_mismatch < 1e-9
+    # phase constants shift the closed-form endpoints; the check still runs
     shifted = build_case(Case.C3_1, (2.0, 4.0 / 3.0, 1.0), 0.0, xi0=(0.3, 0.0, 0.0))
-    assert stem_endpoints(shifted, 5.0).endpoint_mismatch is None
+    for t in (-5.0, 5.0):
+        assert 0.0 <= stem_endpoints(shifted, t).endpoint_mismatch < 1e-9
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_STEMS))
+def test_phase_constants_are_a_space_time_translation(name, solutions):
+    """With M the matrix of rows (k_j, p_j, omega_j), phase constants
+    xi0 = M (x0, y0, t0) give the xi0 = 0 solution at (x + x0, y + y0,
+    t + t0): the stem endpoints at t are those at t + t0 moved by -(x0, y0),
+    the closed-form length at t is the one at t + t0, and the dual-path
+    check runs on every row."""
+    base = solutions[name]
+    params, spec = base.params, base.spec
+    M = mp.matrix([[k, p, w] for k, p, w in zip(params.k, params.p, params.omegas)])
+    rng = np.random.default_rng([6301, sorted(EXPECTED_STEMS).index(name)])
+    for _ in range(8):
+        xi0 = tuple(rng.uniform(-1.0, 1.0, 3).tolist())
+        x0, y0, t0 = (float(v) for v in mp.lu_solve(M, mp.matrix(xi0)))
+        sol = build_case(spec.case, params.k, params.p[2], branch=spec.branch, xi0=xi0)
+        for t in (-40.0, -20.0, 20.0, 40.0):
+            assert (t > 0) == (t + t0 > 0)
+            rep, ref = stem_endpoints(sol, t), stem_endpoints(base, t + t0)
+            assert 0.0 <= rep.endpoint_mismatch < 1e-9
+            for (x, y), (xr, yr) in ((rep.endpoint_a, ref.endpoint_a),
+                                     (rep.endpoint_b, ref.endpoint_b)):
+                scale = max(1.0, math.hypot(xr, yr))
+                assert math.hypot(x - (xr - x0), y - (yr - y0)) <= 1e-12 * scale, (xi0, t)
+            assert stem_length_formula(sol, t) == pytest.approx(
+                stem_length_formula(base, t + t0), rel=1e-12, abs=1e-12), (xi0, t)
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_STEMS))
@@ -390,14 +407,8 @@ def test_length_formula_examples(solutions):
 
 def test_length_formula_absent_for_generic():
     gen = make_generic((1.0, 2.0, 3.0), (0.2, -0.3, 0.1))
-    with pytest.raises((UnsupportedFormulaError, UnsupportedCaseError)):
+    with pytest.raises(UnsupportedCaseError):
         stem_length_formula(gen, 1.0)
-
-
-def test_length_formula_rejects_phase_constants():
-    sol = build_case(Case.C3_1, (2.0, 4.0 / 3.0, 1.0), 0.0, xi0=(0.3, 0.0, 0.0))
-    with pytest.raises(UnsupportedFormulaError):
-        stem_length_formula(sol, 5.0)
 
 
 # --- midpoint amplitude evolution: frozen closed-form oracles ---------------
@@ -662,19 +673,13 @@ def test_velocity_normal_speed_identity(solutions):
 
 # --- structural invariants ---------------------------------------------------
 
-def _normalized_row(line):
-    A, B, C = line
-    nrm = math.sqrt(A * A + B * B + C * C)
-    return (A / nrm, B / nrm, C / nrm)
-
-
 @pytest.mark.parametrize("name", sorted(EXPECTED_STEMS))
 def test_triple_concurrency(name, solutions):
+    """The three trajectory lines of each end junction meet in the endpoint:
+    it is where the junction's three terms tie."""
     sol = solutions[name]
     for t in (-40.0, -20.0, -5.0, -3.0, 3.0, 5.0, 20.0, 40.0):
-        for junction in stem_side(sol, t)[1]:
-            M = np.array([_normalized_row(l) for l in junction_lines(sol, junction, t)])
-            assert abs(np.linalg.det(M)) < 1e-9
+        assert junction_distance(sol, t) <= TOL, t
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_STEMS))

@@ -4,9 +4,10 @@ The oracle takes the scenario's float k and p3 as exact, resolves p1 and p2
 from the case's constraint pair in 50-digit arithmetic, checks that the
 pairs the case makes resonant have a vanishing factor of a_ij there, forms
 a12 from its definition at those p, and solves psi_m = psi_n = psi_r for
-each end junction the catalog names.  The stem length is the distance
-between the two junction points.  Both the geometric length of
-stem_endpoints and stem_length_formula are compared with it.
+each end junction the catalog names (oracle_terms and junction_point, which
+the endpoint tests share).  The stem length is the distance between the two
+junction points.  Both the geometric length of stem_endpoints and
+stem_length_formula are compared with it.
 """
 
 import math
@@ -39,8 +40,8 @@ def _aij_factors(ki, pi, kj, pj):
     return (m * (ki - kj))**2 - c**2, (m * (ki + kj))**2 - c**2
 
 
-def _oracle(sol):
-    """t -> the stem length of sol at t, and its endpoint scale, to 50 digits."""
+def oracle_terms(sol):
+    """eps -> (K, P, W, ln c + eps . xi0) of each template term, to 50 digits."""
     k = [mp.mpf(v) for v in sol.params.k]
     p3 = mp.mpf(sol.params.p[2])
     constraint = catalog.CONSTRAINTS[sol.spec.case]
@@ -57,21 +58,45 @@ def _oracle(sol):
     num, den = _aij_factors(k[0], p[0], k[1], p[1])
     log_c = {catalog.A12: mp.log(num / den), 1: mp.mpf(0)}
     omegas = [-(kj**4 + 3 * pj**2) / kj for kj, pj in zip(k, p)]
+    xi0 = [mp.mpf(v) for v in sol.params.xi0]
 
     def psi(eps, coeff):
         return (sum(e * v for e, v in zip(eps, k)), sum(e * v for e, v in zip(eps, p)),
-                sum(e * v for e, v in zip(eps, omegas)), log_c[coeff])
+                sum(e * v for e, v in zip(eps, omegas)),
+                log_c[coeff] + sum(e * v for e, v in zip(eps, xi0)))
 
-    terms = {eps: psi(eps, coeff) for eps, coeff in catalog.TEMPLATES[sol.spec.case]}
+    return {eps: psi(eps, coeff) for eps, coeff in catalog.TEMPLATES[sol.spec.case]}
 
-    def point(junction, t):
-        (Ka, Pa, Wa, la), (Kb, Pb, Wb, lb), (Kc, Pc, Wc, lc) = (terms[e] for e in junction)
-        M = mp.matrix([[Ka - Kb, Pa - Pb], [Ka - Kc, Pa - Pc]])
-        rhs = mp.matrix([-((Wa - Wb) * t + la - lb), -((Wa - Wc) * t + la - lc)])
-        return mp.lu_solve(M, rhs)
+
+def junction_point(terms, junction, t):
+    """The point where psi_m = psi_n = psi_r for the junction's three terms
+    at t, to 50 digits."""
+    (Ka, Pa, Wa, la), (Kb, Pb, Wb, lb), (Kc, Pc, Wc, lc) = (terms[e] for e in junction)
+    t = mp.mpf(t)
+    M = mp.matrix([[Ka - Kb, Pa - Pb], [Ka - Kc, Pa - Pc]])
+    rhs = mp.matrix([-((Wa - Wb) * t + la - lb), -((Wa - Wc) * t + la - lc)])
+    return mp.lu_solve(M, rhs)
+
+
+def junction_distance(sol, t):
+    """The larger distance of the two stem endpoints at t from the points
+    where their junctions' three terms tie, to 50 digits, relative to the
+    larger of 1 and the endpoint's distance from the origin."""
+    terms = oracle_terms(sol)
+    rep = stem_endpoints(sol, t)
+    worst = 0.0
+    for junction, (x, y) in zip(stem_side(sol, t)[1], (rep.endpoint_a, rep.endpoint_b)):
+        px, py = junction_point(terms, junction, t)
+        worst = max(worst, float(mp.hypot(px - x, py - y)) / max(1.0, math.hypot(x, y)))
+    return worst
+
+
+def _oracle(sol):
+    """t -> the stem length of sol at t, and its endpoint scale, to 50 digits."""
+    terms = oracle_terms(sol)
 
     def length(t):
-        a, b = (point(j, mp.mpf(t)) for j in stem_side(sol, t)[1])
+        a, b = (junction_point(terms, j, t) for j in stem_side(sol, t)[1])
         return (mp.hypot(a[0] - b[0], a[1] - b[1]),
                 max(mp.hypot(a[0], a[1]), mp.hypot(b[0], b[1])))
     return length

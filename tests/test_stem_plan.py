@@ -12,13 +12,12 @@ import numpy as np
 import pytest
 
 from kpii_stem import (Branch, Case, CaseSpec, StemReport, arm_catalog, build_case,
-                       build_solution, cross_section, geometry, intersect_lines,
-                       junction_lines, stem_endpoints, stem_length_formula,
-                       stem_reports, stem_side, u_on_grid, _closed_forms)
+                       build_solution, cross_section, geometry, stem_endpoints,
+                       stem_length_formula, stem_reports, stem_side, u_on_grid, _closed_forms)
 from kpii_stem.cli import load_scenario, main
 from kpii_stem.geometry import normalize_line
 from kpii_stem.errors import (DegenerateLineError, DomainError, InternalConsistencyError,
-                              KPStemError, UnsupportedCaseError, UnsupportedFormulaError)
+                              KPStemError, UnsupportedCaseError)
 
 from conftest import SCENARIOS, build_scenario
 from test_catalog import RESONANT_CASES, draw_params
@@ -29,32 +28,47 @@ SCENARIO_NAMES = sorted(p.stem for p in SCENARIOS.glob("*.json"))
 
 # --- the per-call computation the plan replaced, kept as the reference ------
 
+def _junction_reference(sol, junction, t):
+    """The best-conditioned two of the junction's three pair lines at t, as
+    normalize_line writes them and in the order the plan reads them, and
+    where the two meet with their phase-constant offsets alone."""
+    coeff = dict(sol.template)
+    lines = []
+    for a, b in combinations(frozenset(junction), 2):
+        d, offset = [x - y for x, y in zip(a, b)], math.log(coeff[a] / coeff[b])
+        if (d[0] or d[1] or d[2]) < 0:     # the first nonzero entry leads
+            d, offset = [-v for v in d], -offset
+        K, P, W, s0 = sol.exponent_of(tuple(d))
+        lines.append((normalize_line((K, P, W * t + s0 + offset)), normalize_line((K, P, s0))))
+    ((A1, B1, C1), (_, _, X1)), ((A2, B2, C2), (_, _, X2)) = max(
+        combinations(lines, 2),
+        key=lambda p: abs(p[0][0][0] * p[1][0][1] - p[1][0][0] * p[0][0][1]))
+    det = A1 * B2 - A2 * B1
+    if abs(det) <= 1e-12 * max(math.hypot(A1, B1) * math.hypot(A2, B2), 1e-300):
+        raise DegenerateLineError(f"junction lines are parallel: {junction}")
+    return (((-C1 * B2 + C2 * B1) / det, (-A1 * C2 + A2 * C1) / det),
+            ((-X1 * B2 + X2 * B1) / det, (-A1 * X2 + A2 * X1) / det))
+
+
 def _stem_endpoints_reference(sol, t, t_min=3.0):
-    """stem_endpoints as it was before the plan: every t-independent part
-    (line normals, the best pair, the closed-form coefficients, ln a12
-    products) rebuilt on each call, u evaluated at one scalar point."""
+    """stem_endpoints without the plan: every t-independent part (line
+    normals, the best pair, the closed-form coefficients, ln a12 products,
+    the phase-constant shift) rebuilt on each call, u evaluated at one
+    scalar point."""
     if sol.spec.case is Case.GENERIC:
         raise UnsupportedCaseError("stem endpoints require a resonant case")
     cat = arm_catalog(sol)
     junctions = cat.past_junctions if t <= 0 else cat.future_junctions
-    args = _closed_form_args_reference(sol)
-    pts, mismatch = [], None
-    for junction in junctions:
-        pair = max(combinations(junction_lines(sol, junction, t), 2),
-                   key=lambda p: abs(p[0][0] * p[1][1] - p[1][0] * p[0][1]))
-        geo = intersect_lines(*pair)
-        if geo is geometry.PARALLEL:
-            raise DegenerateLineError(f"junction lines are parallel: {junction}")
-        if args is not None:
-            closed = _closed_endpoint_reference(sol, junction, t, args)
-            err = math.hypot(geo[0] - closed[0], geo[1] - closed[1])
-            scale = max(1.0, math.hypot(*geo), math.hypot(*closed))
-            if not (all(map(math.isfinite, geo + closed)) and err <= 1e-9 * scale):
-                raise InternalConsistencyError(
-                    f"closed-form and geometric endpoints disagree: {geo} vs {closed}")
-            mismatch = max(mismatch or 0.0, err / scale)
-        elif not all(map(math.isfinite, geo)):
-            raise DomainError(f"stem endpoint {geo} is not finite at t = {t}")
+    ends = [_junction_reference(sol, junction, t) for junction in junctions]
+    pts, mismatch = [], 0.0
+    for junction, (geo, shift) in zip(junctions, ends):
+        closed = _closed_endpoint_reference(sol, junction, t, shift)
+        err = math.hypot(geo[0] - closed[0], geo[1] - closed[1])
+        scale = max(1.0, math.hypot(*geo), math.hypot(*closed))
+        if not (all(map(math.isfinite, geo + closed)) and err <= 1e-9 * scale):
+            raise InternalConsistencyError(
+                f"closed-form and geometric endpoints disagree: {geo} vs {closed}")
+        mismatch = max(mismatch, err / scale)
         pts.append(geo)
     (xa, ya), (xb, yb) = pts
     mid = ((xa + xb) / 2.0, (ya + yb) / 2.0)
@@ -68,10 +82,15 @@ def _stem_endpoints_reference(sol, t, t_min=3.0):
                       endpoint_mismatch=mismatch)
 
 
-def _closed_endpoint_reference(sol, junction, t, args):
-    xt, xL, yt, yL = (f(*args) for f in _closed_forms.VERTEX[sol.spec.case.value][junction])
-    x, y = xt * t + xL * sol.log_a12, yt * t + yL * sol.log_a12
-    return (x, -y) if sol.spec.branch is Branch.SECOND else (x, y)
+def _closed_endpoint_reference(sol, junction, t, shift):
+    """The VERTEX endpoint, y negated on the second branch, moved by shift."""
+    k1, k2, k3 = sol.params.k
+    p3 = sol.params.p[2]
+    mirror = -1.0 if sol.spec.branch is Branch.SECOND else 1.0
+    xt, xL, yt, yL = (f(k1, k2, k3, mirror * p3)
+                      for f in _closed_forms.VERTEX[sol.spec.case.value][junction])
+    return (xt * t + (xL * sol.log_a12 + shift[0]),
+            mirror * yt * t + (mirror * (yL * sol.log_a12) + shift[1]))
 
 
 def _stem_length_reference(sol, t):
@@ -79,20 +98,10 @@ def _stem_length_reference(sol, t):
     if sol.spec.case is Case.GENERIC:
         raise UnsupportedCaseError("stem length requires a resonant case")
     cat = arm_catalog(sol)
-    args = _closed_form_args_reference(sol)
-    if args is None:
-        raise UnsupportedFormulaError("closed forms assume zero phase constants")
-    (xa, ya), (xb, yb) = (_closed_endpoint_reference(sol, junction, t, args) for junction in
-                          (cat.past_junctions if t <= 0 else cat.future_junctions))
+    junctions = cat.past_junctions if t <= 0 else cat.future_junctions
+    (xa, ya), (xb, yb) = (_closed_endpoint_reference(sol, j, t, _junction_reference(sol, j, t)[1])
+                          for j in junctions)
     return math.hypot(xa - xb, ya - yb)
-
-
-def _closed_form_args_reference(sol):
-    if any(abs(v) > 0 for v in sol.params.xi0):
-        return None
-    k1, k2, k3 = sol.params.k
-    p3 = sol.params.p[2]
-    return k1, k2, k3, -p3 if sol.spec.branch is Branch.SECOND else p3
 
 
 def _bits(value):
@@ -123,7 +132,7 @@ def _solutions():
                 spec = CaseSpec(case, branch)
                 sols[f"{case}_{branch.value}_{i}"] = build_solution(draw_params(rng, case, branch),
                                                                    spec)
-    # phase constants switch the closed forms off
+    # phase constants shift the closed-form endpoints
     for case in ("c3_1", "m2"):
         params = sols[case].params
         sols[f"{case}_xi0"] = build_case(case, params.k, params.p[2], xi0=(0.3, -0.7, 1.1))
@@ -144,8 +153,6 @@ def test_stem_reports_keep_the_bits_of_the_per_call_computation(plan_solutions):
             assert _outcome(_stem_length_reference, sol, t) == \
                 _outcome(stem_length_formula, sol, t), (name, t)
             compared["error" if isinstance(want, tuple) else "report"] += 1
-            if name.endswith("_xi0") and isinstance(want, dict):
-                assert want["endpoint_mismatch"] is None
         # a vector of times is the list of one-time reports
         try:
             vector = _bits(stem_reports(sol, TIMES))
@@ -166,13 +173,9 @@ def _stem_cli_reference(name, ts, fmt):
     rows, mismatches = [], []
     for t in ts:
         rep = _stem_endpoints_reference(sol, t, t_min=sc.t_min)
-        try:
-            closed = _stem_length_reference(sol, t)
-        except KPStemError:
-            closed = None
         rows.append({"t": t, "ax": rep.endpoint_a[0], "ay": rep.endpoint_a[1],
                      "bx": rep.endpoint_b[0], "by": rep.endpoint_b[1],
-                     "length": rep.length, "length_closed_form": closed,
+                     "length": rep.length, "length_closed_form": _stem_length_reference(sol, t),
                      "midpoint_x": rep.midpoint[0], "midpoint_y": rep.midpoint[1],
                      "midpoint_amplitude": rep.midpoint_amplitude, "valid": rep.valid})
         mismatches.append(rep.endpoint_mismatch)
@@ -181,8 +184,7 @@ def _stem_cli_reference(name, ts, fmt):
     if fmt == "csv":
         return "".join([f"# kpii-stem v{__version__} case={sc.case}\n",
                         ",".join(rows[0]) + "\n"]
-                       + [",".join("" if v is None else repr(v) for v in row.values()) + "\n"
-                          for row in rows])
+                       + [",".join(map(repr, row.values())) + "\n" for row in rows])
     rows = [dict(row, endpoint_mismatch=m) for row, m in zip(rows, mismatches)]
     return json.dumps({"version": __version__, "scenario": _scenario_echo(sc),
                        "rows": rows}, indent=2) + "\n"
@@ -214,13 +216,13 @@ def _count_calls(monkeypatch, names):
 
 @pytest.mark.parametrize("name", ["c2_1", "m2", "c3_2"])
 def test_stem_plan_is_built_once_per_side(monkeypatch, name):
-    counts = _count_calls(monkeypatch, ("_plan_end", "_closed_form", "junction_lines",
-                                        "_junction_arms", "arm_catalog"))
+    counts = _count_calls(monkeypatch, ("_plan_end", "_closed_form", "_junction_arms",
+                                        "arm_catalog"))
     sol = build_scenario(name)
     for t in (-20.0, 20.0):
         stem_endpoints(sol, t)
         stem_length_formula(sol, t)
-    assert counts["_plan_end"] == 4 and counts["junction_lines"] == 0
+    assert counts["_plan_end"] == 4
     counts.clear()
     for t in TIMES:
         stem_endpoints(sol, t)

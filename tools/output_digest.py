@@ -13,8 +13,10 @@ where the output is stdout, or for ``sample``, which needs ``--out``, the file
 it wrote.  ``section-arm`` cuts along the first arm that scenario's ``build``
 output lists, so its ``u_arm`` column is covered too; ``section-badlabel``
 cuts along the malformed label ``1+``, which names no arm, so its line records
-the exit code and the stderr bytes of the refusal.  ``verify-residual`` runs
-the residual suite alone, so its bytes are compared apart from the other
+the exit code and the stderr bytes of the refusal.  ``stem-xi0`` runs on a
+temporary copy of the scenario with the phase constants STEM_XI0, so the
+closed-form endpoints' phase-constant shift is covered.  ``verify-residual``
+runs the residual suite alone, so its bytes are compared apart from the other
 suites'.
 
 Two checkouts whose listings are equal wrote the same bytes for every
@@ -37,6 +39,7 @@ from pathlib import Path
 
 STEM_TIMES = "--t=-20,-5,-1,1,5,20"
 SAMPLE_GRID = "--grid=-20,20,41,-15,15,31"
+STEM_XI0 = [0.3, -0.7, 0.45]
 
 # (label, arguments after --scenario)
 COMMANDS = [
@@ -45,6 +48,7 @@ COMMANDS = [
     ("stem-csv-times", ["stem", STEM_TIMES]),
     ("stem-json-one-t", ["stem", "--t=5", "--format", "json"]),
     ("stem-json-times", ["stem", STEM_TIMES, "--format", "json"]),
+    ("stem-xi0", ["stem", "--t=-20,-5,5,20", "--format", "json"]),
     ("section-perp", ["section", "--t=10", "--line", "perp"]),
     ("section-arm", ["section", "--t=10", "--line={arm}"]),
     ("section-badlabel", ["section", "--t=10", "--line=1+"]),
@@ -74,7 +78,12 @@ def main() -> int:
             for path in scenarios:
                 out.unlink(missing_ok=True)
                 arm = json.loads(builds[path])["arms"][0]["label"] if label == "section-arm" else ""
-                cmd = [sys.executable, "-m", "kpii_stem.cli", argv[0], "--scenario", str(path),
+                scenario = path
+                if label == "stem-xi0":
+                    scenario = Path(tmp) / path.name
+                    scenario.write_text(json.dumps(dict(json.loads(path.read_text()),
+                                                        xi0=STEM_XI0)))
+                cmd = [sys.executable, "-m", "kpii_stem.cli", argv[0], "--scenario", str(scenario),
                        *(str(out) if a == "{out}" else a.replace("{arm}", arm) for a in argv[1:])]
                 res = subprocess.run(cmd, capture_output=True, env=env, cwd=root, check=False)
                 if label == "build":
