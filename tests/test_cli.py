@@ -647,19 +647,30 @@ def test_unsizable_or_empty_inputs_exit_2(tmp_path, capsys, command):
 
 
 def test_stem_nonfinite_endpoints_exit_1(tmp_path, capsys):
-    # at t = 1e308 the endpoints overflow; the dual-path check must not pass,
-    # with phase constants or without
-    shifted = tmp_path / "scenario.json"
-    shifted.write_text(f'{{{_C2_1}, "p3": 1.0, "xi0": [0.5, 0, 0]}}')
+    # at t = 1e308 the endpoints overflow; the dual-path check must not pass
     out = tmp_path / "existing.csv"
     out.write_text("keep me\n")
-    for scenario in (SCENARIOS / "c2_1.json", shifted):
-        code, err = _run_in_process(capsys, "stem", "--scenario", str(scenario),
-                                    "--t=1e308", "--out", str(out))
-        assert code == 1
-        (line,) = err.splitlines()
-        assert line.startswith("error: closed-form and geometric endpoints disagree")
-        assert out.read_text() == "keep me\n"
+    code, err = _run_in_process(capsys, "stem", "--scenario",
+                                str(SCENARIOS / "c2_1.json"), "--t=1e308",
+                                "--out", str(out))
+    assert code == 1
+    (line,) = err.splitlines()
+    assert line.startswith("error: closed-form and geometric endpoints disagree")
+    assert out.read_text() == "keep me\n"
+
+
+def test_stem_nonfinite_endpoints_with_phase_constants_exit_1(tmp_path, capsys):
+    # nonzero phase constants run the same closed-form check, which must not pass
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(f'{{{_C2_1}, "p3": 1.0, "xi0": [0.5, 0, 0]}}')
+    out = tmp_path / "existing.csv"
+    out.write_text("keep me\n")
+    code, err = _run_in_process(capsys, "stem", "--scenario", str(scenario),
+                                "--t=1e308", "--out", str(out))
+    assert code == 1
+    (line,) = err.splitlines()
+    assert line.startswith("error: closed-form and geometric endpoints disagree")
+    assert out.read_text() == "keep me\n"
 
 
 def test_stem_extreme_draw_gets_a_closed_form_length(tmp_path, capsys):
