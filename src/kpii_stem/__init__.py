@@ -38,7 +38,6 @@ from .geometry import (
     stem_length_formula,
     stem_reports,
     stem_side,
-    term_planes,
     trajectory_line,
     velocity_table,
 )

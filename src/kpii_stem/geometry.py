@@ -143,7 +143,11 @@ class StemReport:
 @dataclass(frozen=True)
 class Edge:
     """Realized skeleton edge: terms m, n tie on base + s * direction for lo < s
-    < hi, cut off by terms lo_bind / hi_bind; arm is the edge's ridge species."""
+    < hi, cut off by terms lo_bind / hi_bind; arm is the edge's ridge species.
+
+    gaps holds (c, alpha, beta, flat) for each other positive term c, in term
+    order: psi_m - psi_c is alpha + beta s along the edge, and flat marks a
+    beta too small to bound s.  verify.section_anchor reads them."""
 
     m: int
     n: int
@@ -154,6 +158,7 @@ class Edge:
     base: tuple[float, float]
     direction: tuple[float, float]
     arm: ArmDescriptor
+    gaps: tuple[tuple[int, float, float, bool], ...]
 
     @property
     def bounded(self):
@@ -207,28 +212,23 @@ def _arm(sol: ResonantSolution, rec: _Record, m: int, n: int) -> ArmDescriptor:
     return arm
 
 
-def _term_planes(rec: _Record, t: float) -> list[tuple[int, float, float, float]]:
-    if math.isinf(t):
-        sign = math.copysign(1.0, t)
-        return [(idx, K, P, sign * W) for idx, K, P, W, _, _ in rec.planes]
-    return [(idx, K, P, W * t + s0 + lnc) for idx, K, P, W, s0, lnc in rec.planes]
-
-
-def term_planes(sol: ResonantSolution, t: float) -> list[tuple[int, float, float, float]]:
-    """(index, K, P, W t + s0 + ln c) of psi_m = K x + P y + W t + s0 + ln c
-    for each term with positive coefficient.  At t = -inf or +inf the constant
-    is W sign(t): the limit of psi_m / |t| in the coordinates x/|t|, y/|t|."""
-    return _term_planes(_record(sol), t)
-
-
 def skeleton(sol: ResonantSolution, t: float) -> list[Edge]:
     """Realized dominance-boundary edges of the tau function at time t.
 
-    t = -inf or +inf gives the limit skeleton (see term_planes): ln c_m and
-    xi0 drop out, and every edge that does not grow with |t| shrinks to a point.
+    Each term with positive coefficient has the plane psi_m = K x + P y +
+    (W t + s0 + ln c).  t = -inf or +inf gives the limit skeleton, the limit
+    of psi_m / |t| in the coordinates x/|t|, y/|t|: the constant is W sign(t),
+    ln c_m and xi0 drop out, and every edge that does not grow with |t|
+    shrinks to a point.  A NaN t raises DomainError.
     """
+    if math.isnan(t):
+        raise DomainError(f"the skeleton needs a time that is not NaN, got t = {t}")
     rec = _record(sol)
-    planes = _term_planes(rec, t)
+    if math.isinf(t):
+        sign = math.copysign(1.0, t)
+        planes = [(idx, K, P, sign * W) for idx, K, P, W, _, _ in rec.planes]
+    else:
+        planes = [(idx, K, P, W * t + s0 + lnc) for idx, K, P, W, s0, lnc in rec.planes]
     edges = []
     for a, (ia, Ka, Pa, ca) in enumerate(planes[:-1]):
         # (K_a - K_c, P_a - P_c, c_a - c_c) and the tolerance of a cut parallel
@@ -243,12 +243,15 @@ def skeleton(sol: ResonantSolution, t: float) -> list[Edge]:
             d0, d1 = -dP / nrm, dK / nrm
             lo, hi = -math.inf, math.inf
             lo_bind = hi_bind = None
+            gaps = []
             for ic, dKc, dPc, dcc, tol in cuts:
                 if ic == ia or ic == ib:
                     continue
                 alpha = dKc * b0 + dPc * b1 + dcc
                 beta = dKc * d0 + dPc * d1
-                if abs(beta) < tol:
+                flat = abs(beta) < tol
+                gaps.append((ic, alpha, beta, flat))
+                if flat:
                     if alpha < 0:
                         break           # term c wins along the whole line
                     continue
@@ -262,7 +265,7 @@ def skeleton(sol: ResonantSolution, t: float) -> list[Edge]:
                 if not (math.isfinite(lo) and math.isfinite(hi)
                         and lo >= hi - 1e-9 * (1 + abs(lo) + abs(hi))):
                     edges.append(Edge(ia, ib, lo, hi, lo_bind, hi_bind, (b0, b1), (d0, d1),
-                                      _arm(sol, rec, ia, ib)))
+                                      _arm(sol, rec, ia, ib), tuple(gaps)))
     return edges
 
 
@@ -299,27 +302,20 @@ def _stem_edge(edges) -> Edge | None:
 
 
 def _wings(edges, stem: Edge):
-    """The arm edges at each stem junction, with outward directions."""
+    """The arm edges at each stem junction, with outward directions: at the
+    junction (m, n, b) a wing of two of its terms leaves from the end that
+    the third term binds."""
     out = []
-    for bind, s_end in ((stem.lo_bind, stem.lo), (stem.hi_bind, stem.hi)):
+    for bind in (stem.lo_bind, stem.hi_bind):
         junction = (stem.m, stem.n, bind)
-        vertex = stem.point(s_end)
         side = []
         for e in edges:
             if e.m in junction and e.n in junction and e is not stem:
-                # outward = away from the stem junction along the wing
-                d = e.direction if _end_distance(e, e.lo, vertex) <= _end_distance(
-                    e, e.hi, vertex) else (-e.direction[0], -e.direction[1])
+                (third,) = set(junction) - {e.m, e.n}
+                d = e.direction if e.lo_bind == third else (-e.direction[0], -e.direction[1])
                 side.append((e, d))
         out.append(side)
     return out
-
-
-def _end_distance(edge: Edge, s: float, vertex) -> float:
-    if not math.isfinite(s):
-        return math.inf
-    x, y = edge.point(s)
-    return math.hypot(x - vertex[0], y - vertex[1])
 
 
 def _catalog_side(sol: ResonantSolution, t: float, regime: str | None = None):

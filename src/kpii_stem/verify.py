@@ -28,7 +28,7 @@ from .errors import (AnchorNotFoundError, DomainError, InadmissibleFamilyError,
                      InadmissibleParameterError, InternalConsistencyError,
                      RidgeNotFoundError, UnsupportedCaseError)
 from .geometry import (ArmDescriptor, arm_catalog, arm_profile, normalize_line, skeleton,
-                       term_planes, trajectory_line)
+                       trajectory_line)
 # perfbench/spans.py wraps the kernel at this binding, by this name
 from .tau import BLOCK_POINTS, u_on_grid, u_partials as _u_partials
 
@@ -217,8 +217,9 @@ def section_anchor(sol: ResonantSolution, arm: ArmDescriptor,
     gap_c >= ln(2 n_o Delta_c^2 / _LEAKAGE) and >= 0, so no skeleton vertex
     lies in it.  The gap is affine along the edge and convex across it with
     its kink on the edge, so each term bounds the edge parameter from one
-    side.  A ray takes the clean point nearest its junction, a bounded edge
-    the middle of its clean interval.  The section's points are good to
+    side; the gap along the edge is the skeleton's (Edge.gaps).  A ray takes
+    the clean point nearest its junction, a bounded edge the middle of its
+    clean interval.  The section's points are good to
     2**-53 of their size, which moves the arm's phase v = A x + B y + C by
     up to (|A| + |B|) times that, and its profile a sech^2(v/2) by at most
     2 a / (3 sqrt 3) per unit of v (the tau exponents round alike); an
@@ -230,23 +231,22 @@ def section_anchor(sol: ResonantSolution, arm: ArmDescriptor,
         raise AnchorNotFoundError(
             f"arm {arm.label_str()} is not realized at t = {t}")
     h = _HALF_WIDTH
-    others = {idx: (K, P, c) for idx, K, P, c in term_planes(sol, t)}
-    (Km, Pm, cm), (Kn, Pn, _) = others.pop(edge.m), others.pop(edge.n)
-    (bx, by), (dx, dy) = edge.base, edge.direction
+    _, Ks, Ps, *_ = sol.tau.values
+    Km, Pm, Kn, Pn = Ks[edge.m], Ps[edge.m], Ks[edge.n], Ps[edge.n]
+    dx, dy = edge.direction
     # the terms that end the edge also keep the square off its ends
     lo, hi = -math.inf, math.inf
-    for Kc, Pc, cc in others.values():
-        leak = 2.0 * len(others) * max(abs(Kc - Km), abs(Kc - Kn)) ** 2
+    for c, alpha, beta, flat in edge.gaps:
+        Kc, Pc = Ks[c], Ps[c]
+        leak = 2.0 * len(edge.gaps) * max(abs(Kc - Km), abs(Kc - Kn)) ** 2
         need = math.log(max(leak / _LEAKAGE, 1.0))
         # at offsets a along and b across the edge (unit normal (dy, -dx))
         # the gap is alpha + beta (s + a) + max(g_m b, g_n b), with g_m, g_n
         # the normal slopes of psi_m - psi_c and psi_n - psi_c; it is least
         # at a = -h sign(beta) and b in {-h, 0, h}
-        alpha = (Km - Kc) * bx + (Pm - Pc) * by + (cm - cc)
-        beta = (Km - Kc) * dx + (Pm - Pc) * dy
         across = min(0.0, (Km - Kc) * dy - (Pm - Pc) * dx, (Pn - Pc) * dx - (Kn - Kc) * dy)
         slack = alpha + h * (across - abs(beta)) - need    # least gap - need at s = 0
-        if abs(beta) < 1e-13 * (1 + abs(Km - Kc) + abs(Pm - Pc)):
+        if flat:
             if slack < 0:
                 lo, hi = math.inf, -math.inf
         elif beta > 0:

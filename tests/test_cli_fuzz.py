@@ -116,14 +116,31 @@ def test_fuzzed_argv_exits_with_documented_code(command, out_dir):
 magnitudes = st.one_of(st.floats(-3.0, 3.0),
                        st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 300.0))
                        .map(lambda se: se[0] * 10.0**se[1]))
-triples = st.lists(magnitudes, min_size=3, max_size=3)
-scenarios = st.fixed_dictionaries({
-    "case": st.sampled_from(["generic", "c2_1", "c2_2", "c2_3", "c2_4", "w2", "m2",
-                             "c3_1", "c3_2"]),
-    "branch": st.sampled_from(["first", "second"]),
-    "k": triples, "p3": magnitudes, "p": triples,
-    "xi0": st.one_of(st.just([0.0, 0.0, 0.0]), triples),
-})
+
+
+def _scenarios(numbers):
+    triples = st.lists(numbers, min_size=3, max_size=3)
+    return st.fixed_dictionaries({
+        "case": st.sampled_from(["generic", "c2_1", "c2_2", "c2_3", "c2_4", "w2", "m2",
+                                 "c3_1", "c3_2"]),
+        "branch": st.sampled_from(["first", "second"]),
+        "k": triples, "p3": numbers, "p": triples,
+        "xi0": st.one_of(st.just([0.0, 0.0, 0.0]), triples),
+    })
+
+
+def _scaled(scenario, s):
+    """The scenario at KPII's scale s: k times s, p3 and p times s**2."""
+    return dict(scenario, k=[k * s for k in scenario["k"]], p3=scenario["p3"] * s * s,
+                p=[p * s * s for p in scenario["p"]])
+
+
+# one scenario in five is a near-unit one scaled by s = 10**U(52, 76), the band
+# where k**6 overflows while omega = -(k**4 + 3 p**2) / k, of order s**3, stays
+# finite; the others are drawn from the magnitudes
+scenarios = mostly(_scenarios(magnitudes), st.tuples(
+    _scenarios(st.floats(-3.0, 3.0)), st.floats(52.0, 76.0)).map(
+        lambda se: _scaled(se[0], 10.0**se[1])))
 
 
 SAMPLE_GRID = (-20.0, 20.0, 5, -15.0, 15.0, 4)

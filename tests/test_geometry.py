@@ -21,12 +21,16 @@ from kpii_stem import (
     trajectory_line,
     velocity_table,
 )
-from kpii_stem.errors import UnsupportedCaseError
+from kpii_stem.errors import (DegenerateParameterError, DomainError,
+                              InadmissibleParameterError, InternalConsistencyError,
+                              UnsupportedCaseError)
 from kpii_stem.geometry import normalize_line
+from kpii_stem.verify import section_anchor
 
 from conftest import build_scenario
 from test_catalog import RESONANT_CASES, draw_params
-from test_length_oracle import TOL, junction_distance, mp
+from test_closed_forms import _sweep_draws
+from test_length_oracle import TOL, _scenario_solutions, junction_distance, mp
 from kpii_stem import Branch, CaseSpec, build_solution
 
 EXPECTED_STEMS = {
@@ -163,6 +167,76 @@ def test_near_degenerate_draw_builds_a_catalog():
     for t in (-20.0, 20.0):
         assert stem_length_formula(sol, t) == pytest.approx(
             stem_endpoints(sol, t).length, rel=1e-9)
+
+
+def _wings_by_distance(sol, t):
+    """The wing edges at each end junction of the limit stem of skeleton(sol,
+    t), each oriented away from whichever of its ends lies nearer the
+    junction (an infinite end is never the nearer)."""
+    edges = skeleton(sol, t)
+    rays = {e.arm.label for e in edges if not e.bounded}
+    (stem,) = [e for e in edges if e.bounded and e.arm.label not in rays]
+    wings = []
+    for bind, s_end in ((stem.lo_bind, stem.lo), (stem.hi_bind, stem.hi)):
+        junction, vertex = {stem.m, stem.n, bind}, stem.point(s_end)
+        side = []
+        for e in edges:
+            if e is not stem and {e.m, e.n} <= junction:
+                lo, hi = (math.dist(e.point(s), vertex) if math.isfinite(s) else math.inf
+                          for s in (e.lo, e.hi))
+                side.append((e, e.direction if lo <= hi else (-e.direction[0], -e.direction[1])))
+        wings.append(side)
+    return wings
+
+
+def _listing(wings, regime):
+    """Each wing's region by the sign of its outward direction on the regime's
+    axis, sorted as the catalog sorts them."""
+    axis = 1 if regime == "y" else 0
+    regions = {("y", True): Region.Y_POS, ("y", False): Region.Y_NEG,
+               ("x", True): Region.X_POS, ("x", False): Region.X_NEG}
+    listing = [(regions[regime, d[axis] > 0], e.arm) for side in wings for e, d in side]
+    return sorted(listing, key=lambda ra: (ra[0], ra[1].label, ra[1].hat))
+
+
+def test_catalog_wings_leave_from_the_end_nearer_the_junction():
+    """The catalog orients each wing by the term that binds its junction end;
+    the end nearer the stem junction, in distance, gives the same regime and
+    regions on the scenarios of both branches and on plain, near-degenerate
+    and scaled seeded draws."""
+    sols = [sol for _, sol in _scenario_solutions()]
+    for case in RESONANT_CASES:
+        for branch in Branch:
+            spec = CaseSpec(case, branch)
+            rng = np.random.default_rng([2027, RESONANT_CASES.index(case), branch is Branch.SECOND])
+            for k, p3 in _sweep_draws(rng, 30):
+                try:
+                    sol = build_case(case, k, p3, branch=branch)
+                    arm_catalog(sol)
+                except (InadmissibleParameterError, DegenerateParameterError,
+                        InternalConsistencyError):  # inadmissible, or no reconnection
+                    continue
+                sols.append(sol)
+    assert len(sols) >= 300
+    for sol in sols:
+        cat = arm_catalog(sol)
+        past, future = _wings_by_distance(sol, -math.inf), _wings_by_distance(sol, math.inf)
+        opens_in_y = [abs(sum(d[1] for _, d in side)) >= abs(sum(d[0] for _, d in side))
+                      for side in past]
+        assert cat.regime == ("y" if all(opens_in_y) else "x")
+        assert list(cat.before) == _listing(past, cat.regime)
+        assert list(cat.after) == _listing(future, cat.regime)
+
+
+def test_nan_time_is_rejected_at_the_skeleton(solutions):
+    sol = solutions["m2"]
+    (_, arm), *_ = arm_catalog(sol).before
+    with pytest.raises(DomainError):
+        skeleton(sol, math.nan)
+    with pytest.raises(DomainError):
+        section_anchor(sol, arm, math.nan)
+    # an infinite time is the limit skeleton
+    assert skeleton(sol, -math.inf) and skeleton(sol, math.inf)
 
 
 def test_limit_skeleton_is_the_scaled_far_skeleton(solutions):

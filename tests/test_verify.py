@@ -34,7 +34,8 @@ from kpii_stem.errors import (AnchorNotFoundError, DomainError, RidgeNotFoundErr
                               UnsupportedCaseError)
 from kpii_stem.geometry import normalize_line
 from kpii_stem.tau import BLOCK_POINTS
-from kpii_stem.verify import _limit_shift, section_anchor
+from kpii_stem.verify import (LADDER, LIMIT_BOX, RESIDUAL_BOX, SUITES, _limit_shift,
+                              section_anchor)
 from test_catalog import RESONANT_CASES, draw_params
 
 
@@ -56,14 +57,21 @@ def test_residual_single_soliton():
     assert rep.max_abs_residual < 1e-10
 
 
+def _in_box(rng, box, n=None):
+    """n points (default: the box's count) drawn with rng from a suite box
+    (seed, count, half side in x and y, half span in t) of verify's table;
+    each test keeps its own seed."""
+    _, count, xy, t = box
+    n = count if n is None else n
+    return np.column_stack([rng.uniform(-xy, xy, n), rng.uniform(-xy, xy, n),
+                            rng.uniform(-t, t, n)])
+
+
 def test_residual_all_reference_sets(solutions):
     rng = np.random.default_rng(2)
     for name, sol in solutions.items():
-        pts = np.column_stack([rng.uniform(-50, 50, 1000),
-                               rng.uniform(-50, 50, 1000),
-                               rng.uniform(-10, 10, 1000)])
-        rep = kp_residual(sol, pts)
-        assert rep.max_abs_residual < 1e-8, name
+        rep = kp_residual(sol, _in_box(rng, RESIDUAL_BOX))
+        assert rep.max_abs_residual < SUITES["residual"], name
         assert not rep.points_exceeding_tol
 
 
@@ -71,7 +79,7 @@ def test_residual_generic_solution():
     gen = make_generic((1.0, 2.0, 3.2), (0.4, -0.8, 0.3))
     rng = np.random.default_rng(3)
     rep = kp_residual(gen, rng.uniform(-20, 20, (200, 3)))
-    assert rep.max_abs_residual < 1e-8
+    assert rep.max_abs_residual < SUITES["residual"]
 
 
 def test_residual_reports_offenders():
@@ -117,11 +125,6 @@ def _one_array_residual(sol, points, tol):
                           n_points=len(x), points_exceeding_tol=tuple(bad))
 
 
-def _residual_box(rng, n):
-    return np.column_stack([rng.uniform(-50, 50, n), rng.uniform(-50, 50, n),
-                            rng.uniform(-10, 10, n)])
-
-
 @pytest.mark.parametrize("n", [1, 2, BLOCK_POINTS - 1, BLOCK_POINTS, BLOCK_POINTS + 1,
                                2 * BLOCK_POINTS + 1, 20_000])
 def test_residual_report_bitwise_equal_to_one_array(n, solutions):
@@ -130,7 +133,7 @@ def test_residual_report_bitwise_equal_to_one_array(n, solutions):
     # the rounding of the residual, so that offenders are listed
     rng = np.random.default_rng(n)
     for name, sol in solutions.items():
-        pts = _residual_box(rng, n)
+        pts = _in_box(rng, RESIDUAL_BOX, n)
         pts[n // 2, 1] = math.nan
         with np.errstate(invalid="ignore"):
             got = kp_residual(sol, pts, tol=1e-15)
@@ -145,10 +148,10 @@ def test_residual_traced_peak_flat_in_point_count(solutions):
     import tracemalloc
     sol = solutions["m2"]
     rng = np.random.default_rng(61)
-    kp_residual(sol, _residual_box(rng, 2))  # the plan, outside the trace
+    kp_residual(sol, _in_box(rng, RESIDUAL_BOX, 2))  # the plan, outside the trace
     peaks = []
     for n in (20_000, 200_000):
-        pts = _residual_box(rng, n)
+        pts = _in_box(rng, RESIDUAL_BOX, n)
         tracemalloc.start()
         try:
             kp_residual(sol, pts)
@@ -185,18 +188,12 @@ def test_residual_and_limits_reject_malformed_points(points, solutions):
         limit_convergence(sol, [1e3], points)
 
 
-def _ladder_points(rng):
-    return np.column_stack([rng.uniform(-1.25, 1.25, 200),
-                            rng.uniform(-1.25, 1.25, 200),
-                            rng.uniform(-0.05, 0.05, 200)])
-
-
 @pytest.mark.parametrize("name", ["c2_1", "c2_4", "w2", "m2", "c3_1", "c3_2"])
 def test_limit_ladder(name, solutions):
     sol = solutions[name]
     rng = np.random.default_rng(11)
-    devs = limit_convergence(sol, [1e3, 1e4, 1e5, 1e6], _ladder_points(rng))
-    assert devs[-1] < 1e-4
+    devs = limit_convergence(sol, LADDER, _in_box(rng, LIMIT_BOX))
+    assert devs[-1] < SUITES["limits"]
     assert all(devs[i + 1] <= devs[i] for i in range(len(devs) - 1))
 
 
@@ -205,7 +202,7 @@ def test_limit_family_members_are_exact_solutions(solutions):
     fam = limit_family(solutions["w2"], [1e3, 1e6])
     for gen in fam:
         rep = kp_residual(gen, rng.uniform(-20, 20, (100, 3)))
-        assert rep.max_abs_residual < 1e-8
+        assert rep.max_abs_residual < SUITES["residual"]
 
 
 def test_limit_degenerate_family_is_identical(solutions):
@@ -257,7 +254,7 @@ def test_asymptotic_match_all_arms(solutions):
             for _, arm in getattr(cat, side):
                 d20 = asymptotic_match(sol, arm, tsign * 20.0)
                 d40 = asymptotic_match(sol, arm, tsign * 40.0)
-                assert d20 < 1e-3, (name, side, arm.label_str())
+                assert d20 < SUITES["asymptotics"], (name, side, arm.label_str())
                 assert d40 <= d20 + 1e-9, (name, side, arm.label_str())
 
 
@@ -333,7 +330,8 @@ def test_section_anchors_on_seeded_draws_are_clean():
                         except AnchorNotFoundError:
                             refused += 1
                             continue
-                        assert dev < 1e-3, (case, branch, side, arm.label_str(), dev)
+                        assert dev < SUITES["asymptotics"], (case, branch, side,
+                                                             arm.label_str(), dev)
     assert refused <= 27
 
 
@@ -409,8 +407,9 @@ def test_ridge_fitted_lines_match_trajectories(solutions):
                                 n_scans=11, anchor=rep.midpoint)
             fa, fb, fc = trace.fitted_line
             la, lb, lc = line
-            assert abs(fa - la) < 1e-4 and abs(fb - lb) < 1e-4
-            assert abs(fc - lc) / max(1.0, abs(lc)) < 1e-4
+            gate = SUITES["ridge"]
+            assert abs(fa - la) < gate and abs(fb - lb) < gate
+            assert abs(fc - lc) / max(1.0, abs(lc)) < gate
 
 
 def test_ridge_not_found_far_from_structure(solutions):
@@ -581,7 +580,7 @@ def test_ridge_trace_stops_below_float_spacing(solutions):
 
 def test_run_suite_checks_carry_tolerance_and_notes():
     from kpii_stem.catalog import build_case
-    from kpii_stem.verify import SUITES, Check, run_suite
+    from kpii_stem.verify import Check, run_suite
     sol = build_case("m2", (2.0, -1.0, -1.5), 1.0)
     (residual,) = run_suite(sol, "residual")
     assert residual.tolerance == SUITES["residual"] and residual.passed
@@ -589,6 +588,7 @@ def test_run_suite_checks_carry_tolerance_and_notes():
     assert (strict.measured, strict.tolerance, strict.passed) == (residual.measured, 1e-30, False)
     gen = make_generic((1.0, -1.0, -2.0), (-2.75, -1.25, -0.5))
     assert run_suite(gen, "ridge") == [
-        Check("ridge", None, 1e-4, False, "not defined for generic scenarios")]
+        Check("ridge", None, SUITES["ridge"], False, "not defined for generic scenarios")]
     assert run_suite(gen, "limits") == [
-        Check("limit_convergence", None, 1e-4, False, "generic scenario without limit_target")]
+        Check("limit_convergence", None, SUITES["limits"], False,
+              "generic scenario without limit_target")]

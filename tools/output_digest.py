@@ -13,11 +13,12 @@ where the output is stdout, or for ``sample``, which needs ``--out``, the file
 it wrote.  ``section-arm`` cuts along the first arm that scenario's ``build``
 output lists, so its ``u_arm`` column is covered too; ``section-badlabel``
 cuts along the malformed label ``1+``, which names no arm, so its line records
-the exit code and the stderr bytes of the refusal.  ``stem-xi0`` runs on a
-temporary copy of the scenario with the phase constants STEM_XI0, so the
-closed-form endpoints' phase-constant shift is covered.  ``verify-residual``
-runs the residual suite alone, so its bytes are compared apart from the other
-suites'.
+the exit code and the stderr bytes of the refusal.  A command listed in
+OVERRIDES runs on a temporary copy of the scenario with those keys replaced:
+``stem-xi0`` with the phase constants STEM_XI0, so the closed-form endpoints'
+phase-constant shift is covered, and ``build-second`` and ``verify-second``
+on the second branch.  ``verify-residual`` runs the residual suite alone, so
+its bytes are compared apart from the other suites'.
 
 Two checkouts whose listings are equal wrote the same bytes for every
 command, so diffing the output of two runs (for example a commit and its
@@ -56,7 +57,15 @@ COMMANDS = [
     ("verify-residual", ["verify", "--suite", "residual"]),
     ("sample-csv", ["sample", "--t=0.7", SAMPLE_GRID, "--out", "{out}"]),
     ("sample-json", ["sample", "--t=0.7", SAMPLE_GRID, "--format", "json", "--out", "{out}"]),
+    ("build-second", ["build"]),
+    ("verify-second", ["verify", "--suite", "all"]),
 ]
+# label -> the keys that its temporary copy of the scenario replaces
+OVERRIDES = {
+    "stem-xi0": {"xi0": STEM_XI0},
+    "build-second": {"branch": "second"},
+    "verify-second": {"branch": "second"},
+}
 
 
 def main() -> int:
@@ -79,10 +88,10 @@ def main() -> int:
                 out.unlink(missing_ok=True)
                 arm = json.loads(builds[path])["arms"][0]["label"] if label == "section-arm" else ""
                 scenario = path
-                if label == "stem-xi0":
+                if label in OVERRIDES:
                     scenario = Path(tmp) / path.name
                     scenario.write_text(json.dumps(dict(json.loads(path.read_text()),
-                                                        xi0=STEM_XI0)))
+                                                        **OVERRIDES[label])))
                 cmd = [sys.executable, "-m", "kpii_stem.cli", argv[0], "--scenario", str(scenario),
                        *(str(out) if a == "{out}" else a.replace("{arm}", arm) for a in argv[1:])]
                 res = subprocess.run(cmd, capture_output=True, env=env, cwd=root, check=False)
