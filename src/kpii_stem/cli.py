@@ -12,9 +12,9 @@ The generic case takes "p": [p1, p2, p3] instead of "p3" and may carry
 case does not support, such as stem or section on a generic scenario),
 3 inadmissible parameters, 4 I/O error.  Output is deterministic: numbers are
 serialized as Python's shortest round-trip repr writes them, and no
-timestamps are embedded.  sample forms that text for a block of values at a
-time with floattext, whose bytes tests/test_floattext.py checks against repr
-bit pattern by bit pattern.
+timestamps are embedded.  sample forms that text with floattext, whose bytes
+tests/test_floattext.py checks against repr bit pattern by bit pattern, and
+writes it as bytes.
 """
 
 from __future__ import annotations
@@ -160,14 +160,16 @@ def _dump_json(obj, out):
 
 
 @contextmanager
-def _open_output(path):
-    """stdout when path is None, else the file at path; I/O errors raise OutputError."""
+def _open_output(path, binary=False):
+    """stdout when path is None, else the file at path (written in bytes if
+    binary); I/O errors raise OutputError."""
     try:
         if path is None:
             yield sys.stdout
             sys.stdout.flush()
         else:
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            with (open(path, "wb") if binary
+                  else open(path, "w", encoding="utf-8", newline="\n")) as fh:
                 yield fh
     except OSError as exc:
         if path is None:  # else the flush at exit fails again, and says so
@@ -236,6 +238,52 @@ def _parse_grid(spec: str):
 
 # numpy's refusals to size a sample count (IndexError from 2**63 - 1 to 1e19)
 _UNSIZABLE = (ValueError, IndexError, MemoryError)
+# values per floattext.columns call in sample: one kernel call's rows
+_TEXT_POINTS = 4 * BLOCK_POINTS
+
+
+def _tiles(shape, size):
+    """The (rows, columns) slices of tiles of at most size values that cover
+    a 2-D array of this shape in row-major order: whole rows where size holds
+    one, else pieces of one row."""
+    n_rows, n_cols = shape
+    rows = max(1, size // n_cols)
+    return [np.s_[i:i + rows, j:j + size]
+            for i in range(0, n_rows, rows) for j in range(0, n_cols, size)]
+
+
+def _csv_lines(u, x_text, y_text):
+    """The CSV lines of the grid values u, row i at x_text[i] and column j at
+    y_text[j], a block at a time: each line is the x text, the y text and the
+    u text, each with its separator, laid side by side in one NUL-padded
+    matrix."""
+    from . import floattext
+    wx, wy = x_text.shape[1], y_text.shape[1]
+    for rows, cols in _tiles(u.shape, _TEXT_POINTS):
+        tile = u[rows, cols]
+        u_text = floattext.columns(tile, sep=b"\n").reshape(*tile.shape, -1)
+        xt, yt = x_text[rows], y_text[cols]
+        for i, j in _tiles(u_text.shape[:2], BLOCK_POINTS):
+            part = u_text[i, j]
+            lines = np.empty(part.shape[:2] + (wx + wy + part.shape[2],), np.uint8)
+            lines[..., :wx] = xt[i, None]
+            lines[..., wx:wx + wy] = yt[j]
+            lines[..., wx + wy:] = part
+            yield floattext.text(lines)
+            del lines  # before the next block's is made
+
+
+def _json_values(u, sep, lead):
+    """The JSON text of the values u in row-major order, after lead and with
+    sep between them, a block at a time."""
+    from . import floattext
+    flat = u.reshape(-1)
+    for lo in range(0, len(flat), _TEXT_POINTS):
+        text = floattext.columns(flat[lo:lo + _TEXT_POINTS], floattext.JSON_NONFINITE, sep)
+        for i in range(0, len(text), BLOCK_POINTS):
+            yield lead
+            yield memoryview(floattext.text(text[i:i + BLOCK_POINTS]))[:-len(sep)]
+            lead = sep
 
 
 def cmd_sample(args) -> int:
@@ -253,50 +301,33 @@ def cmd_sample(args) -> int:
             xs, ys = even_axis(xmin, xmax, nx), even_axis(ymin, ymax, ny)
         except _UNSIZABLE as exc:
             raise ScenarioError(f"grid of {nx} x {ny} points is too large") from exc
-        # whole x-rows, four evaluation blocks per call and write (a block is
-        # one row where a row is longer), so memory is bounded by four blocks
-        # whatever the grid size; the text is made a block at a time, which
-        # stays in cache
+        # whole x-rows, four evaluation blocks per kernel call (a block is one
+        # row where a row is longer), so memory is bounded by four blocks
+        # whatever the grid size; each call's values are formatted in one
+        # floattext call (a row longer than a block in pieces of four blocks)
+        # and compacted and written a block at a time, which stays in cache
         rows = 4 * max(1, BLOCK_POINTS // ny)
-        blocks = ((xs[i:i + rows], u_on_grid(sol.tau, xs[i:i + rows, None], ys, t))
-                  for i in range(0, nx, rows))
-        with _open_output(args.out) as fh:
+        with _open_output(args.out, binary=True) as fh:
             if args.format == "csv":
-                fh.write(f"# kpii-stem v{__version__} case={sc.case} t={t!r}\n")
-                fh.write("x,y,u\n")
-                # each line is the x text, the y text and the u text, each with
-                # its separator, laid side by side in one NUL-padded matrix
-                y_text = floattext.packed(ys, b",")
-                wy = y_text.shape[1]
-                step = max(1, BLOCK_POINTS // ny)
-                for xb, ub in blocks:
-                    x_text = floattext.packed(xb, b",")
-                    wx = x_text.shape[1]
-                    for i in range(0, len(xb), step):
-                        for j in range(0, ny, BLOCK_POINTS):
-                            u = ub[i:i + step, j:j + BLOCK_POINTS]
-                            u_text = floattext.columns(u, sep=b"\n")
-                            lines = np.empty(u.shape + (wx + wy + u_text.shape[1],), np.uint8)
-                            lines[..., :wx] = x_text[i:i + step, None]
-                            lines[..., wx:wx + wy] = y_text[j:j + BLOCK_POINTS]
-                            lines[..., wx + wy:] = u_text.reshape(*u.shape, -1)
-                            fh.write(floattext.text(lines))
+                fh.write(f"# kpii-stem v{__version__} case={sc.case} t={t!r}\n"
+                         "x,y,u\n".encode())
+                x_text, y_text = floattext.packed(xs, ys, sep=b",")
+                for i in range(0, nx, rows):
+                    fh.writelines(_csv_lines(u_on_grid(sol.tau, xs[i:i + rows, None], ys, t),
+                                             x_text[i:i + rows], y_text))
             else:
                 # the header as json.dumps(indent=2) lays it out, with "values"
                 # last, one value per line
                 head, tail = json.dumps(
                     {"version": __version__, "scenario": _scenario_echo(sc), "t": t,
                      "x_range": [xmin, xmax, nx], "y_range": [ymin, ymax, ny],
-                     "values": []}, indent=2).rsplit("[]", 1)
-                sep, lead = ",\n    ", head + "[\n    "
-                for _, ub in blocks:
-                    flat = ub.reshape(-1)
-                    for i in range(0, len(flat), BLOCK_POINTS):
-                        text = floattext.text(floattext.columns(
-                            flat[i:i + BLOCK_POINTS], floattext.JSON_NONFINITE, sep.encode()))
-                        fh.write(lead + text[:-len(sep)])
-                        lead = sep
-                fh.write("\n  ]" + tail + "\n")
+                     "values": []}, indent=2).encode().rsplit(b"[]", 1)
+                sep = b",\n    "
+                fh.write(head + b"[\n    ")
+                for i in range(0, nx, rows):
+                    fh.writelines(_json_values(u_on_grid(sol.tau, xs[i:i + rows, None], ys, t),
+                                               sep, sep if i else b""))
+                fh.write(b"\n  ]" + tail + b"\n")
     return EXIT_OK
 
 
@@ -341,6 +372,9 @@ def cmd_verify(args) -> int:
     sc = load_scenario(args.scenario)
     sol = sc.build()
     tol = None if args.tol is None else _parse_finite(args.tol, "tol")
+    if tol is not None and tol < 0:
+        # no measurement is below a negative tolerance
+        raise ScenarioError(f"tol must be nonnegative, got {args.tol.strip()}")
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     # the resonant template that a generic scenario's limits suite compares with
     target = (build_case(sc.limit_target, sc.k, sc.p[2], branch=sc.branch, xi0=sc.xi0)

@@ -186,12 +186,20 @@ def limit_family(sol: ResonantSolution, magnitudes) -> list[ResonantSolution]:
 
 def limit_convergence(sol: ResonantSolution, magnitudes, points) -> list[float]:
     """Sup |u_generic - u_template| over points, one value per ladder rung.
-    points are one (x, y, t) point or an (n, 3) array, as for kp_residual."""
+    points are one (x, y, t) point or an (n, 3) array, as for kp_residual,
+    and are reduced a slice of at most BLOCK_POINTS at a time, as there: a
+    running maximum per rung keeps the values of one call over all the
+    points, and a NaN deviation makes its rung's value NaN."""
     pts = _points(points)
-    x, y, t = pts[:, 0], pts[:, 1], pts[:, 2]
-    u_ref = u_on_grid(sol.tau, x, y, t)
-    return [float(np.abs(u_on_grid(gen.tau, x, y, t) - u_ref).max())
-            for gen in limit_family(sol, magnitudes)]
+    family = limit_family(sol, magnitudes)
+    peaks = np.full(len(family), -np.inf)
+    for lo in range(0, len(pts), BLOCK_POINTS):
+        x, y, t = pts[lo:lo + BLOCK_POINTS].T
+        u_ref = u_on_grid(sol.tau, x, y, t)
+        # np.maximum, unlike max(), keeps a NaN wherever it stands
+        np.maximum(peaks, [np.abs(u_on_grid(gen.tau, x, y, t) - u_ref).max()
+                           for gen in family], out=peaks)
+    return peaks.tolist()
 
 
 # asymptotic sections: half width, and the bound on the other terms' leakage

@@ -466,9 +466,12 @@ def _sample_reference(scenario, t, grid, fmt):
 
 # ny = BLOCK_POINTS + 1 makes every x-row longer than an evaluation block, so
 # `sample` takes four rows per call and eleven rows span three calls, the last
-# one short
+# one short.  In "calls" the rows are short: 150 rows of 120 values span two
+# kernel calls of 4 * (BLOCK_POINTS // 120) = 136 rows, the second one short,
+# each formatted in one floattext call and written in blocks of 34 rows
 SAMPLE_REFERENCE_CASES = {
     "blocks": ("c2_1.json", -2.0, (-20.0, 20.0, 11, -20.0, 20.0, BLOCK_POINTS + 1)),
+    "calls": ("m2.json", 1.3, (-30.0, 30.0, 150, -30.0, 30.0, 120)),
     "underflow": ("w2.json", 12.0, (-30.0, 30.0, 31, -30.0, 30.0, 29)),
     "nonfinite": ("c2_1.json", 0.0, (-1e308, 1e308, 5, -30.0, 30.0, 3)),
 }
@@ -496,6 +499,25 @@ def test_sample_bytes_match_per_point_reference(tmp_path, case, fmt):
     if case == "nonfinite":
         assert any(v != v for v in values)
 
+
+
+@pytest.mark.parametrize("fmt,bound_mib", [("csv", 1.69), ("json", 1.46)])
+def test_sample_traced_peak_bounded(tmp_path, fmt, bound_mib):
+    # one sample call on a 301 x 297 grid (six kernel calls) holds no more
+    # than it did when each block of values was formatted alone
+    import tracemalloc
+    from kpii_stem.cli import main
+    argv = ["sample", "--scenario", str(SCENARIOS / "m2.json"), "--t=1.3",
+            "--grid=-30,30,301,-30,30,297", "--out", str(tmp_path / f"sample.{fmt}"),
+            "--format", fmt]
+    assert main(argv) == 0  # imports and plans, outside the trace
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2**20, peak / 2**20
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -585,6 +607,29 @@ def test_nonfinite_inputs_exit_2(tmp_path, capsys, command):
     (line,) = err.splitlines()
     assert line.startswith("error:") and "finite" in line
     assert out.read_text() == "keep me\n"
+
+
+@pytest.mark.parametrize("tol", ["-1", "-5e-9", "-1e-300"])
+def test_negative_tol_exits_2(capsys, tol):
+    # no measurement can meet a negative tolerance: a usage error, not a failed
+    # verification
+    code, err = _run_in_process(capsys, "verify", "--scenario",
+                                str(SCENARIOS / "c2_1.json"), "--suite", "residual",
+                                f"--tol={tol}")
+    assert code == 2
+    (line,) = err.splitlines()
+    assert line == f"error: tol must be nonnegative, got {tol}"
+    assert capsys.readouterr().out == ""
+
+
+def test_zero_tol_is_a_verification_failure(capsys):
+    # --tol=0 (and -0) is a tolerance that the residual's rounding exceeds
+    from kpii_stem.cli import main
+    for tol in ("0", "-0"):
+        assert main(["verify", "--scenario", str(SCENARIOS / "c2_1.json"),
+                     "--suite", "residual", f"--tol={tol}"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert [c["tolerance"] for c in doc["checks"]] == [0.0 if tol == "0" else -0.0]
 
 
 # Python's json reads NaN, Infinity and -Infinity, and integers of any size

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kpii_stem import floattext
+from kpii_stem.tau import BLOCK_POINTS
 
 EDGES = [1e16, 9999999999999998.0, 1e15, 1e-4, 1e-5, 0.0001, 1e22, 1e23,
          2.0**53 - 1, 2.0**53 + 2, 5e-324, 1.7976931348623157e308,
@@ -15,7 +16,8 @@ EDGES = [1e16, 9999999999999998.0, 1e15, 1e-4, 1e-5, 0.0001, 1e22, 1e23,
 
 
 def _texts(values, nonfinite=floattext.REPR_NONFINITE):
-    return floattext.text(floattext.columns(values, nonfinite, sep=b"\n")).split("\n")[:-1]
+    text = floattext.text(floattext.columns(values, nonfinite, sep=b"\n"))
+    return text.decode("ascii").split("\n")[:-1]
 
 
 def _assert_repr(bits):
@@ -56,7 +58,7 @@ def test_separator_follows_every_value(sep):
     values = [0.1, -0.0, float("nan"), 1e-300, 123.0, -float("inf")]
     matrix = floattext.columns(values, sep=sep)
     assert matrix.dtype == np.uint8 and matrix.shape[0] == len(values)
-    assert floattext.text(matrix) == "".join(repr(v) + sep.decode() for v in values)
+    assert floattext.text(matrix) == b"".join(repr(v).encode() + sep for v in values)
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -65,3 +67,22 @@ def test_separator_follows_every_value(sep):
 def test_matches_repr_and_json(values):
     assert _texts(values) == [repr(v) for v in values]
     assert _texts(values, floattext.JSON_NONFINITE) == [json.dumps(v) for v in values]
+
+
+@pytest.mark.parametrize("sep,bound", [(b"\n", 104), (b",\n    ", 112)], ids=["csv", "json"])
+def test_traced_peak_per_value_bounded(sep, bound):
+    # sample formats up to four blocks of values in one call; the bound per
+    # value includes the result's 32 (40) bytes per row
+    import tracemalloc
+    n = 4 * BLOCK_POINTS
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+    values[::97] = np.resize([0.0, np.nan, np.inf], len(values[::97]))
+    floattext.columns(values[:10], sep=sep)  # the tables, outside the trace
+    tracemalloc.start()
+    try:
+        floattext.columns(values, sep=sep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * n, peak / n

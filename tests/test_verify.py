@@ -197,6 +197,51 @@ def test_limit_ladder(name, solutions):
     assert all(devs[i + 1] <= devs[i] for i in range(len(devs) - 1))
 
 
+def _one_array_ladder(sol, magnitudes, pts):
+    """limit_convergence's values from one u_on_grid call per tau over all
+    the points."""
+    x, y, t = pts[:, 0], pts[:, 1], pts[:, 2]
+    u_ref = u_on_grid(sol.tau, x, y, t)
+    return [float(np.abs(u_on_grid(gen.tau, x, y, t) - u_ref).max())
+            for gen in limit_family(sol, magnitudes)]
+
+
+@pytest.mark.parametrize("n", [1, 2, BLOCK_POINTS - 1, BLOCK_POINTS, BLOCK_POINTS + 1,
+                               2 * BLOCK_POINTS + 1])
+def test_limit_ladder_bitwise_equal_to_one_array(n, solutions):
+    # limit_convergence reduces a slice of points at a time; a one-point last
+    # slice (4097, 8193 points) is evaluated alone.  One NaN point makes every
+    # rung's value NaN
+    rng = np.random.default_rng(n + 1)
+    for name in ("m2", "c3_1"):
+        sol = solutions[name]
+        pts = _in_box(rng, LIMIT_BOX, n)
+        with np.errstate(invalid="ignore"):
+            assert repr(limit_convergence(sol, LADDER, pts)) == repr(
+                _one_array_ladder(sol, LADDER, pts)), (name, n)
+            pts[n // 2, 1] = math.nan
+            got = limit_convergence(sol, LADDER, pts)
+            assert repr(got) == repr(_one_array_ladder(sol, LADDER, pts)), (name, n)
+        assert len(got) == len(LADDER) and all(math.isnan(v) for v in got), (name, n)
+
+
+def test_limit_ladder_traced_peak_flat_in_point_count(solutions):
+    import tracemalloc
+    sol = solutions["m2"]
+    rng = np.random.default_rng(62)
+    limit_convergence(sol, LADDER, _in_box(rng, LIMIT_BOX, 2))  # the plans, outside the trace
+    peaks = []
+    for n in (20_000, 200_000):
+        pts = _in_box(rng, LIMIT_BOX, n)
+        tracemalloc.start()
+        try:
+            limit_convergence(sol, LADDER, pts)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
 def test_limit_family_members_are_exact_solutions(solutions):
     rng = np.random.default_rng(12)
     fam = limit_family(solutions["w2"], [1e3, 1e6])

@@ -18,7 +18,11 @@ OVERRIDES runs on a temporary copy of the scenario with those keys replaced:
 ``stem-xi0`` with the phase constants STEM_XI0, so the closed-form endpoints'
 phase-constant shift is covered, and ``build-second`` and ``verify-second``
 on the second branch.  ``verify-residual`` runs the residual suite alone, so
-its bytes are compared apart from the other suites'.
+its bytes are compared apart from the other suites'.  ``sample-csv`` and
+``sample-json`` fit in one kernel call and one formatting chunk;
+``sample-csv-large`` and ``sample-json-large`` sample a 301 x 297 grid, which
+spans six kernel calls and several written blocks each, so they see the order
+in which the chunks are written.
 
 Two checkouts whose listings are equal wrote the same bytes for every
 command, so diffing the output of two runs (for example a commit and its
@@ -40,6 +44,7 @@ from pathlib import Path
 
 STEM_TIMES = "--t=-20,-5,-1,1,5,20"
 SAMPLE_GRID = "--grid=-20,20,41,-15,15,31"
+SAMPLE_GRID_LARGE = "--grid=-30,30,301,-30,30,297"
 STEM_XI0 = [0.3, -0.7, 0.45]
 
 # (label, arguments after --scenario)
@@ -59,6 +64,9 @@ COMMANDS = [
     ("sample-json", ["sample", "--t=0.7", SAMPLE_GRID, "--format", "json", "--out", "{out}"]),
     ("build-second", ["build"]),
     ("verify-second", ["verify", "--suite", "all"]),
+    ("sample-csv-large", ["sample", "--t=1.3", SAMPLE_GRID_LARGE, "--out", "{out}"]),
+    ("sample-json-large", ["sample", "--t=1.3", SAMPLE_GRID_LARGE, "--format", "json",
+                           "--out", "{out}"]),
 ]
 # label -> the keys that its temporary copy of the scenario replaces
 OVERRIDES = {
