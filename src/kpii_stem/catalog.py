@@ -4,9 +4,13 @@ Each solution u = 2 (ln f)_xx is built from three wave numbers k = (k1, k2, k3)
 and a single free transverse parameter p3; the remaining p1, p2 are resolved
 from the selected resonance case so that the pairwise interaction coefficients
 a_ij (see aij_factors) reach the case's limits (0 for weak, infinity for strong
-resonance) exactly on the constraint manifold.  The surviving finite coefficient
-a12 has a closed form per case, identical for both constraint branches.  The two
-branches map onto each other by the mirror (p3, y) -> (-p3, -y).
+resonance) exactly on the constraint manifold.  ROOTS states each case once, as
+the root of a13 and of a23 that p1 and p2 sit on; the per-pair kinds and the
+surviving finite coefficient a12, whose closed form is the same for both
+constraint branches, follow from it.  The two branches map onto each other by
+the mirror (p3, y) -> (-p3, -y).  After a change here, regenerate
+_closed_forms.py as tools/generate_closed_forms.py says and check that it is
+unchanged.
 """
 
 from __future__ import annotations
@@ -179,68 +183,53 @@ def phase_shift_param(ki, pi, kj, pj):
     return a
 
 
-# First-branch (p1, p2) per case family.  The second branch is the mirror
-# (p3, y) -> (-p3, -y): resolve_constraints evaluates the family at -p3 and
-# negates both results.
-def _strong(k1, k2, k3, p3):
-    return (k1 * (k1 * k3 + k3**2 + p3) / k3, -k2 * (k2 * k3 + k3**2 - p3) / k3)
-
-
-def _weak(k1, k2, k3, p3):
-    return (-k1 * (k1 * k3 - k3**2 - p3) / k3, k2 * (k2 * k3 - k3**2 + p3) / k3)
-
-
-def _mixed(k1, k2, k3, p3):
-    return (k1 * (k1 * k3 + k3**2 + p3) / k3, k2 * (k2 * k3 - k3**2 + p3) / k3)
-
-
-def _all_weak(k1, k2, k3, p3):
-    return (-k1 * (k1 * k3 - k3**2 - p3) / k3, -k2 * (k2 * k3 - k3**2 - p3) / k3)
-
-
-def _mixed3(k1, k2, k3, p3):
-    return (-k1 * (k1 * k3 + k3**2 - p3) / k3, -k2 * (k2 * k3 + k3**2 - p3) / k3)
-
-
-CONSTRAINTS = {
-    Case.C2_1: _strong, Case.C2_2: _strong, Case.C2_3: _strong, Case.C2_4: _strong,
-    Case.W2: _weak, Case.M2: _mixed, Case.C3_1: _all_weak, Case.C3_2: _mixed3,
+# Each pair (i, 3) sits on a root of a_i3, where c = k3 p_i - k_i p3 (as in
+# aij_factors) is s k_i k3 (k_i + r k3): r = +1 zeroes a den factor, a pole of
+# a_i3 (strong resonance), r = -1 a num factor, a zero of a_i3 (weak), and
+# s = +-1 picks the root.  ROOTS holds (r, s) of the pairs (1, 3) and (2, 3) on
+# the first branch; the second branch is the mirror (p3, y) -> (-p3, -y):
+# resolve_constraints evaluates the roots at -p3 and negates both results.
+ROOTS = {
+    Case.C2_1: ((1, 1), (1, -1)), Case.C2_2: ((1, 1), (1, -1)),
+    Case.C2_3: ((1, 1), (1, -1)), Case.C2_4: ((1, 1), (1, -1)),
+    Case.W2: ((-1, -1), (-1, 1)), Case.M2: ((1, 1), (-1, 1)),
+    Case.C3_1: ((-1, -1), (-1, -1)), Case.C3_2: ((1, -1), (1, -1)),
 }
 
-_KINDS = {
-    _strong: {(1, 2): ResonanceKind.ELASTIC, (1, 3): ResonanceKind.STRONG,
-              (2, 3): ResonanceKind.STRONG},
-    _weak: {(1, 2): ResonanceKind.ELASTIC, (1, 3): ResonanceKind.WEAK,
-            (2, 3): ResonanceKind.WEAK},
-    _mixed: {(1, 2): ResonanceKind.ELASTIC, (1, 3): ResonanceKind.STRONG,
-             (2, 3): ResonanceKind.WEAK},
-    _all_weak: {(1, 2): ResonanceKind.WEAK, (1, 3): ResonanceKind.WEAK,
-                (2, 3): ResonanceKind.WEAK},
-    _mixed3: {(1, 2): ResonanceKind.WEAK, (1, 3): ResonanceKind.STRONG,
-              (2, 3): ResonanceKind.STRONG},
-}
+
+def _constraint(roots):
+    """The case's (k1, k2, k3, p3) -> (p1, p2), p_i = s k_i (k_i k3 + r k3^2 +
+    s p3) / k3; r and s are ints, so floats round as in the written-out
+    pair (+-1 times a float is exact) and sympy builds the same tree."""
+    (r1, s1), (r2, s2) = roots
+    return lambda k1, k2, k3, p3: (s1 * k1 * (k1 * k3 + r1 * k3**2 + s1 * p3) / k3,
+                                   s2 * k2 * (k2 * k3 + r2 * k3**2 + s2 * p3) / k3)
+
+
+CONSTRAINTS = {case: _constraint(roots) for case, roots in ROOTS.items()}
 
 
 def a12_closed_form(case: Case, k: Triple) -> float | None:
     """Surviving interaction coefficient; None for the fully resonant cases."""
+    kinds = _PAIR_KINDS.get(case)
+    if kinds is None or kinds[(1, 2)] is ResonanceKind.WEAK:
+        return None
     k1, k2, k3 = k
-    family = CONSTRAINTS.get(case)
-    if family is _strong:
+    if kinds[(1, 3)] is kinds[(2, 3)] is ResonanceKind.STRONG:
         den = k3 * (k1 + k2 + k3)
         if den == 0:
             raise DegenerateParameterError("a12 denominator k3 (k1 + k2 + k3) vanishes")
         return (k1 + k3) * (k2 + k3) / den
-    if family is _weak:
+    if kinds[(1, 3)] is kinds[(2, 3)] is ResonanceKind.WEAK:
         den = k3 * (k1 + k2 - k3)
         if den == 0:
             raise DegenerateParameterError("a12 denominator k3 (k1 + k2 - k3) vanishes")
         return -(k1 - k3) * (k2 - k3) / den
-    if family is _mixed:
-        den = (k1 + k3) * (k2 - k3)
-        if den == 0:
-            raise DegenerateParameterError("a12 denominator (k1 + k3)(k2 - k3) vanishes")
-        return -k3 * (k1 - k2 + k3) / den
-    return None
+    # (1, 3) strong, (2, 3) weak
+    den = (k1 + k3) * (k2 - k3)
+    if den == 0:
+        raise DegenerateParameterError("a12 denominator (k1 + k3)(k2 - k3) vanishes")
+    return -k3 * (k1 - k2 + k3) / den
 
 
 # tau templates: term exponent vectors over (xi1, xi2, xi3); starred terms
@@ -261,9 +250,18 @@ TEMPLATES: dict[Case, tuple[tuple[tuple[int, int, int], object], ...]] = {
     Case.C3_2: (((0, 0, 0), 1), ((0, 0, 1), 1), ((1, 0, 1), 1), ((0, 1, 1), 1)),
 }
 
+# per case and pair, the resonance kind: (1, 3) and (2, 3) from their roots,
+# and (1, 2) weak exactly where the template has no a12 term
+_ROOT_KINDS = {1: ResonanceKind.STRONG, -1: ResonanceKind.WEAK}
+_PAIR_KINDS = {
+    case: {(1, 2): ResonanceKind.ELASTIC if any(c is A12 for _, c in TEMPLATES[case])
+           else ResonanceKind.WEAK, (1, 3): _ROOT_KINDS[r1], (2, 3): _ROOT_KINDS[r2]}
+    for case, ((r1, _), (r2, _)) in ROOTS.items()
+}
+
 
 def resolve_constraints(k, p3: float, spec: CaseSpec, xi0=(0.0, 0.0, 0.0)) -> SolitonParams:
-    """Fill p1, p2 from the case's constraint pair and validate a12."""
+    """Fill p1, p2 from the case's roots and validate a12."""
     if spec.case is Case.GENERIC:
         raise DegenerateParameterError(
             "generic solutions take explicit p1, p2 via make_generic")
@@ -313,7 +311,7 @@ def classify_resonance(params: SolitonParams, spec: CaseSpec) -> ResonanceClass:
     """Per-pair resonance kinds plus the surviving a12 (None when absent)."""
     if spec.case is Case.GENERIC:
         return _generic_class(dict(_pair_coefficients(params)))
-    return ResonanceClass(kinds=dict(_KINDS[CONSTRAINTS[spec.case]]),
+    return ResonanceClass(kinds=dict(_PAIR_KINDS[spec.case]),
                           a12=a12_closed_form(spec.case, params.k))
 
 
@@ -343,15 +341,11 @@ def build_case(case, k, p3, branch=Branch.FIRST, xi0=(0.0, 0.0, 0.0)) -> Resonan
     return build_solution(resolve_constraints(k, p3, spec, xi0), spec)
 
 
-def make_generic(k, p, xi0=(0.0, 0.0, 0.0), xi_shift=(0.0, 0.0, 0.0)) -> ResonantSolution:
-    """Eight-term solution with explicit (p1, p2, p3); all a_ij must be finite.
-
-    xi_shift adds constant offsets to the phases xi_j (used by the resonant
-    limit studies, which recentre diverging coefficients before the limit).
-    """
+def make_generic(k, p, xi0=(0.0, 0.0, 0.0)) -> ResonantSolution:
+    """Eight-term solution with explicit (p1, p2, p3); all a_ij must be finite."""
     params = SolitonParams(k=tuple(float(v) for v in k),
                            p=tuple(float(v) for v in p),
-                           xi0=tuple(float(a) + float(b) for a, b in zip(xi0, xi_shift)))
+                           xi0=tuple(map(float, xi0)))
     a = {}
     for (i, j), aij in _pair_coefficients(params):
         if aij is INFINITE:

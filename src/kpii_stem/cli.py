@@ -179,9 +179,7 @@ def _open_output(path, binary=False):
 
 # ---------------------------------------------------------------- commands
 
-def cmd_build(args) -> int:
-    sc = load_scenario(args.scenario)
-    sol = sc.build()
+def cmd_build(args, sc: Scenario, sol: ResonantSolution) -> int:
     doc = {
         "version": __version__,
         "scenario": _scenario_echo(sc),
@@ -286,12 +284,10 @@ def _json_values(u, sep, lead):
             lead = sep
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args, sc: Scenario, sol: ResonantSolution) -> int:
     # imported here: without a bytecode cache its compile would add to every
     # command's start-up
     from . import floattext
-    sc = load_scenario(args.scenario)
-    sol = sc.build()
     t = _parse_finite(args.t, "t")
     xmin, xmax, nx, ymin, ymax, ny = _parse_grid(args.grid)
     # a finite grid or t can still overflow the tau exponents; those points
@@ -338,39 +334,33 @@ def _parse_tlist(raw: str):
     return ts
 
 
-def cmd_stem(args) -> int:
-    sc = load_scenario(args.scenario)
-    sol = sc.build()
-    rows, mismatches = [], []
-    for rep in stem_reports(sol, _parse_tlist(args.t), t_min=sc.t_min):
-        rows.append({
-            "t": rep.t,
-            "ax": rep.endpoint_a[0], "ay": rep.endpoint_a[1],
-            "bx": rep.endpoint_b[0], "by": rep.endpoint_b[1],
-            "length": rep.length, "length_closed_form": stem_length_formula(sol, rep.t),
-            "midpoint_x": rep.midpoint[0], "midpoint_y": rep.midpoint[1],
-            "midpoint_amplitude": rep.midpoint_amplitude,
-            "valid": rep.valid,
-        })
-        mismatches.append(rep.endpoint_mismatch)
+def cmd_stem(args, sc: Scenario, sol: ResonantSolution) -> int:
+    csv = args.format == "csv"
+    rows = [{
+        "t": rep.t,
+        "ax": rep.endpoint_a[0], "ay": rep.endpoint_a[1],
+        "bx": rep.endpoint_b[0], "by": rep.endpoint_b[1],
+        "length": rep.length, "length_closed_form": stem_length_formula(sol, rep.t),
+        "midpoint_x": rep.midpoint[0], "midpoint_y": rep.midpoint[1],
+        "midpoint_amplitude": rep.midpoint_amplitude,
+        "valid": rep.valid,
+        # the closed form vs intersection margin (err/scale, gate 1e-9) is
+        # JSON-only: a CSV column would change the CSV bytes
+        **({} if csv else {"endpoint_mismatch": rep.endpoint_mismatch}),
+    } for rep in stem_reports(sol, _parse_tlist(args.t), t_min=sc.t_min)]
     with _open_output(args.out) as out:
-        if args.format == "csv":
+        if csv:
             out.write(f"# kpii-stem v{__version__} case={sc.case}\n")
             out.write(",".join(rows[0]) + "\n")
             for row in rows:
                 out.write(",".join(map(repr, row.values())) + "\n")
         else:
-            # the closed form vs intersection margin (err/scale, gate 1e-9)
-            # is JSON-only: a CSV column would change the CSV bytes
-            rows = [dict(row, endpoint_mismatch=m) for row, m in zip(rows, mismatches)]
             _dump_json({"version": __version__, "scenario": _scenario_echo(sc),
                         "rows": rows}, out)
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    sc = load_scenario(args.scenario)
-    sol = sc.build()
+def cmd_verify(args, sc: Scenario, sol: ResonantSolution) -> int:
     tol = None if args.tol is None else _parse_finite(args.tol, "tol")
     if tol is not None and tol < 0:
         # no measurement is below a negative tolerance
@@ -396,9 +386,7 @@ def _parse_range(spec: str):
     return tuple(_parse_finite(v, "range bound") for v in parts)
 
 
-def cmd_section(args) -> int:
-    sc = load_scenario(args.scenario)
-    sol = sc.build()
+def cmd_section(args, sc: Scenario, sol: ResonantSolution) -> int:
     t = _parse_finite(args.t, "t")
     s_range = _parse_range(args.range)
     if args.n < 2:
@@ -415,10 +403,9 @@ def cmd_section(args) -> int:
         try:
             arm = find_arm(sol, args.line)
         except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return EXIT_PARSE
+            raise ScenarioError(exc.args[0]) from exc
         line = arm.line_coeffs(t)
-    mx, my = stem_endpoints(sol, t, t_min=sc.t_min).midpoint
+    mx, my = stem_endpoints(sol, t).midpoint
     if args.line == "perp":
         # the stem trajectory turned 90 degrees about the midpoint
         A, B, _ = trajectory_line(stem_side(sol, t)[0], t)
@@ -441,11 +428,11 @@ def cmd_section(args) -> int:
                 arc = np.array([s for s, _ in pts])
                 prof = arm_profile(arm, (foot[0] + arc * (-B), foot[1] + arc * A, t))
                 for (s, u), p in zip(pts, prof.tolist()):
-                    out.write(f"{float(s)!r},{float(u)!r},{p!r}\n")
+                    out.write(f"{s!r},{u!r},{p!r}\n")
             else:
                 out.write("s,u\n")
                 for s, u in pts:
-                    out.write(f"{float(s)!r},{float(u)!r}\n")
+                    out.write(f"{s!r},{u!r}\n")
     return EXIT_OK
 
 
@@ -493,7 +480,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        sc = load_scenario(args.scenario)
+        return args.func(args, sc, sc.build())
     except (ScenarioError, UnsupportedCaseError) as exc:
         # a command the scenario's case does not support is a usage error
         print(f"error: {exc}", file=sys.stderr)

@@ -173,10 +173,10 @@ class _Record:
     """The t-independent state of one solution, built once: per positive term
     (index, K, P, W, xi0-part, ln c) and (|K|, |P|, |W|, |xi0-part|), the
     term index of each exponent vector, the pair arms as _arm_from_terms
-    builds them, the arm catalog, the evaluated closed-form table entries,
-    and per side (past, future) the stem plan."""
+    builds them, the arm catalog, and per side (past, future) the stem
+    plan."""
 
-    __slots__ = ("planes", "sizes", "index", "arms", "catalog", "closed_forms", "plans")
+    __slots__ = ("planes", "sizes", "index", "arms", "catalog", "plans")
 
     def __init__(self, sol: ResonantSolution):
         # tau's term idx is template[idx] with its (K, P, W, xi0-part)
@@ -187,7 +187,6 @@ class _Record:
         self.index = {eps: i for i, (eps, _) in enumerate(sol.template)}
         self.arms: dict[tuple[int, int], ArmDescriptor] = {}
         self.catalog: AsymptoticCatalog | None = None
-        self.closed_forms: dict[Junction, tuple[float, ...]] = {}
         self.plans: list[tuple | None] = [None, None]
 
 
@@ -456,22 +455,18 @@ def _vertex_table():
     return _closed_forms.VERTEX
 
 
-def _closed_form(sol: ResonantSolution, rec: _Record,
-                 junction: Junction) -> tuple[float, ...]:
-    """The coefficients of the junction's VERTEX entry, evaluated once per
-    solution at (k1, k2, k3, p3); the table's expressions are those of the
-    first branch."""
-    coeffs = rec.closed_forms.get(junction)
-    if coeffs is None:
-        entry = _vertex_table()[sol.spec.case.value].get(junction)
-        if entry is None:
-            raise InternalConsistencyError(
-                f"no closed-form VERTEX entry for {junction} in case {sol.spec.case.value}")
-        k1, k2, k3 = sol.params.k
-        p3 = sol.params.p[2]
-        args = k1, k2, k3, -p3 if sol.spec.branch is Branch.SECOND else p3
-        coeffs = rec.closed_forms[junction] = tuple(f(*args) for f in entry)
-    return coeffs
+def _closed_form(sol: ResonantSolution, junction: Junction) -> tuple[float, ...]:
+    """The coefficients of the junction's VERTEX entry at (k1, k2, k3, p3),
+    whose expressions are those of the first branch; each side's stem plan
+    reads them once, and no junction ends the stem on both sides."""
+    entry = _vertex_table()[sol.spec.case.value].get(junction)
+    if entry is None:
+        raise InternalConsistencyError(
+            f"no closed-form VERTEX entry for {junction} in case {sol.spec.case.value}")
+    k1, k2, k3 = sol.params.k
+    p3 = sol.params.p[2]
+    args = k1, k2, k3, -p3 if sol.spec.branch is Branch.SECOND else p3
+    return tuple(f(*args) for f in entry)
 
 
 # Midpoint budget: u = 2 Var_w(K) over the term weights w_m ~ c_m exp(E_m).
@@ -512,7 +507,7 @@ def _plan_end(sol: ResonantSolution, rec: _Record, junction: Junction):
     if abs(det) <= 1e-12 * max(math.hypot(A1, B1) * math.hypot(A2, B2), 1e-300):
         raise DegenerateLineError(f"junction lines are parallel: {junction}")
     sx, sy = _meet(A1, B1, sign1 * xi1 / norm1, A2, B2, sign2 * xi2 / norm2, det)
-    xt, xL, yt, yL = _closed_form(sol, rec, junction)
+    xt, xL, yt, yL = _closed_form(sol, junction)
     log_a12 = sol.log_a12
     mirror = -1.0 if sol.spec.branch is Branch.SECOND else 1.0
     return det, l1, l2, (xt, xL * log_a12 + sx, mirror * yt, mirror * (yL * log_a12) + sy)

@@ -177,8 +177,9 @@ def limit_family(sol: ResonantSolution, magnitudes) -> list[ResonantSolution]:
                 f"no admissible perturbation at magnitude {mag} for {case.value}")
         _, p, a13, a23 = best
         shift = shift_of(math.log(a13), math.log(a23))
+        xi0 = tuple(a + b for a, b in zip(sol.params.xi0, shift))
         try:
-            out.append(make_generic(k, p, xi0=sol.params.xi0, xi_shift=shift))
+            out.append(make_generic(k, p, xi0=xi0))
         except InadmissibleParameterError as exc:
             raise InadmissibleFamilyError(str(exc)) from exc
     return out

@@ -12,6 +12,8 @@ from kpii_stem import (
     Case,
     CaseSpec,
     ResonanceKind,
+    SolitonParams,
+    a12_closed_form,
     aij_factors,
     build_case,
     build_solution,
@@ -23,8 +25,10 @@ from kpii_stem import (
     u_on_grid,
     kp_residual,
 )
+from kpii_stem import catalog
 from kpii_stem.errors import (
     DegenerateParameterError,
+    DomainError,
     InadmissibleParameterError,
 )
 
@@ -152,6 +156,137 @@ def test_constraint_fidelity_near_opposite_wave_numbers(case, branch):
     assert admissible >= 50
 
 
+# The bit reference for catalog.ROOTS: each case's constraint pair, resonance
+# kinds and a12 closed form written out by hand, one function per root pattern.
+def _ref_strong(k1, k2, k3, p3):
+    return (k1 * (k1 * k3 + k3**2 + p3) / k3, -k2 * (k2 * k3 + k3**2 - p3) / k3)
+
+
+def _ref_weak(k1, k2, k3, p3):
+    return (-k1 * (k1 * k3 - k3**2 - p3) / k3, k2 * (k2 * k3 - k3**2 + p3) / k3)
+
+
+def _ref_mixed(k1, k2, k3, p3):
+    return (k1 * (k1 * k3 + k3**2 + p3) / k3, k2 * (k2 * k3 - k3**2 + p3) / k3)
+
+
+def _ref_all_weak(k1, k2, k3, p3):
+    return (-k1 * (k1 * k3 - k3**2 - p3) / k3, -k2 * (k2 * k3 - k3**2 - p3) / k3)
+
+
+def _ref_mixed3(k1, k2, k3, p3):
+    return (-k1 * (k1 * k3 + k3**2 - p3) / k3, -k2 * (k2 * k3 + k3**2 - p3) / k3)
+
+
+REF_CONSTRAINTS = {
+    Case.C2_1: _ref_strong, Case.C2_2: _ref_strong, Case.C2_3: _ref_strong,
+    Case.C2_4: _ref_strong, Case.W2: _ref_weak, Case.M2: _ref_mixed,
+    Case.C3_1: _ref_all_weak, Case.C3_2: _ref_mixed3,
+}
+
+_E, _S, _W = ResonanceKind.ELASTIC, ResonanceKind.STRONG, ResonanceKind.WEAK
+REF_KINDS = {
+    _ref_strong: {(1, 2): _E, (1, 3): _S, (2, 3): _S},
+    _ref_weak: {(1, 2): _E, (1, 3): _W, (2, 3): _W},
+    _ref_mixed: {(1, 2): _E, (1, 3): _S, (2, 3): _W},
+    _ref_all_weak: {(1, 2): _W, (1, 3): _W, (2, 3): _W},
+    _ref_mixed3: {(1, 2): _W, (1, 3): _S, (2, 3): _S},
+}
+
+
+def _ref_a12(case, k):
+    k1, k2, k3 = k
+    family = REF_CONSTRAINTS.get(case)
+    if family is _ref_strong:
+        den = k3 * (k1 + k2 + k3)
+        if den == 0:
+            raise DegenerateParameterError("a12 denominator k3 (k1 + k2 + k3) vanishes")
+        return (k1 + k3) * (k2 + k3) / den
+    if family is _ref_weak:
+        den = k3 * (k1 + k2 - k3)
+        if den == 0:
+            raise DegenerateParameterError("a12 denominator k3 (k1 + k2 - k3) vanishes")
+        return -(k1 - k3) * (k2 - k3) / den
+    if family is _ref_mixed:
+        den = (k1 + k3) * (k2 - k3)
+        if den == 0:
+            raise DegenerateParameterError("a12 denominator (k1 + k3)(k2 - k3) vanishes")
+        return -k3 * (k1 - k2 + k3) / den
+    return None
+
+
+def _reference_draws(rng, n):
+    """n rounds of (k, p3): plain; one pair near-opposite or opposite; each
+    entry scaled by its own 10**e, |e| <= 200; all scaled by 10**+-200; and
+    one entry a signed zero or non-finite."""
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan]
+    for _ in range(n):
+        k = rng.uniform(0.1, 3.0, 3) * rng.choice([-1.0, 1.0], 3)
+        p3 = float(rng.uniform(-3.0, 3.0))
+        yield k.tolist(), p3
+        near = k.copy()
+        i, j = ((0, 1), (0, 2), (1, 2))[rng.integers(3)]
+        near[j] = -near[i] * (1.0 + rng.integers(2) * rng.choice([-1.0, 1.0])
+                              * 10.0 ** rng.uniform(-16, -2))
+        yield near.tolist(), p3
+        yield ((k * 10.0 ** rng.integers(-200, 201, 3)).tolist(),
+               p3 * 10.0 ** int(rng.integers(-200, 201)))
+        scale = 10.0 ** int(rng.choice([-200, 200]))
+        yield (k * scale).tolist(), p3 * scale
+        entries = k.tolist() + [p3]
+        entries[rng.integers(4)] = float(rng.choice(specials))
+        yield entries[:3], entries[3]
+
+
+def _bits(value):
+    """float.hex of every float in value (a SolitonParams's k, p and xi0)."""
+    if isinstance(value, SolitonParams):
+        value = value.k + value.p + value.xi0
+    if isinstance(value, float):
+        return value.hex()
+    return tuple(map(_bits, value)) if isinstance(value, tuple) else value
+
+
+def _outcome(f, *args):
+    """The bits of f(*args), or the type and message of what it raises."""
+    try:
+        return _bits(f(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("case", RESONANT_CASES)
+@pytest.mark.parametrize("branch", BRANCHES)
+def test_roots_table_matches_written_out_reference(case, branch, monkeypatch):
+    """ROOTS gives the bits or the exceptions of the written-out constraint
+    pair, kinds and a12 closed form, on plain, near-opposite, extreme,
+    signed-zero and non-finite draws."""
+    spec = CaseSpec(case, branch)
+    rng = np.random.default_rng([130, RESONANT_CASES.index(case), BRANCHES.index(branch)])
+    draws = list(_reference_draws(rng, 300))
+    sign = 1.0 if branch is Branch.FIRST else -1.0
+    got = [(_outcome(catalog.CONSTRAINTS[case], *k, sign * p3),
+            _outcome(resolve_constraints, k, p3, spec)) for k, p3 in draws]
+    with monkeypatch.context() as m:
+        m.setitem(catalog.CONSTRAINTS, case, REF_CONSTRAINTS[case])
+        want = [(_outcome(REF_CONSTRAINTS[case], *k, sign * p3),
+                 _outcome(resolve_constraints, k, p3, spec)) for k, p3 in draws]
+    assert got == want
+    resolved = 0
+    for k, p3 in draws:
+        assert _outcome(a12_closed_form, case, k) == _outcome(_ref_a12, case, k), k
+        try:
+            params = resolve_constraints(k, p3, spec)
+        except (InadmissibleParameterError, DegenerateParameterError, DomainError):
+            continue
+        resolved += 1
+        got_class = classify_resonance(params, spec)
+        assert got_class.kinds == REF_KINDS[REF_CONSTRAINTS[case]]
+        assert _bits(got_class.a12) == _outcome(_ref_a12, case, params.k)
+    assert resolved >= 100
+    assert a12_closed_form(Case.GENERIC, (1.0, 2.0, 3.0)) is None
+
+
 @pytest.mark.parametrize("case", RESONANT_CASES)
 def test_template_cardinality(case):
     rng = np.random.default_rng([103, RESONANT_CASES.index(case)])
@@ -197,6 +332,16 @@ def test_generic_template_has_eight_terms():
     sol = make_generic((1.0, 2.0, 3.0), (0.2, -0.3, 0.1))
     assert len(sol.template) == 8
     assert len(sol.tau) == 8
+
+
+def test_generic_signed_zero_phase_constants_give_the_same_tau():
+    """A -0.0 phase constant stays -0.0 in params, but every phase sum starts
+    from integer 0, so the tau terms carry +0.0 as for a +0.0 constant."""
+    k, p = (1.0, 2.0, 3.0), (0.2, -0.3, 0.1)
+    neg, pos = (make_generic(k, p, xi0=(z, z, z)) for z in (-0.0, 0.0))
+    assert repr(neg.params.xi0) == "(-0.0, -0.0, -0.0)"
+    assert repr(neg.tau) == repr(pos.tau)
+    assert all(repr(term.phase) == "0.0" for term in neg.tau.terms)
 
 
 def test_generic_computes_each_coefficient_once(monkeypatch):

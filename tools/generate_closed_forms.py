@@ -33,12 +33,16 @@ spell each exponent vector (a, b, c) by the module-level name _abc, which
 compiles to less than a tuple literal.  Only the stem queries read the
 table, and kpii_stem.geometry imports the module on the first of them.
 
-The case tables (constraint pairs and tau templates) are read from
-kpii_stem.catalog, so the package under src/ must be importable.  The second
-constraint branch never needs its own table: it is the mirror image y -> -y
-of the first branch at negated p3 (checked in the test suite).
+The case tables (the constraint that each case's roots table gives, and the
+tau templates) are read from kpii_stem.catalog, so the package under src/
+must be importable.  The second constraint branch never needs its own
+table: it is the mirror image y -> -y of the first branch at negated p3
+(checked in the test suite).
 
-Run from the repository root:  python3 tools/generate_closed_forms.py
+Run from the repository root whenever catalog.py changes; the table must come
+out byte-identical unless the change means to alter it:
+
+    python3 tools/generate_closed_forms.py && git diff --exit-code src/kpii_stem/_closed_forms.py
 """
 
 import itertools
