@@ -4,11 +4,12 @@ Each solution u = 2 (ln f)_xx is built from three wave numbers k = (k1, k2, k3)
 and a single free transverse parameter p3; the remaining p1, p2 are resolved
 from the selected resonance case so that the pairwise interaction coefficients
 a_ij (see aij_factors) reach the case's limits (0 for weak, infinity for strong
-resonance) exactly on the constraint manifold.  ROOTS states each case once, as
-the root of a13 and of a23 that p1 and p2 sit on; the per-pair kinds and the
+resonance) exactly on the constraint manifold.  ROOTS states each case's root
+of a13 and of a23 that p1 and p2 sit on, and SHIFTS the phase shifts that go
+to +-infinity with them; the per-pair kinds, the tau templates and the
 surviving finite coefficient a12, whose closed form is the same for both
-constraint branches, follow from it.  The two branches map onto each other by
-the mirror (p3, y) -> (-p3, -y).  After a change here, regenerate
+constraint branches, follow from the two.  The two branches map onto each
+other by the mirror (p3, y) -> (-p3, -y).  After a change here, regenerate
 _closed_forms.py as tools/generate_closed_forms.py says and check that it is
 unchanged.
 """
@@ -211,20 +212,16 @@ CONSTRAINTS = {case: _constraint(roots) for case, roots in ROOTS.items()}
 
 def a12_closed_form(case: Case, k: Triple) -> float | None:
     """Surviving interaction coefficient; None for the fully resonant cases."""
-    kinds = _PAIR_KINDS.get(case)
-    if kinds is None or kinds[(1, 2)] is ResonanceKind.WEAK:
+    if case not in ROOTS or ROOTS[case][0] == ROOTS[case][1]:    # (1, 2) weak
         return None
     k1, k2, k3 = k
-    if kinds[(1, 3)] is kinds[(2, 3)] is ResonanceKind.STRONG:
-        den = k3 * (k1 + k2 + k3)
+    (r1, _), (r2, _) = ROOTS[case]
+    if r1 == r2:    # both strong (r = 1) or both weak (r = -1); r * x is exact
+        den = k3 * (k1 + k2 + r1 * k3)
         if den == 0:
-            raise DegenerateParameterError("a12 denominator k3 (k1 + k2 + k3) vanishes")
-        return (k1 + k3) * (k2 + k3) / den
-    if kinds[(1, 3)] is kinds[(2, 3)] is ResonanceKind.WEAK:
-        den = k3 * (k1 + k2 - k3)
-        if den == 0:
-            raise DegenerateParameterError("a12 denominator k3 (k1 + k2 - k3) vanishes")
-        return -(k1 - k3) * (k2 - k3) / den
+            raise DegenerateParameterError(
+                f"a12 denominator k3 (k1 + k2 {'+' if r1 > 0 else '-'} k3) vanishes")
+        return r1 * (k1 + r1 * k3) * (k2 + r1 * k3) / den
     # (1, 3) strong, (2, 3) weak
     den = (k1 + k3) * (k2 - k3)
     if den == 0:
@@ -232,32 +229,46 @@ def a12_closed_form(case: Case, k: Triple) -> float | None:
     return -k3 * (k1 - k2 + k3) / den
 
 
-# tau templates: term exponent vectors over (xi1, xi2, xi3); starred terms
-# carry the coefficient a12
-A12 = "a12"
-TEMPLATES: dict[Case, tuple[tuple[tuple[int, int, int], object], ...]] = {
-    Case.C2_1: (((0, 0, 0), 1), ((1, 0, 0), 1), ((0, 1, 0), 1),
-                ((1, 1, 0), A12), ((1, 1, 1), A12)),
-    Case.C2_2: (((0, 0, 0), 1), ((0, 1, 0), 1), ((0, 1, 1), 1), ((1, 1, 1), A12)),
-    Case.C2_3: (((0, 0, 0), 1), ((1, 0, 0), 1), ((1, 0, 1), 1), ((1, 1, 1), A12)),
-    Case.C2_4: (((0, 0, 0), 1), ((0, 0, 1), 1), ((1, 0, 1), 1),
-                ((0, 1, 1), 1), ((1, 1, 1), A12)),
-    Case.W2: (((0, 0, 0), 1), ((1, 0, 0), 1), ((0, 1, 0), 1),
-              ((0, 0, 1), 1), ((1, 1, 0), A12)),
-    Case.M2: (((0, 0, 0), 1), ((1, 0, 0), 1), ((0, 1, 0), 1),
-              ((1, 1, 0), A12), ((1, 0, 1), 1)),
-    Case.C3_1: (((0, 0, 0), 1), ((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1)),
-    Case.C3_2: (((0, 0, 0), 1), ((0, 0, 1), 1), ((1, 0, 1), 1), ((0, 1, 1), 1)),
+# Each case's limit: as a13 and a23 go to their roots, xi_j moves by alpha_j ln a13
+# + beta_j ln a23, SHIFTS[case] = (alpha, beta), on both branches (the mirror keeps a_ij).
+SHIFTS = {
+    Case.C2_1: ((0, 0, -1), (0, 0, -1)), Case.C2_2: ((-1, 0, 0), (0, 0, -1)),
+    Case.C2_3: ((0, 0, -1), (0, -1, 0)), Case.C2_4: ((-1, 0, 0), (0, -1, 0)),
+    Case.W2: ((0, 0, 0), (0, 0, 0)), Case.M2: ((0, 0, -1), (0, 0, 0)),
+    Case.C3_1: ((0, 0, 0), (0, 0, 0)), Case.C3_2: ((-1, 0, 0), (0, -1, 0)),
 }
+# the generic tau's terms over (xi1, xi2, xi3), in the order every template keeps
+TERMS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1))
+A12 = "a12"
 
-# per case and pair, the resonance kind: (1, 3) and (2, 3) from their roots,
-# and (1, 2) weak exactly where the template has no a12 term
+
+def limit_template(r, weak12, shift):
+    """The generic terms (eps, 1 or A12) left where a13, a23 go to the roots r = (r1, r2)
+    (+1 a pole, -1 a zero) and xi moves by shift = (alpha, beta): eps carries a13^(e1 e3 +
+    alpha . eps) and a23^(e2 e3 + beta . eps), and is left where both powers are 0, unless
+    weak12 (a12 = 0) and e1 e2 = 1.  A growing power raises ValueError."""
+    out = []
+    for eps in TERMS:
+        e1, e2, e3 = eps
+        powers = [ei * e3 + sum(c * e for c, e in zip(col, eps)) for ei, col in zip(eps, shift)]
+        if any(ri * n > 0 for ri, n in zip(r, powers)):
+            raise ValueError(f"term {eps} grows in the limit {shift} on roots {r}")
+        if powers == [0, 0] and not (weak12 and e1 * e2):
+            out.append((eps, A12 if e1 * e2 else 1))
+    return tuple(out)
+
+
+# Per case and pair, the resonance kind: (1, 3) and (2, 3) from their roots, and
+# (1, 2) weak exactly where both sit on one root: there p2/k2 - p1/k1 = s (k2 - k1)
+# zeroes a numerator factor of a12.
 _ROOT_KINDS = {1: ResonanceKind.STRONG, -1: ResonanceKind.WEAK}
 _PAIR_KINDS = {
-    case: {(1, 2): ResonanceKind.ELASTIC if any(c is A12 for _, c in TEMPLATES[case])
-           else ResonanceKind.WEAK, (1, 3): _ROOT_KINDS[r1], (2, 3): _ROOT_KINDS[r2]}
-    for case, ((r1, _), (r2, _)) in ROOTS.items()
+    case: {(1, 2): ResonanceKind.WEAK if roots[0] == roots[1] else ResonanceKind.ELASTIC,
+           (1, 3): _ROOT_KINDS[roots[0][0]], (2, 3): _ROOT_KINDS[roots[1][0]]}
+    for case, roots in ROOTS.items()
 }
+TEMPLATES = {case: limit_template((roots[0][0], roots[1][0]), roots[0] == roots[1], SHIFTS[case])
+             for case, roots in ROOTS.items()}
 
 
 def resolve_constraints(k, p3: float, spec: CaseSpec, xi0=(0.0, 0.0, 0.0)) -> SolitonParams:
@@ -352,11 +363,8 @@ def make_generic(k, p, xi0=(0.0, 0.0, 0.0)) -> ResonantSolution:
             raise DegenerateParameterError(
                 f"a{i}{j} is infinite; the generic template requires finite coefficients")
         a[(i, j)] = aij
-    template = (
-        ((0, 0, 0), 1.0), ((1, 0, 0), 1.0), ((0, 1, 0), 1.0), ((0, 0, 1), 1.0),
-        ((1, 1, 0), a[(1, 2)]), ((1, 0, 1), a[(1, 3)]), ((0, 1, 1), a[(2, 3)]),
-        ((1, 1, 1), a[(1, 2)] * a[(1, 3)] * a[(2, 3)]),
-    )
+    a12, a13, a23 = a[(1, 2)], a[(1, 3)], a[(2, 3)]
+    template = tuple(zip(TERMS, (1.0, 1.0, 1.0, 1.0, a12, a13, a23, a12 * a13 * a23)))
     return ResonantSolution(params=params, spec=CaseSpec(Case.GENERIC),
                             tau=_make_tau(params, template),
                             resonance=_generic_class(a), template=template)

@@ -230,25 +230,24 @@ def skeleton(sol: ResonantSolution, t: float) -> list[Edge]:
         planes = [(idx, K, P, W * t + s0 + lnc) for idx, K, P, W, s0, lnc in rec.planes]
     edges = []
     for a, (ia, Ka, Pa, ca) in enumerate(planes[:-1]):
-        # (K_a - K_c, P_a - P_c, c_a - c_c) and the tolerance of a cut parallel
-        # to an edge of term a, formed once per term c for every edge of a
-        cuts = [(ic, Ka - Kc, Pa - Pc, ca - cc, 1e-13 * (1 + abs(Ka - Kc) + abs(Pa - Pc)))
-                for ic, Kc, Pc, cc in planes]
-        for ib, dK, dP, dc, _ in cuts[a + 1:]:
+        # (K_a - K_c, P_a - P_c, c_a - c_c) per term c, for every edge of term a
+        cuts = [(ic, Ka - Kc, Pa - Pc, ca - cc) for ic, Kc, Pc, cc in planes]
+        for ib, dK, dP, dc in cuts[a + 1:]:
             nrm = math.hypot(dK, dP)
-            if nrm < 1e-13:
+            if nrm * nrm == 0:
                 continue
             b0, b1 = -dc * dK / nrm**2, -dc * dP / nrm**2
             d0, d1 = -dP / nrm, dK / nrm
             lo, hi = -math.inf, math.inf
             lo_bind = hi_bind = None
             gaps = []
-            for ic, dKc, dPc, dcc, tol in cuts:
+            for ic, dKc, dPc, dcc in cuts:
                 if ic == ia or ic == ib:
                     continue
                 alpha = dKc * b0 + dPc * b1 + dcc
                 beta = dKc * d0 + dPc * d1
-                flat = abs(beta) < tol
+                # relative, so that KPII's scaling (K, P) -> (s K, s^2 P) keeps it
+                flat = abs(beta) <= 1e-13 * (abs(dKc * d0) + abs(dPc * d1))
                 gaps.append((ic, alpha, beta, flat))
                 if flat:
                     if alpha < 0:
@@ -262,7 +261,7 @@ def skeleton(sol: ResonantSolution, t: float) -> list[Edge]:
                     hi, hi_bind = bound, ic
             else:
                 if not (math.isfinite(lo) and math.isfinite(hi)
-                        and lo >= hi - 1e-9 * (1 + abs(lo) + abs(hi))):
+                        and lo >= hi - 1e-9 * (abs(lo) + abs(hi))):
                     edges.append(Edge(ia, ib, lo, hi, lo_bind, hi_bind, (b0, b1), (d0, d1),
                                       _arm(sol, rec, ia, ib), tuple(gaps)))
     return edges
@@ -327,12 +326,8 @@ def _catalog_side(sol: ResonantSolution, t: float, regime: str | None = None):
         return None
     if regime is None:
         # V-opening bisectors at the stem junctions decide the region axis
-        bis_y = []
-        for side in wings:
-            bx = sum(d[0] for _, d in side)
-            by = sum(d[1] for _, d in side)
-            bis_y.append(abs(by) >= abs(bx))
-        regime = "y" if all(bis_y) else "x"
+        bisectors = [(sum(d[0] for _, d in side), sum(d[1] for _, d in side)) for side in wings]
+        regime = "y" if all(abs(by) >= abs(bx) for bx, by in bisectors) else "x"
     listing = []
     for side in wings:
         for e, d in side:

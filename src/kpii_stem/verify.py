@@ -4,7 +4,8 @@ Four families of checks, all independent of the closed-form geometry path:
 
 * kp_residual      -- the field equation residual (u_t + 6 u u_x + u_xxx)_x
                       + 3 u_yy evaluated with exact derivatives,
-* limit_convergence -- the eight-term generic solution, recentred and driven
+* limit_convergence -- the eight-term generic solution, recentred by the
+                      case's phase-shift limit (catalog.SHIFTS) and driven
                       toward a resonance, converges to the case template,
 * asymptotic_match -- where every other tau term lies exponentially below
                       the arm's two (section_anchor), the solution matches
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import Case, ResonanceKind, ResonantSolution, aij_factors, aij_value, make_generic
+from .catalog import ROOTS, SHIFTS, Case, ResonantSolution, aij_factors, aij_value, make_generic
 from .errors import (AnchorNotFoundError, DomainError, InadmissibleFamilyError,
                      InadmissibleParameterError, InternalConsistencyError,
                      RidgeNotFoundError, UnsupportedCaseError)
@@ -92,17 +93,12 @@ def kp_residual(sol, points, tol: float = 1e-8) -> ResidualReport:
                           n_points=len(pts), points_exceeding_tol=tuple(bad))
 
 
-def _limit_shift(template, strong):
-    """(ln a13, ln a23) -> phase shift s with eps . s = -(sum of ln a_i3 over
-    the pairs (i, 3) in eps with strong[i - 1]) for each nonzero template
-    exponent eps: the template terms stay in place as the strong a_i3 diverge."""
-    eps = np.array([e for e, _ in template if any(e)])
-    rhs = -eps[:, :2] * eps[:, 2:] * strong         # columns: ln a13, ln a23
-    coeffs = np.rint(np.linalg.lstsq(eps, rhs, rcond=None)[0]).astype(int).tolist()
-    # a zero coefficient adds no term, so a zero shift keeps its sign
-    return lambda l13, l23: tuple(
-        a * l13 + b * l23 if a and b else a * l13 if a else b * l23 if b else 0.0
-        for a, b in coeffs)
+def _limit_shift(case, l13, l23):
+    """The limit family's phase shift at ln a13 = l13, ln a23 = l23, which keeps the
+    case's template terms in place: xi_j moves by alpha_j l13 + beta_j l23, (alpha,
+    beta) = SHIFTS[case].  A zero coefficient adds no term, so a zero keeps its sign."""
+    return tuple(a * l13 + b * l23 if a and b else a * l13 if a else b * l23 if b else 0.0
+                 for a, b in zip(*SHIFTS[case]))
 
 
 def _perturbation_root(ki, pi, kj, pj, target: float) -> float | None:
@@ -139,14 +135,13 @@ def limit_family(sol: ResonantSolution, magnitudes) -> list[ResonantSolution]:
     case = sol.spec.case
     if case is Case.GENERIC:
         raise UnsupportedCaseError(f"no limit family for case {case}")
-    strong = [sol.resonance.kinds[(i, 3)] is ResonanceKind.STRONG for i in (1, 2)]
-    shift_of = _limit_shift(sol.template, strong)
     k = sol.params.k
     p1s, p2s, p3 = sol.params.p
     a12_goal = sol.a12 if sol.a12 is not None else 0.0
     out = []
     for mag in magnitudes:
-        t13, t23 = (mag if s else 1.0 / mag for s in strong)
+        # a13 and a23 go to a pole (r = 1) or to a zero (r = -1)
+        t13, t23 = (mag if r > 0 else 1.0 / mag for r, _ in ROOTS[case])
         # The target ratio zeta is scanned so that a12 stays admissible
         # (nonnegative and near its intended limit).
         best = None
@@ -176,7 +171,7 @@ def limit_family(sol: ResonantSolution, magnitudes) -> list[ResonantSolution]:
             raise InadmissibleFamilyError(
                 f"no admissible perturbation at magnitude {mag} for {case.value}")
         _, p, a13, a23 = best
-        shift = shift_of(math.log(a13), math.log(a23))
+        shift = _limit_shift(case, math.log(a13), math.log(a23))
         xi0 = tuple(a + b for a, b in zip(sol.params.xi0, shift))
         try:
             out.append(make_generic(k, p, xi0=xi0))

@@ -1,5 +1,6 @@
 """Resonance-case construction: constraints, coefficients, templates."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -285,6 +286,68 @@ def test_roots_table_matches_written_out_reference(case, branch, monkeypatch):
         assert _bits(got_class.a12) == _outcome(_ref_a12, case, params.k)
     assert resolved >= 100
     assert a12_closed_form(Case.GENERIC, (1.0, 2.0, 3.0)) is None
+
+
+# The bit reference for catalog.TEMPLATES, which ROOTS and SHIFTS give: each
+# case's tau terms written out by hand, in tau term order; A12 marks the terms
+# that carry a12.
+A12 = catalog.A12
+REF_TEMPLATES = {
+    Case.C2_1: (((0, 0, 0), 1), ((1, 0, 0), 1), ((0, 1, 0), 1),
+                ((1, 1, 0), A12), ((1, 1, 1), A12)),
+    Case.C2_2: (((0, 0, 0), 1), ((0, 1, 0), 1), ((0, 1, 1), 1), ((1, 1, 1), A12)),
+    Case.C2_3: (((0, 0, 0), 1), ((1, 0, 0), 1), ((1, 0, 1), 1), ((1, 1, 1), A12)),
+    Case.C2_4: (((0, 0, 0), 1), ((0, 0, 1), 1), ((1, 0, 1), 1),
+                ((0, 1, 1), 1), ((1, 1, 1), A12)),
+    Case.W2: (((0, 0, 0), 1), ((1, 0, 0), 1), ((0, 1, 0), 1),
+              ((0, 0, 1), 1), ((1, 1, 0), A12)),
+    Case.M2: (((0, 0, 0), 1), ((1, 0, 0), 1), ((0, 1, 0), 1),
+              ((1, 1, 0), A12), ((1, 0, 1), 1)),
+    Case.C3_1: (((0, 0, 0), 1), ((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1)),
+    Case.C3_2: (((0, 0, 0), 1), ((0, 0, 1), 1), ((1, 0, 1), 1), ((0, 1, 1), 1)),
+}
+
+
+def test_templates_derived_from_the_limit_match_written_out_reference():
+    # repr also compares the order of the terms and 1 against 1.0
+    assert repr(list(catalog.TEMPLATES.items())) == repr(list(REF_TEMPLATES.items()))
+
+
+def _relabel(r, weak12, template):
+    """The same limit with solitons 1 and 2 swapped, in tau term order."""
+    swapped = {(e2, e1, e3): c for (e1, e2, e3), c in template}
+    return (r[1], r[0]), weak12, tuple((e, swapped[e]) for e in catalog.TERMS if e in swapped)
+
+
+def test_limit_enumeration_gives_the_cases_and_one_template_more():
+    """Over every pair of roots, (1, 2) elastic or weak and every shift in
+    {-1, 0, 1}^6, the templates of 4 or more terms in which each soliton
+    index takes both values are the 8 cases, T = {0, e2, e3, e13} and
+    {0, e1, e2, e13} on strong-weak roots, and their 1 <-> 2 relabellings;
+    each case's template comes from its SHIFTS entry alone."""
+    shifts = {}
+    for r in itertools.product((1, -1), repeat=2):
+        for weak12 in (False, True):
+            for shift in itertools.product(itertools.product((-1, 0, 1), repeat=3), repeat=2):
+                try:
+                    template = catalog.limit_template(r, weak12, shift)
+                except ValueError:      # a term grows
+                    continue
+                eps = [e for e, _ in template]
+                if len(eps) >= 4 and all({e[j] for e in eps} == {0, 1} for j in range(3)):
+                    shifts.setdefault((r, weak12, template), []).append(shift)
+    cases = {}
+    for case, ((r1, _), (r2, _)) in catalog.ROOTS.items():
+        weak12 = REF_KINDS[REF_CONSTRAINTS[case]][(1, 2)] is ResonanceKind.WEAK
+        cases[(r1, r2), weak12, REF_TEMPLATES[case]] = case
+    one = ((0, 0, 0), 1)
+    t = (one, ((0, 1, 0), 1), ((0, 0, 1), 1), ((1, 0, 1), 1))
+    companion = (one, ((1, 0, 0), 1), ((0, 1, 0), 1), ((1, 0, 1), 1))
+    expected = {*cases, ((1, -1), False, t), ((1, -1), True, t), ((1, -1), True, companion)}
+    expected |= {_relabel(*limit) for limit in expected}
+    assert set(shifts) == expected
+    for limit, case in cases.items():
+        assert shifts[limit] == [catalog.SHIFTS[case]], case
 
 
 @pytest.mark.parametrize("case", RESONANT_CASES)

@@ -2,6 +2,7 @@
 keys, loading on first use, and the dual-path endpoint check that reads it."""
 
 import ast
+import importlib.util
 import itertools
 import subprocess
 import sys
@@ -61,6 +62,19 @@ def test_table_keys_are_the_facet_triples():
         n_vertex += len(vertex)
     assert set(_closed_forms.VERTEX) == {c.value for c in catalog.TEMPLATES}
     assert n_vertex == 48
+
+
+def test_generator_reproduces_the_table(tmp_path):
+    """tools/generate_closed_forms.py, run on today's catalog, writes the
+    committed table byte for byte."""
+    pytest.importorskip("sympy")
+    spec = importlib.util.spec_from_file_location(
+        "generate_closed_forms", REPO / "tools" / "generate_closed_forms.py")
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    out = tmp_path / "_closed_forms.py"
+    generator.main(out)
+    assert out.read_bytes() == TABLES.read_bytes()
 
 
 def _sweep_draws(rng, n):

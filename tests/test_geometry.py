@@ -169,6 +169,40 @@ def test_near_degenerate_draw_builds_a_catalog():
             stem_endpoints(sol, t).length, rel=1e-9)
 
 
+def _catalog_facts(sol):
+    """The arm sets, stems and junctions of sol's catalog; its region
+    listing follows the skeleton's axes, which scaling moves."""
+    cat = arm_catalog(sol)
+    return ({(a.label, a.hat) for _, a in cat.before}, {(a.label, a.hat) for _, a in cat.after},
+            (cat.stem_past.label, cat.stem_past.hat), (cat.stem_future.label, cat.stem_future.hat),
+            cat.past_junctions, cat.future_junctions)
+
+
+def test_catalog_is_invariant_under_kpii_scaling():
+    """(k, p3) -> (s k, s^2 p3) keeps every a_ij, so it keeps the catalog; with
+    s = 2**e every K, P and W scales exactly, so the skeleton's tests must
+    keep their verdicts from 2**-40 to 2**170."""
+    rng = np.random.default_rng(7)
+    for case in RESONANT_CASES:
+        found = 0
+        while found < 6:
+            k, p3 = rng.uniform(-3.0, 3.0, 3), rng.uniform(-3.0, 3.0)
+            try:
+                facts = _catalog_facts(build_case(case, k, p3))
+            except (InadmissibleParameterError, DegenerateParameterError,
+                    InternalConsistencyError):  # inadmissible, or no reconnection
+                continue
+            found += 1
+            for e in (-40, -27, 40, 100, 170):
+                s = 2.0**e
+                assert _catalog_facts(build_case(case, k * s, p3 * s * s)) == facts, (case, k, e)
+    # off the powers of two the scaled draw rounds differently, and keeps it too
+    k, p3 = np.array([1.3, 2.1, -0.7]), 0.4
+    facts = _catalog_facts(build_case("c3_1", k, p3))
+    for s in (1e-12, 1e-8, 1e12):
+        assert _catalog_facts(build_case("c3_1", k * s, p3 * s * s)) == facts, s
+
+
 def _wings_by_distance(sol, t):
     """The wing edges at each end junction of the limit stem of skeleton(sol,
     t), each oriented away from whichever of its ends lies nearer the

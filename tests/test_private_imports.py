@@ -16,7 +16,8 @@ ALLOWED = {
     ("tests", "tau._scaled_weights"),
     # the scenario echo that `sample` writes, rebuilt by the byte reference
     ("tests", "cli._scenario_echo"),
-    # the limit recentring, checked against the per-case table it replaced
+    # the limit recentring read from catalog.SHIFTS, checked against a
+    # written-out per-case table
     ("tests", "verify._limit_shift"),
 }
 

@@ -11,7 +11,6 @@ from kpii_stem import (
     ExpSumTau,
     ExpTerm,
     ResidualReport,
-    ResonanceKind,
     arm_catalog,
     asymptotic_match,
     build_solution,
@@ -262,7 +261,7 @@ def test_limit_degenerate_family_is_identical(solutions):
     assert d == 0.0
 
 
-# the per-case recentring table that _limit_shift replaced, kept as reference
+# the per-case recentring table that catalog.SHIFTS states, kept as reference
 _OLD_LIMIT_SHIFTS = {
     "c2_1": lambda l13, l23: (0.0, 0.0, -l13 - l23),
     "c2_2": lambda l13, l23: (-l13, 0.0, -l23),
@@ -277,14 +276,14 @@ _OLD_LIMIT_SHIFTS = {
 
 @pytest.mark.parametrize("name", sorted(_OLD_LIMIT_SHIFTS))
 def test_limit_shift_derived_from_template(name, solutions):
-    sol = solutions[name]
-    strong = [sol.resonance.kinds[(i, 3)] is ResonanceKind.STRONG for i in (1, 2)]
-    shift = _limit_shift(sol.template, strong)
+    """The recentring read from catalog.SHIFTS, whose templates are derived
+    from it, keeps the bits and signed zeros of the written-out table."""
+    case = solutions[name].spec.case
     rng = np.random.default_rng(20261018)
     logs = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)]
     logs += [tuple(v) for v in rng.normal(0.0, 10.0, (200, 2)).tolist()]
     for l13, l23 in logs:
-        assert repr(shift(l13, l23)) == repr(_OLD_LIMIT_SHIFTS[name](l13, l23))
+        assert repr(_limit_shift(case, l13, l23)) == repr(_OLD_LIMIT_SHIFTS[name](l13, l23))
 
 
 def test_limit_family_rejects_generic():

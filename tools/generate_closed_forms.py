@@ -34,15 +34,18 @@ compiles to less than a tuple literal.  Only the stem queries read the
 table, and kpii_stem.geometry imports the module on the first of them.
 
 The case tables (the constraint that each case's roots table gives, and the
-tau templates) are read from kpii_stem.catalog, so the package under src/
-must be importable.  The second constraint branch never needs its own
-table: it is the mirror image y -> -y of the first branch at negated p3
-(checked in the test suite).
+tau templates that its roots and shifts tables give) are read from
+kpii_stem.catalog, so the package under src/ must be importable.  The second
+constraint branch never needs its own table: it is the mirror image y -> -y of
+the first branch at negated p3 (checked in the test suite).
 
 Run from the repository root whenever catalog.py changes; the table must come
 out byte-identical unless the change means to alter it:
 
     python3 tools/generate_closed_forms.py && git diff --exit-code src/kpii_stem/_closed_forms.py
+
+tests/test_closed_forms.py runs the same check into a temporary file, through
+main(out), wherever sympy is installed.
 """
 
 import itertools
@@ -128,8 +131,8 @@ def _key_source(key):
     return "(" + ", ".join(map(_vector_name, key)) + ")"
 
 
-def main():
-    out = Path(__file__).resolve().parents[1] / "src" / "kpii_stem" / "_closed_forms.py"
+def main(out=Path(__file__).resolve().parents[1] / "src" / "kpii_stem" / "_closed_forms.py"):
+    """Write the table to out (default: the package's _closed_forms.py)."""
     lines = [
         '"""Derived closed-form stem endpoint table.',
         "",
