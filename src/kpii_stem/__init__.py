@@ -33,6 +33,7 @@ from .geometry import (
     arm_profile,
     cross_section,
     find_arm,
+    line_points,
     skeleton,
     stem_endpoints,
     stem_length_formula,

@@ -36,10 +36,9 @@ from .errors import (DegenerateParameterError, InadmissibleParameterError,
 from .geometry import (
     arm_catalog,
     arm_profile,
-    cross_section,
     even_axis,
     find_arm,
-    normalize_line,
+    line_points,
     stem_endpoints,
     stem_length_formula,
     stem_reports,
@@ -112,7 +111,7 @@ def parse_scenario(data: dict) -> Scenario:
     case = data.get("case")
     if case is None:
         raise ScenarioError("missing field case")
-    if case not in _CASES:
+    if not isinstance(case, str) or case not in _CASES:
         raise ScenarioError(f"unknown case {case!r}")
     branch = data.get("branch", "first")
     if branch not in ("first", "second"):
@@ -125,7 +124,8 @@ def parse_scenario(data: dict) -> Scenario:
     if t_min < 0:
         raise ScenarioError("field t_min must be nonnegative")
     limit_target = data.get("limit_target")
-    if limit_target is not None and limit_target not in _CASES - {"generic"}:
+    if limit_target is not None and (not isinstance(limit_target, str)
+                                     or limit_target not in _CASES - {"generic"}):
         raise ScenarioError(f"unknown limit_target {limit_target!r}")
     if case == "generic":
         if "p" not in data:
@@ -145,7 +145,9 @@ def load_scenario(path: str) -> Scenario:
             data = json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and an integer
+        # literal beyond int's digit limit; RecursionError too deep a nesting
         raise ScenarioError(f"invalid JSON: {exc}") from exc
     return parse_scenario(data)
 
@@ -236,52 +238,49 @@ def _parse_grid(spec: str):
 
 # numpy's refusals to size a sample count (IndexError from 2**63 - 1 to 1e19)
 _UNSIZABLE = (ValueError, IndexError, MemoryError)
-# values per floattext.columns call in sample: one kernel call's rows
+# values per kernel call and floattext.columns call in sample: four blocks
 _TEXT_POINTS = 4 * BLOCK_POINTS
 
 
 def _tiles(shape, size):
-    """The (rows, columns) slices of tiles of at most size values that cover
-    a 2-D array of this shape in row-major order: whole rows where size holds
-    one, else pieces of one row."""
+    """The (rows, columns) slices of tiles that cover a 2-D array of this
+    shape in row-major order: size // BLOCK_POINTS blocks of whole rows where
+    a row fits in a block, else at most size values, whole rows or pieces of
+    one row."""
     n_rows, n_cols = shape
-    rows = max(1, size // n_cols)
-    return [np.s_[i:i + rows, j:j + size]
-            for i in range(0, n_rows, rows) for j in range(0, n_cols, size)]
+    rows = size // BLOCK_POINTS * (BLOCK_POINTS // n_cols) or max(1, size // n_cols)
+    return (np.s_[i:i + rows, j:j + size]
+            for i in range(0, n_rows, rows) for j in range(0, n_cols, size))
 
 
 def _csv_lines(u, x_text, y_text):
-    """The CSV lines of the grid values u, row i at x_text[i] and column j at
-    y_text[j], a block at a time: each line is the x text, the y text and the
-    u text, each with its separator, laid side by side in one NUL-padded
-    matrix."""
+    """The CSV lines of one tile's values u, row i at x_text[i] and column j
+    at y_text[j]: formatted in one floattext call, then laid out a block at a
+    time, each line the x text, the y text and the u text, each with its
+    separator, side by side in one NUL-padded matrix."""
     from . import floattext
+    u_text = floattext.columns(u, sep=b"\n").reshape(*u.shape, -1)
     wx, wy = x_text.shape[1], y_text.shape[1]
-    for rows, cols in _tiles(u.shape, _TEXT_POINTS):
-        tile = u[rows, cols]
-        u_text = floattext.columns(tile, sep=b"\n").reshape(*tile.shape, -1)
-        xt, yt = x_text[rows], y_text[cols]
-        for i, j in _tiles(u_text.shape[:2], BLOCK_POINTS):
-            part = u_text[i, j]
-            lines = np.empty(part.shape[:2] + (wx + wy + part.shape[2],), np.uint8)
-            lines[..., :wx] = xt[i, None]
-            lines[..., wx:wx + wy] = yt[j]
-            lines[..., wx + wy:] = part
-            yield floattext.text(lines)
-            del lines  # before the next block's is made
+    for i, j in _tiles(u.shape, BLOCK_POINTS):
+        part = u_text[i, j]
+        lines = np.empty(part.shape[:2] + (wx + wy + part.shape[2],), np.uint8)
+        lines[..., :wx] = x_text[i, None]
+        lines[..., wx:wx + wy] = y_text[j]
+        lines[..., wx + wy:] = part
+        yield floattext.text(lines)
+        del lines  # before the next block's is made
 
 
 def _json_values(u, sep, lead):
-    """The JSON text of the values u in row-major order, after lead and with
-    sep between them, a block at a time."""
+    """The JSON text of one tile's values u in row-major order, after lead
+    and with sep between them: formatted in one floattext call, then
+    compacted a block at a time."""
     from . import floattext
-    flat = u.reshape(-1)
-    for lo in range(0, len(flat), _TEXT_POINTS):
-        text = floattext.columns(flat[lo:lo + _TEXT_POINTS], floattext.JSON_NONFINITE, sep)
-        for i in range(0, len(text), BLOCK_POINTS):
-            yield lead
-            yield memoryview(floattext.text(text[i:i + BLOCK_POINTS]))[:-len(sep)]
-            lead = sep
+    text = floattext.columns(u, floattext.JSON_NONFINITE, sep)
+    for i in range(0, len(text), BLOCK_POINTS):
+        yield lead
+        yield memoryview(floattext.text(text[i:i + BLOCK_POINTS]))[:-len(sep)]
+        lead = sep
 
 
 def cmd_sample(args, sc: Scenario, sol: ResonantSolution) -> int:
@@ -297,20 +296,17 @@ def cmd_sample(args, sc: Scenario, sol: ResonantSolution) -> int:
             xs, ys = even_axis(xmin, xmax, nx), even_axis(ymin, ymax, ny)
         except _UNSIZABLE as exc:
             raise ScenarioError(f"grid of {nx} x {ny} points is too large") from exc
-        # whole x-rows, four evaluation blocks per kernel call (a block is one
-        # row where a row is longer), so memory is bounded by four blocks
-        # whatever the grid size; each call's values are formatted in one
-        # floattext call (a row longer than a block in pieces of four blocks)
-        # and compacted and written a block at a time, which stays in cache
-        rows = 4 * max(1, BLOCK_POINTS // ny)
+        # one kernel call and one floattext call per tile of _tiles, so memory
+        # is bounded by one tile whatever the grid size; the text is compacted
+        # and written a block at a time, which stays in cache
         with _open_output(args.out, binary=True) as fh:
             if args.format == "csv":
                 fh.write(f"# kpii-stem v{__version__} case={sc.case} t={t!r}\n"
                          "x,y,u\n".encode())
                 x_text, y_text = floattext.packed(xs, ys, sep=b",")
-                for i in range(0, nx, rows):
-                    fh.writelines(_csv_lines(u_on_grid(sol.tau, xs[i:i + rows, None], ys, t),
-                                             x_text[i:i + rows], y_text))
+                for rows, cols in _tiles((nx, ny), _TEXT_POINTS):
+                    fh.writelines(_csv_lines(u_on_grid(sol.tau, xs[rows, None], ys[cols], t),
+                                             x_text[rows], y_text[cols]))
             else:
                 # the header as json.dumps(indent=2) lays it out, with "values"
                 # last, one value per line
@@ -318,11 +314,12 @@ def cmd_sample(args, sc: Scenario, sol: ResonantSolution) -> int:
                     {"version": __version__, "scenario": _scenario_echo(sc), "t": t,
                      "x_range": [xmin, xmax, nx], "y_range": [ymin, ymax, ny],
                      "values": []}, indent=2).encode().rsplit(b"[]", 1)
-                sep = b",\n    "
+                sep, lead = b",\n    ", b""
                 fh.write(head + b"[\n    ")
-                for i in range(0, nx, rows):
-                    fh.writelines(_json_values(u_on_grid(sol.tau, xs[i:i + rows, None], ys, t),
-                                               sep, sep if i else b""))
+                for rows, cols in _tiles((nx, ny), _TEXT_POINTS):
+                    fh.writelines(_json_values(u_on_grid(sol.tau, xs[rows, None], ys[cols], t),
+                                               sep, lead))
+                    lead = sep
                 fh.write(b"\n  ]" + tail + b"\n")
     return EXIT_OK
 
@@ -414,25 +411,18 @@ def cmd_section(args, sc: Scenario, sol: ResonantSolution) -> int:
     # without numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            pts = cross_section(sol, t, line, s_range=s_range, n_samples=args.n,
-                                anchor=(mx, my))
+            s = even_axis(*s_range, args.n)
+            xs, ys = line_points(line, (mx, my), s)
+            cols = [s.tolist(), u_on_grid(sol.tau, xs, ys, t).tolist()]
+            if arm is not None:
+                cols.append(arm_profile(arm, (xs, ys, t)).tolist())
         except _UNSIZABLE as exc:
             raise ScenarioError(f"n = {args.n} samples is too large") from exc
-        with _open_output(args.out) as out:
-            out.write(f"# kpii-stem v{__version__} case={sc.case} t={t!r}\n")
-            if arm is not None:
-                out.write("s,u,u_arm\n")
-                A, B, C = normalize_line(line)
-                d = A * mx + B * my + C
-                foot = (mx - d * A, my - d * B)
-                arc = np.array([s for s, _ in pts])
-                prof = arm_profile(arm, (foot[0] + arc * (-B), foot[1] + arc * A, t))
-                for (s, u), p in zip(pts, prof.tolist()):
-                    out.write(f"{s!r},{u!r},{p!r}\n")
-            else:
-                out.write("s,u\n")
-                for s, u in pts:
-                    out.write(f"{s!r},{u!r}\n")
+    with _open_output(args.out) as out:
+        out.write(f"# kpii-stem v{__version__} case={sc.case} t={t!r}\n")
+        out.write("s,u,u_arm\n" if arm is not None else "s,u\n")
+        for row in zip(*cols):
+            out.write(",".join(map(repr, row)) + "\n")
     return EXIT_OK
 
 

@@ -609,6 +609,15 @@ def even_axis(lo: float, hi: float, n: int) -> np.ndarray:
     return 2.0 * np.linspace(0.5 * lo, 0.5 * hi, n)
 
 
+def line_points(line, anchor, s):
+    """The points (x, y) at arclength s along a line, from the foot of the
+    anchor on it: foot + s (-B, A), with (A, B, C) the line normalized as
+    normalize_line does."""
+    A, B, C = normalize_line(line)
+    d = A * anchor[0] + B * anchor[1] + C
+    return anchor[0] - d * A + s * -B, anchor[1] - d * B + s * A
+
+
 def cross_section(sol: ResonantSolution, t: float, line, s_range=(-20.0, 20.0),
                   n_samples: int = 801, anchor=None):
     """Sample u along a line, parametrized by arclength from the anchor.
@@ -622,18 +631,11 @@ def cross_section(sol: ResonantSolution, t: float, line, s_range=(-20.0, 20.0),
         raise ValueError("n_samples must be at least 2")
     if isinstance(line, ArmDescriptor):
         line = line.line_coeffs(t)
-    A, B, C = normalize_line(line)
     if anchor is None:
         anchor = _stem_rows(sol, _record(sol), (t,))[0][3]
-    # foot of the anchor on the line
-    d = A * anchor[0] + B * anchor[1] + C
-    foot = (anchor[0] - d * A, anchor[1] - d * B)
-    direction = (-B, A)
     s = even_axis(s_range[0], s_range[1], n_samples)
-    xs = foot[0] + s * direction[0]
-    ys = foot[1] + s * direction[1]
-    u = u_on_grid(sol.tau, xs, ys, t)
-    return list(zip(s.tolist(), np.asarray(u).tolist()))
+    u = u_on_grid(sol.tau, *line_points(line, anchor, s), t)
+    return list(zip(s.tolist(), u.tolist()))
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,8 @@ from .catalog import ROOTS, SHIFTS, Case, ResonantSolution, aij_factors, aij_val
 from .errors import (AnchorNotFoundError, DomainError, InadmissibleFamilyError,
                      InadmissibleParameterError, InternalConsistencyError,
                      RidgeNotFoundError, UnsupportedCaseError)
-from .geometry import (ArmDescriptor, arm_catalog, arm_profile, normalize_line, skeleton,
-                       trajectory_line)
+from .geometry import (ArmDescriptor, arm_catalog, arm_profile, line_points, normalize_line,
+                       skeleton, trajectory_line)
 # perfbench/spans.py wraps the kernel at this binding, by this name
 from .tau import BLOCK_POINTS, u_on_grid, u_partials as _u_partials
 
@@ -285,7 +285,7 @@ def asymptotic_match(sol: ResonantSolution, arm: ArmDescriptor, t: float,
     the section itself always follows `arm`.
     """
     anchor = section_anchor(sol, arm, t)
-    A, B, _ = normalize_line(arm.line_coeffs(t))
+    A, B, _ = trajectory_line(arm, t)
     s = np.linspace(-_HALF_WIDTH, _HALF_WIDTH, 801)
     xs = anchor[0] + s * A
     ys = anchor[1] + s * B
@@ -314,11 +314,8 @@ def ridge_trace(sol: ResonantSolution, t: float, approx_line,
     """
     if not tol >= 0.0:
         raise ValueError(f"ridge tolerance must be >= 0, got {tol}")
-    A, B, C = normalize_line(approx_line)
-    dproj = A * anchor[0] + B * anchor[1] + C
-    foot = (anchor[0] - dproj * A, anchor[1] - dproj * B)
-    s = np.linspace(scan_window[0], scan_window[1], n_scans)
-    cx, cy = foot[0] - s * B, foot[1] + s * A
+    A, B, _ = normalize_line(approx_line)
+    cx, cy = line_points(approx_line, anchor, np.linspace(*scan_window, n_scans))
 
     def u_at(d, scans=slice(None)):
         return u_on_grid(sol.tau, cx[scans] + d * A, cy[scans] + d * B, t)

@@ -73,6 +73,30 @@ def test_invalid_json(tmp_path):
     assert res.returncode == 2
 
 
+# scenario files that json reads into no scenario, or does not read at all
+_C2_1_TAIL = '"k": [-1.0, -2.0, -1.3333333333333333], "p3": 1.0'
+UNREADABLE_SCENARIOS = {
+    "case-list": (f'{{"case": ["c2_1"], {_C2_1_TAIL}}}'.encode(), "error: unknown case ['c2_1']"),
+    "limit_target-object": (b'{"case": "generic", "k": [1.0, 2.0, 3.0], "p": [0.1, 0.2, 0.3], '
+                            b'"limit_target": {"a": 1}}', "error: unknown limit_target {'a': 1}"),
+    "not-utf8": (b'\xff\xfe{"case": "c2_1"}', "error: invalid JSON: 'utf-8' codec"),
+    "too-deep": (b"[" * 100000, "error: invalid JSON: maximum recursion depth"),
+    "long-integer": (f'{{"case": "c2_1", "k": [-1, -2, {"1" * 5000}], "p3": 1.0}}'.encode(),
+                     "error: invalid JSON: Exceeds the limit"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE_SCENARIOS))
+def test_unreadable_scenario_exits_2(tmp_path, capsys, name):
+    data, start = UNREADABLE_SCENARIOS[name]
+    path = tmp_path / "scenario.json"
+    path.write_bytes(data)
+    code, err = _run_in_process(capsys, "build", "--scenario", str(path))
+    assert code == 2
+    (line,) = err.splitlines()
+    assert line.startswith(start), line
+
+
 def test_inadmissible_parameters(tmp_path):
     bad = tmp_path / "inadmissible.json"
     bad.write_text(json.dumps({
@@ -465,10 +489,11 @@ def _sample_reference(scenario, t, grid, fmt):
 
 
 # ny = BLOCK_POINTS + 1 makes every x-row longer than an evaluation block, so
-# `sample` takes four rows per call and eleven rows span three calls, the last
-# one short.  In "calls" the rows are short: 150 rows of 120 values span two
-# kernel calls of 4 * (BLOCK_POINTS // 120) = 136 rows, the second one short,
-# each formatted in one floattext call and written in blocks of 34 rows
+# `sample` takes the three rows that fit in four blocks per call and eleven
+# rows span four calls, the last one short.  In "calls" the rows are short:
+# 150 rows of 120 values span two kernel calls of 4 * (BLOCK_POINTS // 120) =
+# 136 rows, the second one short, each formatted in one floattext call and
+# written in blocks of 34 rows
 SAMPLE_REFERENCE_CASES = {
     "blocks": ("c2_1.json", -2.0, (-20.0, 20.0, 11, -20.0, 20.0, BLOCK_POINTS + 1)),
     "calls": ("m2.json", 1.3, (-30.0, 30.0, 150, -30.0, 30.0, 120)),
@@ -499,6 +524,56 @@ def test_sample_bytes_match_per_point_reference(tmp_path, case, fmt):
     if case == "nonfinite":
         assert any(v != v for v in values)
 
+
+
+def _count_sample_calls(monkeypatch, argv):
+    """Run `sample` in process; the shapes of its kernel calls and the number
+    of its floattext.columns calls."""
+    from kpii_stem import cli, floattext
+    shapes, n_columns = [], []
+    u_on_grid, columns = cli.u_on_grid, floattext.columns
+
+    def counted_u_on_grid(*args):
+        u = u_on_grid(*args)
+        shapes.append(u.shape)
+        return u
+
+    def counted_columns(*args, **kwargs):
+        n_columns.append(1)
+        return columns(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "u_on_grid", counted_u_on_grid)
+    monkeypatch.setattr(floattext, "columns", counted_columns)
+    assert cli.main(argv) == 0
+    return shapes, len(n_columns)
+
+
+@pytest.mark.parametrize("fmt,n_columns", [("csv", 7), ("json", 6)])
+def test_sample_calls_on_the_benchmark_grid(tmp_path, monkeypatch, fmt, n_columns):
+    # rows of 297 values: 4 * (BLOCK_POINTS // 297) = 52 rows per kernel call
+    # and per columns call, plus one columns call for both CSV axes
+    argv = ["sample", "--scenario", str(SCENARIOS / "m2.json"), "--t=1.3",
+            "--grid=-30,30,301,-30,30,297", "--out", str(tmp_path / "out"),
+            "--format", fmt]
+    shapes, n = _count_sample_calls(monkeypatch, argv)
+    assert shapes == [(52, 297)] * 5 + [(41, 297)]
+    assert n == n_columns
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sample_long_rows_take_bounded_kernel_calls(tmp_path, monkeypatch, fmt):
+    # a row of 20 000 values is longer than four blocks: it is evaluated and
+    # formatted in pieces of at most 4 * BLOCK_POINTS values, and the bytes
+    # stay those of one full-grid call
+    grid = (-20.0, 20.0, 3, -30.0, 30.0, 20_000)
+    scenario = str(SCENARIOS / "c2_1.json")
+    out = tmp_path / f"sample.{fmt}"
+    argv = ["sample", "--scenario", scenario, "--t=-2.0",
+            "--grid=" + ",".join(map(repr, grid)), "--out", str(out), "--format", fmt]
+    shapes, _ = _count_sample_calls(monkeypatch, argv)
+    assert max(math.prod(s) for s in shapes) <= 4 * BLOCK_POINTS
+    assert shapes == [(1, 4 * BLOCK_POINTS), (1, 20_000 - 4 * BLOCK_POINTS)] * 3
+    assert out.read_bytes() == _sample_reference(scenario, -2.0, grid, fmt)
 
 
 @pytest.mark.parametrize("fmt,bound_mib", [("csv", 1.69), ("json", 1.46)])

@@ -13,6 +13,7 @@ from kpii_stem import (
     build_case,
     cross_section,
     find_arm,
+    line_points,
     make_generic,
     skeleton,
     stem_endpoints,
@@ -704,6 +705,22 @@ def test_section_far_from_structure_vanishes(solutions):
     pts = cross_section(sol, 0.0, (1.0, 0.0, 500.0), s_range=(-5, 5),
                         n_samples=11, anchor=(0.0, 0.0))
     assert max(abs(u) for _, u in pts) < 1e-12
+
+
+@pytest.mark.parametrize("line", [(3.0, 4.0, -5.0), (-3.0, 4.0, 1.0), (0.0, -2.0, 7.0),
+                                  (1e-3, 1.0, 0.0)])
+def test_line_points_walk_the_line_from_the_anchor_foot(line):
+    # s = 0 is the foot of the anchor on the line, and a unit step in s moves
+    # one unit along the normalized line's direction (-B, A)
+    A, B, C = normalize_line(line)
+    anchor = (1.25, -0.5)
+    xs, ys = line_points(line, anchor, np.array([0.0, 1.0, -2.5]))
+    assert A * xs[0] + B * ys[0] + C == pytest.approx(0.0, abs=1e-15)
+    # the anchor lies on the normal through the foot
+    assert (anchor[0] - xs[0]) * -B + (anchor[1] - ys[0]) * A == pytest.approx(0.0, abs=1e-15)
+    for i, s in ((1, 1.0), (2, -2.5)):
+        assert xs[i] - xs[0] == pytest.approx(s * -B, abs=1e-15)
+        assert ys[i] - ys[0] == pytest.approx(s * A, abs=1e-15)
 
 
 def test_cross_section_validation(solutions):

@@ -11,9 +11,11 @@ template contributes the affine dominance function
 with (K_m, P_m, W_m) the term's exponent vector, lam_m = 1 when the term
 carries the finite interaction coefficient (L = ln a12) and 0 otherwise.
 A junction {m, n, r} solves psi_m = psi_n = psi_r; its coordinates are linear
-in t and L with coefficients that are rational in (k1, k2, k3, p3).  A stem's
-length is the distance between its two end junctions, so it needs no table
-of its own.
+in t and L with coefficients that are rational in (k1, k2, k3, p3), so they
+are two Cramer solves of the same 2 x 2 system: one with the W differences
+and one with the lam differences as the offsets (the formula of
+kpii_stem.geometry._meet), each factored.  A stem's length is
+the distance between its two end junctions, so it needs no table of its own.
 
 Which keys are emitted follows from the Newton polytope of the template.  At
 t -> +-inf every psi_m / |t| = eps_m . (k x + p y +- omega) is linear in the
@@ -58,7 +60,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from kpii_stem.catalog import A12, CONSTRAINTS, TEMPLATES  # noqa: E402
 
 k1, k2, k3, p3 = sp.symbols("k1 k2 k3 p3")
-t, L = sp.symbols("t L")
 
 
 # exact counterpart of catalog.omega, whose float 3.0 would leak sympy Floats
@@ -100,26 +101,21 @@ def on_facet(eps_list, tri):
 
 
 def junction_point(terms, tri):
-    """Solve psi_a = psi_b = psi_c; return ((xt, xL), (yt, yL)) or None."""
+    """Solve psi_a = psi_b = psi_c; return ((xt, xL), (yt, yL)), or None
+    where the lines of a-b and a-c are parallel.  (xt, yt) and (xL, yL) are
+    where they meet with the W and with the lam differences as offsets."""
     (Ka, Pa, Wa, la), (Kb, Pb, Wb, lb), (Kc, Pc, Wc, lc) = (terms[i] for i in tri)
-    x, y = sp.symbols("x y")
-    eq1 = sp.Eq((Ka - Kb) * x + (Pa - Pb) * y + (Wa - Wb) * t + (la - lb) * L, 0)
-    eq2 = sp.Eq((Ka - Kc) * x + (Pa - Pc) * y + (Wa - Wc) * t + (la - lc) * L, 0)
-    det = sp.simplify((Ka - Kb) * (Pa - Pc) - (Ka - Kc) * (Pa - Pb))
+    A1, B1, A2, B2 = Ka - Kb, Pa - Pb, Ka - Kc, Pa - Pc
+    det = sp.cancel(A1 * B2 - A2 * B1)
     if det == 0:
         return None
-    sol = sp.solve([eq1, eq2], [x, y], dict=True)
-    if not sol:
-        return None
-    xs, ys = sol[0][x], sol[0][y]
-    out = []
-    for expr in (xs, ys):
-        expr = sp.cancel(sp.together(expr))
-        ct = sp.cancel(sp.diff(expr, t))
-        cL = sp.cancel(sp.diff(expr, L))
-        assert sp.simplify(expr - ct * t - cL * L) == 0
-        out.append((sp.factor(ct), sp.factor(cL)))
-    return tuple(out)
+
+    def meet(C1, C2):
+        return (sp.factor((-C1 * B2 + C2 * B1) / det),
+                sp.factor((-A1 * C2 + A2 * C1) / det))
+
+    (xt, yt), (xL, yL) = meet(Wa - Wb, Wa - Wc), meet(la - lb, la - lc)
+    return (xt, xL), (yt, yL)
 
 
 def _vector_name(eps):
