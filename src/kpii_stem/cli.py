@@ -20,6 +20,7 @@ writes it as bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -257,18 +258,23 @@ def _csv_lines(u, x_text, y_text):
     """The CSV lines of one tile's values u, row i at x_text[i] and column j
     at y_text[j]: formatted in one floattext call, then laid out a block at a
     time, each line the x text, the y text and the u text, each with its
-    separator, side by side in one NUL-padded matrix."""
+    separator, side by side in one NUL-padded record, filled through a numpy
+    view of the bytearray whose NULs are then dropped.  Each text is one
+    void element, so a line is filled by three copies of whole texts."""
     from . import floattext
-    u_text = floattext.columns(u, sep=b"\n").reshape(*u.shape, -1)
-    wx, wy = x_text.shape[1], y_text.shape[1]
+    x_text, y_text, u_text = (t.view((np.void, t.shape[1]))[:, 0]
+                              for t in (x_text, y_text, floattext.columns(u, sep=b"\n")))
+    line = np.dtype([("x", x_text.dtype), ("y", y_text.dtype), ("u", u_text.dtype)])
+    u_text = u_text.reshape(u.shape)
     for i, j in _tiles(u.shape, BLOCK_POINTS):
         part = u_text[i, j]
-        lines = np.empty(part.shape[:2] + (wx + wy + part.shape[2],), np.uint8)
-        lines[..., :wx] = x_text[i, None]
-        lines[..., wx:wx + wy] = y_text[j]
-        lines[..., wx + wy:] = part
-        yield floattext.text(lines)
-        del lines  # before the next block's is made
+        buf = bytearray(part.size * line.itemsize)
+        lines = np.frombuffer(buf, line).reshape(part.shape)
+        lines["x"] = x_text[i, None]
+        lines["y"] = y_text[j]
+        lines["u"] = part
+        yield buf.translate(None, b"\0")
+        del buf, lines  # before the next block's are made
 
 
 def _json_values(u, sep, lead):
@@ -303,10 +309,15 @@ def cmd_sample(args, sc: Scenario, sol: ResonantSolution) -> int:
             if args.format == "csv":
                 fh.write(f"# kpii-stem v{__version__} case={sc.case} t={t!r}\n"
                          "x,y,u\n".encode())
-                x_text, y_text = floattext.packed(xs, ys, sep=b",")
+                # the axes' text: packed once where the tiles are whole
+                # rows, else for each piece of a row alone, so that a long
+                # row's text is held a tile at a time
+                axes = None if ny > _TEXT_POINTS else floattext.packed(xs, ys, sep=b",")
                 for rows, cols in _tiles((nx, ny), _TEXT_POINTS):
+                    x_text, y_text = (floattext.packed(xs[rows], ys[cols], sep=b",")
+                                      if axes is None else (axes[0][rows], axes[1][cols]))
                     fh.writelines(_csv_lines(u_on_grid(sol.tau, xs[rows, None], ys[cols], t),
-                                             x_text[rows], y_text[cols]))
+                                             x_text, y_text))
             else:
                 # the header as json.dumps(indent=2) lays it out, with "values"
                 # last, one value per line
@@ -426,7 +437,10 @@ def cmd_section(args, sc: Scenario, sol: ResonantSolution) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first main call and then kept:
+    parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="kpii-stem",
         description="Resonant three-soliton solutions of the KPII equation "
@@ -467,8 +481,11 @@ def main(argv=None) -> int:
     p.add_argument("--n", type=int, default=801)
     p.add_argument("--out")
     p.set_defaults(func=cmd_section)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         sc = load_scenario(args.scenario)
         return args.func(args, sc, sc.build())

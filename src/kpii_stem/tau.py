@@ -19,16 +19,20 @@ NaN.
 
 An input of more than BLOCK_POINTS points is evaluated in blocks of whole rows
 along the leading axis of its broadcast shape, each written into a
-preallocated result, so the kernel's transient memory is that of one block (of
-at most BLOCK_POINTS + 1 points, or one row where a row is longer) whatever
-the point count.  The blocks give the bits of one-array evaluation: every
-per-point operation is elementwise, and the sums over terms run row by row for
-any block of two or more points.  numpy reduces the terms of a single point
-pairwise, not row by row, so a one-point remainder joins the block before it.
-Within a block each moment and cumulant is dropped after its last read.
+preallocated result; where a row is longer than BLOCK_POINTS, each row is split
+the same way along the axes after it, so a (1, n) grid takes pieces of its
+row.  The kernel's transient memory is that of one block (of at most
+BLOCK_POINTS + 1 points) whatever the point count or shape.  The blocks give
+the bits of one-array evaluation: every per-point operation is elementwise,
+and the sums over terms run row by row for any block of two or more points.
+numpy reduces the terms of a single point pairwise, not row by row, so a
+one-point remainder joins the block before it.  Within a block each moment
+and cumulant is dropped after its last read.
 
 How a block forms its moments: r is built in place in one array (with one
-scratch array), s0 = r.sum(axis=0), and every requested moment comes from one
+scratch array where a second product has the full shape; each product of the
+exponent is formed at its own broadcast shape, so on a grid kx x is a column
+and py y a row), s0 = r.sum(axis=0), and every requested moment comes from one
 contraction np.einsum("bm,m...->b...", W, r) of the stacked weight rows W with
 r, divided by s0 in place.  The contraction adds the products one term row at
 a time, in term order, which is how r.sum(axis=0) and (w * r).sum(axis=0) add
@@ -124,16 +128,25 @@ def _scaled_weights(tau: ExpSumTau, x, y, t):
     r_m = c_m exp(E_m - M), M = max E_m, and tau's kx, py, wt columns indexed
     to broadcast against r.
 
-    r is built in one array of the broadcast shape with one scratch array:
-    E = ((kx x + py y) + wt t) + phase, then E - M, exp and the multiply by c,
-    each in place."""
+    E = ((kx x + py y) + wt t) + phase, each product formed at its own
+    broadcast shape: on a grid, a column, a row and one value per term.  A
+    product of the full shape goes into r, or into the one scratch array
+    where r already holds one.  The sums, E - M, exp and the multiply by c
+    are done in place in r."""
     nd = max(x.ndim, y.ndim, t.ndim)
     coeff, kx, py, wt, phase = (col[(slice(None),) + (None,) * nd] for col in tau.columns)
-    r = np.empty((len(tau),) + np.broadcast(x, y, t).shape)
-    part = np.empty_like(r)
-    np.multiply(kx, x, out=r)
-    r += np.multiply(py, y, out=part)
-    r += np.multiply(wt, t, out=part)
+    points = np.broadcast(x, y, t)
+    r = np.empty((len(tau),) + points.shape)
+    # the scratch array, for a full-shape product while r holds another
+    part = (np.empty_like(r) if t.size == points.size or x.size == y.size == points.size
+            else None)
+
+    def product(col, a, out):
+        return np.multiply(col, a, out=out) if a.size == points.size else col * a
+
+    xy = product(kx, x, r)
+    np.add(xy, product(py, y, part if xy is r else r), out=r)
+    r += product(wt, t, part)
     r += phase
     M = r.max(axis=0)
     r -= M
@@ -326,24 +339,34 @@ def _block(tau: ExpSumTau, x, y, t, indices, plan):
     return {idx: 2.0 * cum[(idx[0] + 2, idx[1], idx[2])] for idx in indices}
 
 
-def _blocked(tau: ExpSumTau, x, y, t, indices, plan):
-    """_block over whole rows of the leading broadcast axis, at most
-    BLOCK_POINTS points (or one row) per block, never a one-point block."""
-    shape = np.broadcast_shapes(x.shape, y.shape, t.shape)
+def _blocks(shape):
+    """The index tuples of the blocks that cover shape in row-major order:
+    whole rows of the leading axis, at most BLOCK_POINTS points per block,
+    where a row fits in a block; else each row split the same way along the
+    axes after it.  A one-point block joins the block before it."""
     rows, row = shape[0], math.prod(shape[1:])
-    starts = list(range(0, rows, max(1, BLOCK_POINTS // row)))
+    if row > BLOCK_POINTS:
+        return [(slice(i, i + 1),) + sub for i in range(rows) for sub in _blocks(shape[1:])]
+    starts = list(range(0, rows, BLOCK_POINTS // row))
     if row == 1 and len(starts) > 1 and rows - starts[-1] == 1:
         starts.pop()
-    if len(starts) == 1:
+    return [(slice(lo, hi),) for lo, hi in zip(starts, starts[1:] + [rows])]
+
+
+def _blocked(tau: ExpSumTau, x, y, t, indices, plan):
+    """_block over the blocks of _blocks, never a one-point block."""
+    shape = np.broadcast_shapes(x.shape, y.shape, t.shape)
+    blocks = _blocks(shape)
+    if len(blocks) == 1:
         return _block(tau, x, y, t, indices, plan)
     # leading axes of length 1 added in place of broadcasting: views, no copies
     x, y, t = (a.reshape((1,) * (len(shape) - a.ndim) + a.shape) for a in (x, y, t))
     out = {idx: np.empty(shape) for idx in indices}
-    for lo, hi in zip(starts, starts[1:] + [rows]):
-        part = _block(tau, *(a if len(a) == 1 else a[lo:hi] for a in (x, y, t)),
-                      indices, plan)
+    for block in blocks:
+        part = _block(tau, *(a[tuple(s if n > 1 else slice(None) for s, n in zip(block, a.shape))]
+                             for a in (x, y, t)), indices, plan)
         for idx, vals in part.items():
-            out[idx][lo:hi] = vals
+            out[idx][block] = vals
     return out
 
 
@@ -376,10 +399,10 @@ def u_partials(tau: ExpSumTau, x, y, t, indices: Sequence[MultiIndex]):
 def u_on_grid(tau: ExpSumTau, x, y, t) -> np.ndarray:
     """Vectorized u over broadcastable coordinate arrays.
 
-    Evaluated in blocks of at most BLOCK_POINTS points (one row where a row
-    of the leading broadcast axis is longer, never a block of one point), so
-    the transient memory stays that of one block while the result's bits are
-    those of one-array evaluation.
+    Evaluated in blocks of at most BLOCK_POINTS points (pieces of a row
+    where a row of the leading broadcast axis is longer, never a block of one
+    point), so the transient memory stays that of one block while the
+    result's bits are those of one-array evaluation.
 
     A one-point call (scalar, 0-d or length 1) is evaluated in Python floats
     in the array path's order, with np.exp (module docstring), and gives the

@@ -576,15 +576,20 @@ def test_sample_long_rows_take_bounded_kernel_calls(tmp_path, monkeypatch, fmt):
     assert out.read_bytes() == _sample_reference(scenario, -2.0, grid, fmt)
 
 
-@pytest.mark.parametrize("fmt,bound_mib", [("csv", 1.69), ("json", 1.46)])
-def test_sample_traced_peak_bounded(tmp_path, fmt, bound_mib):
+@pytest.mark.parametrize("fmt,bound_mib,grid", [
+    pytest.param("csv", 1.69, "-30,30,301,-30,30,297", id="csv-1.69"),
+    pytest.param("json", 1.46, "-30,30,301,-30,30,297", id="json-1.46"),
+    pytest.param("csv", 3.0, "-30,30,3,-30,30,60000", id="csv-long-rows-3.0"),
+])
+def test_sample_traced_peak_bounded(tmp_path, fmt, bound_mib, grid):
     # one sample call on a 301 x 297 grid (six kernel calls) holds no more
-    # than it did when each block of values was formatted alone
+    # than it did when each block of values was formatted alone; on rows of
+    # 60 000 values the CSV y text is packed a tile at a time, not for the
+    # whole axis
     import tracemalloc
     from kpii_stem.cli import main
     argv = ["sample", "--scenario", str(SCENARIOS / "m2.json"), "--t=1.3",
-            "--grid=-30,30,301,-30,30,297", "--out", str(tmp_path / f"sample.{fmt}"),
-            "--format", fmt]
+            f"--grid={grid}", "--out", str(tmp_path / f"sample.{fmt}"), "--format", fmt]
     assert main(argv) == 0  # imports and plans, outside the trace
     tracemalloc.start()
     try:
@@ -593,6 +598,34 @@ def test_sample_traced_peak_bounded(tmp_path, fmt, bound_mib):
     finally:
         tracemalloc.stop()
     assert peak <= bound_mib * 2**20, peak / 2**20
+
+
+def test_parser_shared_by_calls_in_one_process(tmp_path, capsys):
+    # main builds its parser once per process: a sample call, a usage error,
+    # a stem call and a second sample call in one process each give the exit
+    # code, stderr and output bytes of a fresh process
+    from kpii_stem import cli
+    sample = ["sample", "--scenario", str(SCENARIOS / "m2.json"), "--t=1.3",
+              "--grid=-5,5,7,-5,5,6", "--out", "{out}"]
+    calls = [sample, sample + ["--format", "xml"],
+             ["stem", "--scenario", str(SCENARIOS / "c3_1.json"), "--t=-20,20"],
+             sample + ["--format", "json"]]
+    codes = []
+    for k, argv in enumerate(calls):
+        mine, fresh = tmp_path / f"in-process-{k}", tmp_path / f"fresh-{k}"
+        try:
+            code = cli.main([a.format(out=mine) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+        codes.append(code)
+        out, err = capsys.readouterr()
+        res = run_cli(*(a.format(out=fresh) for a in argv))
+        assert (code, err.encode(), out.encode()) == (res.returncode, res.stderr, res.stdout)
+        assert mine.exists() == fresh.exists()
+        if mine.exists():
+            assert mine.read_bytes() == fresh.read_bytes()
+    assert codes == [0, 2, 0, 0]
+    assert cli._parser() is cli._parser()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -375,9 +375,13 @@ def _block_shapes(rng):
         cases.append((f"1-D {n}", x, y, t))
     column = u(2 * B + 1, 1)
     column[-1] = ODD_POINT[0]
+    row = u(2 * B + 1)
+    row[-1] = ODD_POINT[1]
     cases += [
-        # every row longer than a block: one row per block
+        # every row longer than a block: split along the row, the one-point
+        # remainder joining the piece before it
         ("rows of B+1", u(3, 1), u(B + 1), 0.7),
+        ("row of 2B+1", np.array([[ODD_POINT[0]]]), row, ODD_POINT[2]),
         # four rows per block, the last block one row of 1000 points
         ("13 x 1000", u(13, 1), u(1000), -0.4),
         # one point per row: the one-point remainder joins the block before
@@ -407,6 +411,65 @@ def test_blocked_evaluation_bitwise_equal_to_one_array(solutions):
                 assert np.asarray(got[idx]).tobytes() == want[idx].tobytes(), (label, idx)
             u = u_on_grid(tau, x, y, t)
             assert u.tobytes() == want[(0, 0, 0)].tobytes(), label
+
+
+def test_long_row_is_split_along_the_row(solutions, monkeypatch):
+    """A (1, n) grid is evaluated in pieces of its row of at most
+    BLOCK_POINTS points: its traced peak is within 1.1x that of the same
+    points as (n, 1), and its values have the bits of one-array
+    evaluation."""
+    import tracemalloc
+    import kpii_stem.tau as tau_module
+    tau = solutions["m2"].tau
+    ys = np.linspace(-30.0, 30.0, 60_000)
+    u_on_grid(tau, 0.0, 0.0, 0.0)  # the plan, outside the trace
+    peaks, values = {}, {}
+    for label, x, y in (("row", np.array([[0.5]]), ys), ("column", ys[:, None], np.array([0.5]))):
+        tracemalloc.start()
+        try:
+            values[label] = u_on_grid(tau, x, y, 1.3)
+            peaks[label] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["row"] <= 1.1 * peaks["column"], peaks
+    sizes = []
+    block = tau_module._block
+
+    def counted_block(tau, x, y, t, *rest):
+        sizes.append(np.broadcast(x, y, t).size)
+        return block(tau, x, y, t, *rest)
+
+    monkeypatch.setattr(tau_module, "_block", counted_block)
+    assert u_on_grid(tau, np.array([[0.5]]), ys, 1.3).tobytes() == values["row"].tobytes()
+    assert max(sizes) <= BLOCK_POINTS and sum(sizes) == ys.size
+    one = block(tau, np.array([[0.5]]), ys, np.array(1.3), ((0, 0, 0),),
+                tau_module._plan(((0, 0, 0),)))[(0, 0, 0)]
+    assert values["row"].shape == one.shape == (1, ys.size)
+    assert values["row"].tobytes() == one.tobytes()
+
+
+def test_grid_exponents_bitwise_equal_to_full_arrays(solutions):
+    """On grid inputs (x a column, y a row, t a scalar or a column) each
+    exponent product is formed at its own shape; u and the six-partial
+    bundle keep the bits of the same points passed as full broadcast arrays,
+    and of the reference's ((kx x + py y) + wt t) + phase, on the four taus
+    of _kernel_taus, in one block and in two."""
+    rng = np.random.default_rng(73)
+    u = lambda *shape: rng.uniform(-9.0, 9.0, shape)
+    grids = [("41 x 7, t scalar", u(41, 1), u(7), -1.3),
+             ("41 x 7, t column", u(41, 1), u(7), u(41, 1)),
+             ("70 x 61, t column", u(70, 1), u(61), u(70, 1))]
+    for name, tau in _kernel_taus(solutions).items():
+        for indices in (((0, 0, 0),), RESIDUAL_INDICES):
+            for label, x, y, t in grids:
+                full = [a.copy() for a in np.broadcast_arrays(x, y, t)]
+                got = u_partials(tau, x, y, t, indices)
+                want = u_partials(tau, *full, indices)
+                ref = _reference_partials(tau, *full, indices)
+                for idx in indices:
+                    assert got[idx].shape == full[0].shape, (name, label, idx)
+                    assert got[idx].tobytes() == want[idx].tobytes() == ref[idx].tobytes(), \
+                        (name, label, idx)
 
 
 def test_calls_of_one_block_take_the_one_array_path(monkeypatch):
